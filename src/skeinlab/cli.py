@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 
 import numpy as np
@@ -76,9 +77,6 @@ def _cmd_bracket(args) -> int:
         d = diagram.parse_pd(args.pd)
     else:
         d = formats.diagram_from_json(_load_json(args.json_file))
-    if d.crossing_count > args.max_crossings:
-        raise ValueError(
-            f"diagram has {d.crossing_count} crossings, cap is {args.max_crossings}")
     value = _bracket_eval(d, method=args.method,
                              max_crossings=args.max_crossings,
                              max_width=args.max_width)
@@ -509,7 +507,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", dest="json_file", help="diagram or braid JSON file")
     p.add_argument("--method", choices=("auto", "sweep", "statesum"), default="auto")
     p.add_argument("--order", type=int, help="also print the h-expansion at A=-e^(h/4)")
-    p.add_argument("--max-crossings", type=int, default=24)
+    p.add_argument("--max-crossings", type=int, default=24,
+                   help="crossing cap of the state sum (--method statesum, or auto's fallback)")
     p.add_argument("--max-width", type=int, default=12)
     common(p)
     p.set_defaults(func=_cmd_bracket)
@@ -560,9 +559,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_braid_word(argv: list[str]) -> list[str]:
+    """Rewrite `--braid -1,2` as `--braid=-1,2`.
+
+    argparse reads a separate value that starts with '-' and is not a single
+    number as another option and fails; attached with '=' it is the value.
+    """
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        if (argv[i] == "--braid" and i + 1 < len(argv)
+                and re.fullmatch(r"-\d+(\s*,\s*-?\d+)*\s*,?", argv[i + 1])):
+            out.append(f"--braid={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_braid_word(
+        sys.argv[1:] if argv is None else list(argv)))
     try:
         _thread_cap()
         return args.func(args)

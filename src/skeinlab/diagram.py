@@ -526,8 +526,7 @@ def parse_braid(word: Sequence[int], strands: int) -> LinkDiagram:
     for s in word:
         if s == 0 or abs(s) >= strands:
             raise ValueError(f"braid letter {s} out of range for {strands} strands")
-    top = list(range(strands))
-    cur = list(top)
+    cur = list(range(strands))
     fresh = strands
     table: dict[int, Crossing] = {}
     for n, s in enumerate(word):
@@ -540,49 +539,16 @@ def parse_braid(word: Sequence[int], strands: int) -> LinkDiagram:
         cur[i - 1] = c
         cur[i] = d
 
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    for j in range(strands):
-        ra, rb = find(cur[j]), find(top[j])
-        if ra != rb:
-            parent[ra] = rb
-
-    canon: dict[int, int] = {}
-    occurrences: dict[int, int] = {}
-    for x in table.values():
-        for label in x.ends:
-            root = find(label)
-            canon.setdefault(root, min(l for l in _class_members(parent, root, fresh)))
-            occurrences[root] = occurrences.get(root, 0) + 1
+    # The closure joins the bottom end of strand j to its top end, labelled
+    # j; the joined arc keeps j, the smaller of its two labels.  A strand no
+    # letter touches (bottom label still j) closes into a free circle.
+    rename = {cur[j]: j for j in range(strands)}
     out = {
-        cid: Crossing(tuple(canon[find(l)] for l in x.ends), x.over_first)
+        cid: Crossing(tuple(rename.get(l, l) for l in x.ends), x.over_first)
         for cid, x in table.items()
     }
-    loops = 0
-    seen_roots = set()
-    for label in set(top) | set(range(strands, fresh)):
-        root = find(label)
-        if root in seen_roots:
-            continue
-        seen_roots.add(root)
-        if occurrences.get(root, 0) == 0:
-            loops += 1
+    loops = sum(1 for j in range(strands) if cur[j] == j)
     return LinkDiagram(out, loops)
-
-
-def _class_members(parent: dict[int, int], root: int, bound: int) -> list[int]:
-    def find(x: int) -> int:
-        while parent.get(x, x) != x:
-            x = parent[x]
-        return x
-
-    return [l for l in range(bound) if find(l) == root]
 
 
 def parse_pd(text: str) -> LinkDiagram:

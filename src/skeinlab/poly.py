@@ -24,6 +24,22 @@ def _norm_scalar(c: Scalar) -> Scalar:
     return c
 
 
+def binary_power(base, n: int, one):
+    """base ** n for n >= 0 by repeated squaring.
+
+    The base is squared only while bits of n remain, so p ** 2 costs one
+    multiplication and p ** 1 none.
+    """
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return one if result is None else result
+        base = base * base
+
+
 class LaurentPoly:
     """Laurent polynomial in A with exact integer or rational coefficients."""
 
@@ -127,14 +143,7 @@ class LaurentPoly:
                 if c in (1, -1):
                     return LaurentPoly({k * n: c if n % 2 else 1})
             raise ValueError("negative powers only defined for unit monomials")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, LaurentPoly.one())
 
     def eval_at(self, a: complex) -> complex:
         """Numeric evaluation at a nonzero complex value of A."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .poly import LaurentPoly, render_laurent
+from .poly import LaurentPoly, binary_power, render_laurent
 
 Monomial = tuple[int, int, int]
 _X, _Y, _Z = 0, 1, 2
@@ -211,14 +211,7 @@ class TorusSkeinElement:
     def __pow__(self, n: int) -> "TorusSkeinElement":
         if n < 0:
             raise ValueError("negative powers are not defined in the skein algebra")
-        result = TorusSkeinElement.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, TorusSkeinElement.one())
 
     # -- specialization ------------------------------------------------
     def specialize(self, a) -> "CommPoly":
@@ -390,14 +383,7 @@ class CommPoly:
     def __pow__(self, n: int) -> "CommPoly":
         if n < 0:
             raise ValueError("negative powers not supported")
-        out = CommPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n, CommPoly.constant(1))
 
     @staticmethod
     def _coerce(v) -> "CommPoly | None":

@@ -9,9 +9,11 @@ layer, never touching the evaluator's own state walk.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skeinlab.diagram import (
     LinkDiagram,
@@ -26,6 +28,7 @@ from skeinlab.bracket import (
     bracket_series,
     bracket_statesum,
     bracket_tl_sweep,
+    sweep_order,
 )
 from skeinlab.poly import LOOP_VALUE, LaurentPoly
 
@@ -54,6 +57,50 @@ def smoothing_oracle(d: LinkDiagram) -> LaurentPoly:
     cid = d.crossing_ids()[0]
     return (A * smoothing_oracle(d.smoothed(cid, "A"))
             + A_INV * smoothing_oracle(d.smoothed(cid, "B")))
+
+
+def reference_sweep_order(d: LinkDiagram, max_width: int = 12) -> list[int]:
+    """The greedy order by its definition: rescan every remaining crossing at
+    every step and take the smallest (width after placing it, crossing id)."""
+    remaining = set(d.crossing_ids())
+    seen: dict[int, int] = {}
+    width = 0
+    order: list[int] = []
+    while remaining:
+        best = None
+        for cid in sorted(remaining):
+            local = Counter(d.crossing(cid).ends)
+            delta = 0
+            for label, k in local.items():
+                prior = seen.get(label, 0)
+                if prior == 1:
+                    delta -= 1
+                elif prior == 0 and k == 1:
+                    delta += 1
+            if best is None or (width + delta, cid) < best[:2]:
+                best = (width + delta, cid)
+        width, cid = best
+        if width > max_width:
+            raise ValueError(f"frontier width {width} exceeds cap {max_width}")
+        order.append(cid)
+        remaining.discard(cid)
+        for label in d.crossing(cid).ends:
+            seen[label] = seen.get(label, 0) + 1
+    return order
+
+
+@st.composite
+def braid_words(draw, max_strands=5, max_length=60):
+    strands = draw(st.integers(2, max_strands))
+    letters = st.integers(1, strands - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    return strands, draw(st.lists(letters, max_size=max_length))
+
+
+# 39 letters on 5 strands whose greedy order peaks at width 14 while the
+# word order stays at 10
+WIDE_GREEDY_WORD = [1, -3, 3, 4, 4, 1, -4, 3, 3, -1, -4, 4, -1, -1, -3, -2, 4, -3,
+                    -2, -3, 3, 1, 1, -3, -1, -3, 3, -2, -1, 1, -2, -4, 1, 1, -2,
+                    3, 3, -4, 2]
 
 
 FROZEN = {
@@ -91,6 +138,20 @@ class TestOracles:
         for _ in range(15):
             d = random_braid_diagram(rng, max_crossings=7, max_strands=4)
             assert bracket_statesum(d) == smoothing_oracle(d)
+
+    def test_random_maps_match_smoothing_oracle(self):
+        # arbitrary 4-valent maps, most of them not planar: the evaluators
+        # must count loops without relying on planarity
+        rng = random.Random(41)
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            labels = [l for l in range(2 * n) for _ in range(2)]
+            rng.shuffle(labels)
+            d = LinkDiagram({i: (tuple(labels[4 * i:4 * i + 4]), rng.randint(0, 1))
+                             for i in range(n)})
+            expected = smoothing_oracle(d)
+            assert bracket_statesum(d) == expected
+            assert bracket_tl_sweep(d, 64) == expected
 
 
 class TestAlgebraicStructure:
@@ -157,9 +218,43 @@ class TestEvaluators:
             bracket_tl_sweep(d, max_width=1)
         assert bracket(d, method="auto", max_width=1) == bracket_statesum(d)
 
+    def test_wide_greedy_order_falls_back_to_word_order(self):
+        d = parse_braid(WIDE_GREEDY_WORD, 5)
+        with pytest.raises(ValueError):
+            reference_sweep_order(d)
+        assert sweep_order(d) == d.crossing_ids()
+        assert bracket(d) == bracket_tl_sweep(d, 64)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             bracket(corpus()["unknot"], method="magic")
+
+
+class TestSweepOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(braid_words())
+    def test_matches_the_rescanning_greedy_loop(self, case):
+        strands, word = case
+        d = parse_braid(word, strands)
+        for cap in (12, 6):
+            try:
+                expected = reference_sweep_order(d, cap)
+            except ValueError:
+                continue                # too wide for greedy: see the fallback tests
+            assert sweep_order(d, cap) == expected
+
+    def test_long_closures_keep_the_greedy_order(self):
+        rng = random.Random(31)
+        for strands in (3, 4, 5):
+            word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(150)]
+            d = parse_braid(word, strands)
+            assert sweep_order(d, 64) == reference_sweep_order(d, 64)
+
+    def test_fallback_only_when_both_orders_are_too_wide(self):
+        d = parse_braid(WIDE_GREEDY_WORD, 5)
+        assert sweep_order(d, 10) == d.crossing_ids()
+        with pytest.raises(ValueError):
+            sweep_order(d, 9)
 
 
 class TestSeries:

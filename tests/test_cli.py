@@ -7,9 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from skeinlab.bracket import bracket
 from skeinlab.characters import character_point, random_rep, trace_word
 from skeinlab.cli import main
-from skeinlab.diagram import corpus
+from skeinlab.diagram import corpus, parse_braid
 from skeinlab.formats import (
     connection_to_json,
     diagram_to_json,
@@ -18,6 +19,7 @@ from skeinlab.formats import (
     rep_to_json,
 )
 from skeinlab.lattice import bowtie_graph, triangle_graph, trivial_connection
+from skeinlab.poly import LaurentPoly
 from skeinlab.qlattice import bowtie_qlinks
 
 
@@ -98,6 +100,25 @@ class TestBracketCommand:
         word = ",".join(["1"] * 30)
         assert main(["bracket", "--braid", word, "--strands", "2",
                      "--method", "statesum"]) == 2
+
+    def test_crossing_cap_binds_only_the_state_sum(self, capsys):
+        n = 30
+        word = ",".join(["1"] * n)
+        assert main(["bracket", f"--braid={word}", "--strands", "2",
+                     "--method", "sweep"]) == 0
+        a = LaurentPoly.a_power(1)
+        expected = (a ** n * (a ** 4 + 1 + LaurentPoly.a_power(-4))
+                    + LaurentPoly.term(-1, -3) ** n)
+        assert capsys.readouterr().out.strip() == str(expected)
+        assert main(["bracket", f"--braid={word}", "--strands", "2",
+                     "--method", "statesum"]) == 2
+        assert "30 crossings exceeds the state-sum cap of 24" in capsys.readouterr().err
+
+    def test_braid_may_start_with_a_negative_letter(self, capsys):
+        assert main(["bracket", "--braid", "-1,2", "--strands", "3"]) == 0
+        assert capsys.readouterr().out.strip() == str(bracket(parse_braid([-1, 2], 3)))
+        assert main(["bracket", "--braid", "-1,-1,-1", "--strands", "2"]) == 0
+        assert capsys.readouterr().out.strip() == str(bracket(parse_braid([-1] * 3, 2)))
 
 
 class TestSkeinCommand:

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skeinlab.diagram import (
     Crossing,
@@ -22,7 +23,59 @@ def kink() -> LinkDiagram:
     return LinkDiagram({0: Crossing((0, 1, 1, 0), 0)})
 
 
+def reference_braid_closure(word, strands):
+    """Closure of a braid word computed the long way.
+
+    Letters get fresh label pairs in order, the closure joins each strand's
+    bottom label to its top label, and every label is then renamed to the
+    smallest label of its class, the classes found by a flood fill.
+    """
+    cur = list(range(strands))
+    fresh = strands
+    raw = []
+    for s in word:
+        i = abs(s)
+        raw.append(((fresh, fresh + 1, cur[i], cur[i - 1]), 0 if s > 0 else 1))
+        cur[i - 1], cur[i] = fresh, fresh + 1
+        fresh += 2
+    joined = {label: set() for label in range(fresh)}
+    for j in range(strands):
+        joined[cur[j]].add(j)
+        joined[j].add(cur[j])
+    smallest = {}
+    for label in range(fresh):
+        cls, todo = {label}, [label]
+        while todo:
+            for other in joined[todo.pop()] - cls:
+                cls.add(other)
+                todo.append(other)
+        smallest[label] = min(cls)
+    crossings = {n: Crossing(tuple(smallest[l] for l in ends), over)
+                 for n, (ends, over) in enumerate(raw)}
+    used = {l for x in crossings.values() for l in x.ends}
+    loops = len(set(smallest.values()) - used)
+    return crossings, loops
+
+
+@st.composite
+def braid_words(draw):
+    strands = draw(st.integers(1, 6))
+    if strands == 1:
+        return strands, []
+    letters = st.integers(1, strands - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    return strands, draw(st.lists(letters, max_size=40))
+
+
 class TestParsing:
+    @settings(max_examples=200, deadline=None)
+    @given(braid_words())
+    def test_braid_labels_are_class_minima(self, case):
+        strands, word = case
+        d = parse_braid(word, strands)
+        crossings, loops = reference_braid_closure(word, strands)
+        assert d.crossings == crossings
+        assert d.free_loops == loops
+
     def test_empty_braid_closes_to_circles(self):
         d = parse_braid([], 2)
         assert d.crossing_count == 0

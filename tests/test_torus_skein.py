@@ -219,3 +219,39 @@ class TestParsingAndRendering:
     def test_comm_poly_evaluate(self):
         p = CommPoly({(2, 0, 0): 1, (0, 1, 0): -3, (0, 0, 0): 5})
         assert p.evaluate(2, 1, 0) == 4 - 3 + 5
+
+
+
+# (base, its ring's one) for each of the three types with a power operator
+POWER_BASES = [
+    (lp({1: 2, -3: -1}), LaurentPoly.one()),
+    (TorusSkeinElement({(1, 0, 0): lp({1: 1}), (0, 1, 1): lp({-1: 2})}),
+     TorusSkeinElement.one()),
+    (CommPoly({(1, 0, 0): 2, (0, 1, 1): -1, (0, 0, 0): 3}), CommPoly.constant(1)),
+]
+POWER_IDS = [type(p).__name__ for p, _ in POWER_BASES]
+
+
+class TestPowers:
+    @pytest.mark.parametrize("p, one", POWER_BASES, ids=POWER_IDS)
+    def test_square_costs_one_multiplication(self, p, one, monkeypatch):
+        cls = type(p)
+        mul = cls.__mul__
+        calls = []
+
+        def counting_mul(a, b):
+            calls.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(cls, "__mul__", counting_mul)
+        square = p ** 2
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert square == p * p
+
+    @pytest.mark.parametrize("p, one", POWER_BASES, ids=POWER_IDS)
+    def test_powers_match_repeated_products(self, p, one):
+        product = one
+        for n in range(6):
+            assert p ** n == product, n
+            product = product * p
