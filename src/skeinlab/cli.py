@@ -559,8 +559,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_braid_word(argv: list[str]) -> list[str]:
-    """Rewrite `--braid -1,2` as `--braid=-1,2`.
+def _attach_signed_lists(argv: list[str]) -> list[str]:
+    """Rewrite `--braid -1,2` as `--braid=-1,2`, and likewise for the edge
+    paths of `--wilson` and `--holonomy`.
 
     argparse reads a separate value that starts with '-' and is not a single
     number as another option and fails; attached with '=' it is the value.
@@ -568,9 +569,9 @@ def _attach_braid_word(argv: list[str]) -> list[str]:
     out: list[str] = []
     i = 0
     while i < len(argv):
-        if (argv[i] == "--braid" and i + 1 < len(argv)
+        if (argv[i] in ("--braid", "--wilson", "--holonomy") and i + 1 < len(argv)
                 and re.fullmatch(r"-\d+(\s*,\s*-?\d+)*\s*,?", argv[i + 1])):
-            out.append(f"--braid={argv[i + 1]}")
+            out.append(f"{argv[i]}={argv[i + 1]}")
             i += 2
         else:
             out.append(argv[i])
@@ -580,7 +581,7 @@ def _attach_braid_word(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(_attach_braid_word(
+    args = parser.parse_args(_attach_signed_lists(
         sys.argv[1:] if argv is None else list(argv)))
     try:
         _thread_cap()

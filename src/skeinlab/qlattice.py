@@ -27,10 +27,18 @@ cilium crossed - then traces the product around every loop and applies a
 minus sign per loop.  At t = 1 everything collapses to the classical
 theory, and the Kauffman bracket skein relation holds among the three
 resolutions of any crossing.
+
+Observables are evaluated in the fundamental representation: `wilson_qlink`
+maps each edge word to its 2x2 matrix once and the antipode to the linear
+map `antipode_matrix`, and the vertex-splitting check contracts operators on
+(C^2)^(x 3n) instead of expanding the split words.  The symbolic expansions
+(`decorated_words`, `nabla_vertex`) stay public; the tests evaluate them as
+the independent oracle for the numeric results.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -44,15 +52,11 @@ _CANCEL = {("K", "Ki"), ("Ki", "K")}
 
 
 def _reduce(letters: Iterable[str]) -> Word:
-    out: list[str] = []
+    letters = tuple(letters)
     for ch in letters:
         if ch not in _LETTERS:
             raise ValueError(f"unknown letter {ch!r}")
-        if out and (out[-1], ch) in _CANCEL:
-            out.pop()
-        else:
-            out.append(ch)
-    return tuple(out)
+    return _concat((), letters)
 
 
 def _concat(w1: Word, w2: Word) -> Word:
@@ -291,41 +295,44 @@ def uq_coproduct_n(w: UqWord, n: int) -> list[tuple[complex, tuple[Word, ...]]]:
 # fundamental representation and R-matrix
 
 
-_RHO_CACHE: dict[tuple[Word, complex], np.ndarray] = {}
-
-_E_MAT = np.array([[0, 1], [0, 0]], dtype=complex)
-_F_MAT = np.array([[0, 0], [1, 0]], dtype=complex)
-
-
-def _letter_matrix(ch: str, t: complex) -> np.ndarray:
-    if ch == "K":
-        return np.array([[t, 0], [0, 1 / t]], dtype=complex)
-    if ch == "Ki":
-        return np.array([[1 / t, 0], [0, t]], dtype=complex)
-    return _E_MAT if ch == "E" else _F_MAT
-
-
-def _word_matrix(word: Word, t: complex) -> np.ndarray:
-    key = (word, complex(t))
-    cached = _RHO_CACHE.get(key)
-    if cached is not None:
-        return cached
-    m = np.eye(2, dtype=complex)
-    for ch in word:
-        m = m @ _letter_matrix(ch, t)
-    if len(_RHO_CACHE) > 1 << 16:
-        _RHO_CACHE.clear()
-    _RHO_CACHE[key] = m
-    return m
-
-
 def uq_fundamental(w: UqWord, t: complex) -> np.ndarray:
     """Image of a word combination in the fundamental representation at t."""
     if t == 0:
         raise ValueError("t must be nonzero")
-    out = np.zeros((2, 2), dtype=complex)
-    for word, c in w._terms.items():
-        out = out + c * _word_matrix(word, t)
+    t = complex(t)
+    ti = 1 / t
+    m00 = m01 = m10 = m11 = 0j
+    for word, coeff in w._terms.items():
+        a, b, c, d = coeff, 0j, 0j, coeff           # coeff times the identity,
+        for ch in word:                             # then each letter on the right
+            if ch == "K":
+                a, b, c, d = a * t, b * ti, c * t, d * ti
+            elif ch == "Ki":
+                a, b, c, d = a * ti, b * t, c * ti, d * t
+            elif ch == "E":
+                a, b, c, d = 0j, a, 0j, c
+            else:
+                a, b, c, d = b, 0j, d, 0j
+        m00 += a
+        m01 += b
+        m10 += c
+        m11 += d
+    return np.array([[m00, m01], [m10, m11]], dtype=complex)
+
+
+def antipode_matrix(m: np.ndarray, t: complex) -> np.ndarray:
+    """rho(S(x)) from m = rho(x), on the last two axes of a stack of matrices.
+
+    rho(S(x)) = M rho(x)^T M^-1 with M = [[0, -t^2], [1, 0]], that is
+    [[a, b], [c, d]] -> [[d, -t^2 b], [-c / t^2, a]]; it agrees with the
+    antipode's letter images on K, Ki, E and F and reverses products.
+    """
+    t2 = complex(t) ** 2
+    out = np.empty(np.shape(m), dtype=complex)
+    out[..., 0, 0] = m[..., 1, 1]
+    out[..., 0, 1] = -t2 * m[..., 0, 1]
+    out[..., 1, 0] = -m[..., 1, 0] / t2
+    out[..., 1, 1] = m[..., 0, 0]
     return out
 
 
@@ -334,6 +341,8 @@ def uq_trace(w: UqWord, t: complex) -> complex:
 
 
 def charmed_k_matrix(t: complex) -> np.ndarray:
+    if t == 0:
+        raise ValueError("t must be nonzero")
     return np.array([[t * t, 0], [0, 1 / (t * t)]], dtype=complex)
 
 
@@ -345,6 +354,8 @@ def r_matrix_terms(t: complex) -> list[tuple[UqWord, UqWord]]:
     coefficients blow up but the matrix itself degenerates to a single
     group-like tensor: t*(1(x)1) at t = +-1 and -t*(K(x)K) at t = +-i.
     """
+    if t == 0:
+        raise ValueError("t must be nonzero")
     t = complex(t)
     if abs(t ** 4 - 1) < 1e-12:
         if abs(t * t - 1) < 1e-12:
@@ -411,25 +422,31 @@ class QLink:
         return [e for loop in self.loops for e, _ in loop]
 
     def validate(self, graph: CiliatedGraph) -> None:
-        for loop in self.loops:
-            graph._check_path(loop, closed=True)
-        used = self.used_edges()
-        if len(used) != len(set(used)):
-            raise ValueError("an edge is traversed more than once")
-        passages = _passages(graph, self)
-        if any(len(ps) > 2 for ps in passages.values()):
-            raise ValueError("a vertex is visited more than twice")
-        transverse = set()
-        for v, ps in passages.items():
-            if len(ps) == 2 and _is_transverse(_double_ends(graph, passages, v)):
-                transverse.add(v)
-        listed = [v for v, _ in self.crossings]
-        if len(listed) != len(set(listed)):
-            raise ValueError("duplicate crossing vertex")
-        if set(listed) != transverse:
-            raise ValueError(
-                "crossing signs must be given exactly at transverse double points; "
-                f"expected {sorted(map(str, transverse))}, got {sorted(map(str, listed))}")
+        _validated_passages(graph, self)
+
+
+def _validated_passages(graph: CiliatedGraph, qlink: QLink) -> dict[object, list[_Passage]]:
+    """Check a q-link against a graph and return its passages by vertex."""
+    for loop in qlink.loops:
+        graph._check_path(loop, closed=True)
+    used = qlink.used_edges()
+    if len(used) != len(set(used)):
+        raise ValueError("an edge is traversed more than once")
+    passages = _passages(graph, qlink)
+    if any(len(ps) > 2 for ps in passages.values()):
+        raise ValueError("a vertex is visited more than twice")
+    transverse = set()
+    for v, ps in passages.items():
+        if len(ps) == 2 and _is_transverse(_double_ends(graph, passages, v)):
+            transverse.add(v)
+    listed = [v for v, _ in qlink.crossings]
+    if len(listed) != len(set(listed)):
+        raise ValueError("duplicate crossing vertex")
+    if set(listed) != transverse:
+        raise ValueError(
+            "crossing signs must be given exactly at transverse double points; "
+            f"expected {sorted(map(str, transverse))}, got {sorted(map(str, listed))}")
+    return passages
 
 
 class _Passage(NamedTuple):
@@ -501,27 +518,18 @@ def _as_uq(value) -> UqWord:
     raise TypeError(f"expected UqWord, got {type(value).__name__}")
 
 
-def decorated_words(graph: CiliatedGraph, qlink: QLink, conn: QConnection,
-                    t: complex) -> list[list[UqWord]]:
-    """Per R-state, the decorated word products around each loop.
-
-    This exposes the structural content of the Wilson observable: each state
-    picks one pure tensor alpha (x) beta of the R-matrix at every crossing,
-    decorates edge words (alpha and beta at the crossing ends, S(. k) on
-    edges against orientation, k per cilium crossed), and multiplies along
-    each loop in traversal order.
-    """
-    qlink.validate(graph)
-    passages = _passages(graph, qlink)
-    rterms = r_matrix_terms(t)
-
-    # crossing data: (cilially first end, its edge side, on-over?, second end, ...)
-    cross_plans = []
+def _decorations(graph: CiliatedGraph, qlink: QLink
+                 ) -> tuple[list[tuple[EdgeEnd, EdgeEnd, bool]], list[int], list[int]]:
+    """Validate a q-link and locate the decorations of its Wilson observable:
+    per crossing (cilially first end, second end, first end on the over
+    strand?), the edges gaining a k at a cilium, the edges run backwards."""
+    passages = _validated_passages(graph, qlink)
+    crossings = []
     for vertex, sign in qlink.crossings:
         ends = _crossing_ends(graph, passages, vertex)
-        (c0, tag0), (c1, tag1) = ends[0], ends[1]
+        (c0, tag0), (c1, _) = ends[0], ends[1]
         over_tag = 0 if sign == "+" else 1
-        cross_plans.append((c0, c1, tag0 == over_tag))
+        crossings.append((c0, c1, tag0 == over_tag))
 
     # cilium steps: one k for each transition whose incoming end sits after
     # the outgoing end in the cilial order of the vertex where they meet
@@ -532,11 +540,25 @@ def decorated_words(graph: CiliatedGraph, qlink: QLink, conn: QConnection,
                 cilium_edges.append(p.in_end[0])
 
     against = [e for loop in qlink.loops for e, d in loop if d == -1]
+    return crossings, cilium_edges, against
 
+
+def decorated_words(graph: CiliatedGraph, qlink: QLink, conn: QConnection,
+                    t: complex) -> list[list[UqWord]]:
+    """Per R-state, the decorated word products around each loop.
+
+    This exposes the structural content of the Wilson observable: each state
+    picks one pure tensor alpha (x) beta of the R-matrix at every crossing,
+    decorates edge words (alpha and beta at the crossing ends, S(. k) on
+    edges against orientation, k per cilium crossed), and multiplies along
+    each loop in traversal order.
+    """
+    crossings, cilium_edges, against = _decorations(graph, qlink)
+    rterms = r_matrix_terms(t)
     out = []
-    for combo in itertools.product(rterms, repeat=len(cross_plans)):
+    for combo in itertools.product(rterms, repeat=len(crossings)):
         dec = {e: _as_uq(conn[e]) for loop in qlink.loops for e, _ in loop}
-        for (c0, c1, c0_over), (alpha, beta) in zip(cross_plans, combo):
+        for (c0, c1, c0_over), (alpha, beta) in zip(crossings, combo):
             d0, d1 = (alpha, beta) if c0_over else (beta, uq_antipode(alpha))
             for (e, side), deco in ((c0, d0), (c1, d1)):
                 dec[e] = deco * dec[e] if side == 0 else dec[e] * uq_antipode(deco)
@@ -559,18 +581,41 @@ def wilson_qlink(graph: CiliatedGraph, qlink: QLink, conn: QConnection,
     """Quantum Wilson observable of a q-link.
 
     Sums the traces of the decorated loop products over all R-states, with a
-    factor of -1 per loop and a counit factor for every unused edge.
+    factor of -1 per loop and a counit factor for every unused edge.  The
+    decorations of `decorated_words` are applied to the edge matrices in the
+    fundamental representation: crossing i's R-matrix legs are stacked along
+    axis i, so one broadcast product per loop covers every R-state.
     """
-    total = 0
-    for products in decorated_words(graph, qlink, conn, t):
-        term = 1
-        for word in products:
-            term *= uq_trace(word, t)
-        total += term
+    crossings, cilium_edges, against = _decorations(graph, qlink)
+    k = charmed_k_matrix(t)
+    dec = {e: uq_fundamental(_as_uq(conn[e]), t) for e in qlink.used_edges()}
+    if crossings:
+        rterms = r_matrix_terms(t)
+        alphas = np.array([uq_fundamental(a, t) for a, _ in rterms])
+        betas = np.array([uq_fundamental(b, t) for _, b in rterms])
+        n = len(crossings)
+        for i, (c0, c1, c0_over) in enumerate(crossings):
+            shape = [1] * n + [2, 2]
+            shape[i] = len(rterms)
+            d0, d1 = (alphas, betas) if c0_over else (betas, antipode_matrix(alphas, t))
+            for (e, side), deco in ((c0, d0), (c1, d1)):
+                deco = deco.reshape(shape)
+                dec[e] = deco @ dec[e] if side == 0 else dec[e] @ antipode_matrix(deco, t)
+    for e in against:
+        dec[e] = antipode_matrix(dec[e] @ k, t)
+    for e in cilium_edges:
+        dec[e] = dec[e] @ k
+    states = 1
+    for loop in qlink.loops:
+        prod = dec[loop[0][0]]
+        for e, _ in loop[1:]:
+            prod = prod @ dec[e]
+        states = states * np.trace(prod, axis1=-2, axis2=-1)
+    total = complex(np.sum(states))
     unused = set(graph.edges) - set(qlink.used_edges())
     for e in unused:
         total *= uq_counit(_as_uq(conn[e]))
-    return complex((-1) ** len(qlink.loops) * total)
+    return (-1) ** len(qlink.loops) * total
 
 
 def skein_residual(graph: CiliatedGraph, d: QLink, d_a: QLink, d_b: QLink,
@@ -744,26 +789,73 @@ def nabla_vertex(graph: CiliatedGraph, vertex: object, inputs: Sequence[UqWord],
     return out
 
 
-def _collapse_tensors(terms: Iterable[tuple[UqWord, ...]]) -> dict[tuple[Word, ...], complex]:
-    """Combine pure tensors of single-term words into a word-tuple -> coeff map."""
-    table: dict[tuple[Word, ...], complex] = {}
-    for factors in terms:
-        coeff: complex = 1
-        words = []
-        for f in factors:
-            items = f.items()
-            if len(items) != 1:
-                raise ValueError("expected single-term tensor factors")
-            word, c = items[0]
-            coeff *= c
-            words.append(word)
-        key = tuple(words)
-        c = table.get(key, 0) + coeff
-        if c == 0:
-            table.pop(key, None)
-        else:
-            table[key] = c
-    return table
+def _split_matrix(w: UqWord, n: int, t: complex) -> np.ndarray:
+    """rho^(x n) of the iterated coproduct D^(n-1)(w), a 2^n x 2^n matrix."""
+    return sum((c * functools.reduce(np.kron, [uq_fundamental(UqWord.from_word(x), t)
+                                               for x in words])
+                for c, words in uq_coproduct_n(w, n)),
+               np.zeros((2 ** n, 2 ** n), dtype=complex))
+
+
+def _apply(psi: np.ndarray, op: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Act with a 2^k x 2^k operator on k axes of a state in (C^2)^(x m)."""
+    k = len(axes)
+    psi = np.tensordot(op.reshape((2,) * (2 * k)), psi, axes=(range(k, 2 * k), axes))
+    return np.moveaxis(psi, range(k), axes)
+
+
+def nabla_iterate_probes(graph: CiliatedGraph, vertex: object, inputs: Sequence[UqWord],
+                         t: complex, probes: Sequence[tuple[np.ndarray, np.ndarray]]
+                         ) -> tuple[complex, complex]:
+    """Probe values of (nabla (x) id) nabla and (id (x) nabla) nabla on `inputs`.
+
+    Each iterate is a sum of 3n-fold pure tensors X_1 (x) ... (x) X_3n; its
+    probe value is the sum of prod_s u_s^T rho(X_s) v_s over the probe pairs
+    (u_s, v_s).  It is computed by acting on the product vector of the v_s in
+    (C^2)^(x 3n) with the coproducts of the inputs, then the R-matrices of
+    the first split, then those of the second, and pairing with the u_s.  A
+    strand of the first split that the second split acts on occupies two
+    slots, where rho becomes (rho (x) rho) D; since D is an algebra map, every
+    factor acting on that strand is mapped the same way.
+    """
+    tangle = fundamental_tangle(graph, vertex)
+    n, perm = tangle.n, tangle.permutation
+    if len(inputs) != n:
+        raise ValueError(f"expected {n} inputs at {vertex!r}, got {len(inputs)}")
+    if len(probes) != 3 * n:
+        raise ValueError(f"expected {3 * n} probe pairs, got {len(probes)}")
+    rterms = r_matrix_terms(t)
+    r_ops: dict[tuple[int, int], np.ndarray] = {}
+    values = []
+    for base in (0, n):                   # positions base+1..base+n are split again
+
+        def slots(strand: int) -> tuple[int, ...]:
+            pos = perm[strand - 1]
+            if base < pos <= base + n:
+                j = pos - base
+                return (base + perm[2 * j - 2] - 1, base + perm[2 * j - 1] - 1)
+            return (pos - 1 + n - base,)
+
+        psi = np.array(1, dtype=complex)
+        for _, v in probes:
+            psi = np.multiply.outer(psi, v)
+        for i, w in enumerate(inputs, start=1):
+            axes = slots(2 * i - 1) + slots(2 * i)
+            psi = _apply(psi, _split_matrix(w, len(axes), t), axes)
+        # crossings of the first split, then of the second: (over slots, under slots)
+        outer = [(slots(over), slots(under)) for _, over, under in tangle.crossings]
+        inner = [((base + perm[over - 1] - 1,), (base + perm[under - 1] - 1,))
+                 for _, over, under in tangle.crossings]
+        for ao, au in outer + inner:
+            key = (len(ao), len(au))
+            if key not in r_ops:
+                r_ops[key] = sum(np.kron(_split_matrix(a, key[0], t),
+                                         _split_matrix(b, key[1], t)) for a, b in rterms)
+            psi = _apply(psi, r_ops[key], ao + au)
+        for u, _ in probes:
+            psi = np.tensordot(u, psi, axes=(0, 0))
+        values.append(complex(psi))
+    return values[0], values[1]
 
 
 def nabla_coassociativity_residual(graph: CiliatedGraph, vertex: object,
@@ -771,42 +863,14 @@ def nabla_coassociativity_residual(graph: CiliatedGraph, vertex: object,
                                    rng: np.random.Generator) -> float:
     """Relative defect of (nabla (x) id) nabla = (id (x) nabla) nabla.
 
-    Both iterates are expanded symbolically into 3n-fold pure tensors of
-    words; equality is probed by contracting every slot with fixed random
-    vectors in the fundamental representation, so the check is basis-free
-    and collapses the enormous symbolic sums to two numbers.
+    Equality is probed by contracting every slot of the two iterates with
+    fixed random vectors in the fundamental representation, so the check is
+    basis-free and reduces both iterates to one number each
+    (`nabla_iterate_probes`).
     """
     n = len(graph.ciliation[vertex])
-    first = nabla_vertex(graph, vertex, inputs, t)
-    left_terms: list[tuple[UqWord, ...]] = []
-    right_terms: list[tuple[UqWord, ...]] = []
-    for factors in first:
-        for again in nabla_vertex(graph, vertex, factors[:n], t):
-            left_terms.append(tuple(again) + tuple(factors[n:]))
-        for again in nabla_vertex(graph, vertex, factors[n:], t):
-            right_terms.append(tuple(factors[:n]) + tuple(again))
-    left = _collapse_tensors(left_terms)
-    right = _collapse_tensors(right_terms)
-
     probes = [(rng.standard_normal(2) + 1j * rng.standard_normal(2),
                rng.standard_normal(2) + 1j * rng.standard_normal(2))
               for _ in range(3 * n)]
-    cache: dict[tuple[int, Word], complex] = {}
-
-    def contract(table: Mapping[tuple[Word, ...], complex]) -> complex:
-        total: complex = 0
-        for words, coeff in table.items():
-            prod = coeff
-            for slot, word in enumerate(words):
-                key = (slot, word)
-                val = cache.get(key)
-                if val is None:
-                    u, v = probes[slot]
-                    val = complex(u @ _word_matrix(word, t) @ v)
-                    cache[key] = val
-                prod *= val
-            total += prod
-        return total
-
-    lv, rv = contract(left), contract(right)
+    lv, rv = nabla_iterate_probes(graph, vertex, inputs, t, probes)
     return abs(lv - rv) / max(1.0, abs(lv), abs(rv))

@@ -198,6 +198,21 @@ class TestLatticeCommand:
         gp, _ = triangle_files
         assert main(["lattice", "--graph", gp, "--wilson", "1,3"]) == 2
 
+    def test_path_may_start_with_a_negative_edge(self, triangle_files, tmp_path, capsys):
+        from skeinlab.characters import random_sl2
+        gp, _ = triangle_files
+        rng = np.random.default_rng(103)
+        cp = tmp_path / "random.json"
+        cp.write_text(json.dumps(connection_to_json(
+            {e: random_sl2(rng) for e in triangle_graph().edges})))
+        for flag in ("--wilson", "--holonomy"):
+            assert main(["lattice", "--graph", gp, "--connection", str(cp),
+                         flag, "-3,-2,-1"]) == 0
+            separate = capsys.readouterr().out
+            assert main(["lattice", "--graph", gp, "--connection", str(cp),
+                         f"{flag}=-3,-2,-1"]) == 0
+            assert separate == capsys.readouterr().out != ""
+
 
 class TestQLatticeCommand:
     def test_wilson_value(self, bowtie_files, capsys):
@@ -223,6 +238,14 @@ class TestQLatticeCommand:
     def test_missing_file_is_an_error(self, bowtie_files):
         gp, (dp, _, _) = bowtie_files
         assert main(["qlattice", "--graph", gp, "--qlink", "/nonexistent.json"]) == 2
+
+    def test_zero_t_is_a_usage_error(self, bowtie_files, capsys):
+        gp, (dp, ap, bp) = bowtie_files
+        for extra in ([], ["--residual", ap, bp]):
+            assert main(["qlattice", "--graph", gp, "--qlink", dp, "--t", "0",
+                         *extra]) == 2
+            err = capsys.readouterr().err
+            assert "t must be nonzero" in err and "Traceback" not in err
 
 
 class TestEnvironment:
