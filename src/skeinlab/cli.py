@@ -366,7 +366,7 @@ def _verify_checks(seed: int, tol: float):
     def check_bowtie_residual():
         g = lattice.bowtie_graph()
         d, d_a, d_b = qlattice.bowtie_qlinks()
-        worst = 0.0
+        worst = words = 0.0
         for _ in range(3):
             t = complex(nprng.uniform(0.7, 1.3), nprng.uniform(-0.3, 0.3))
             triv = {e: UqWord.unit() for e in g.edges}
@@ -375,9 +375,16 @@ def _verify_checks(seed: int, tol: float):
             flat = classical_to_quantum(
                 lattice.gauge_act(g, gauge, lattice.trivial_connection(g)))
             worst = max(worst, abs(skein_residual(g, d, d_a, d_b, flat, t)))
-        if worst > 1e-8:
-            return False, f"residual {worst:.2e}"
-        return True, f"max residual {worst:.2e}"
+            # the matrix evaluation against the expanded decorated words
+            for link in (d, d_a, d_b):
+                got = wilson_qlink(g, link, triv, t)
+                want = (-1) ** len(link.loops) * sum(
+                    np.prod([uq_trace(w, t) for w in products])
+                    for products in qlattice.decorated_words(g, link, triv, t))
+                words = max(words, abs(got - want) / max(1.0, abs(want)))
+        if worst > 1e-8 or words > 1e-10:
+            return False, f"residual {worst:.2e}, words {words:.2e}"
+        return True, f"max residual {worst:.2e}, words {words:.2e}"
 
     def check_epsilon_invariance():
         g = lattice.bowtie_graph()

@@ -29,9 +29,9 @@ theory, and the Kauffman bracket skein relation holds among the three
 resolutions of any crossing.
 
 Observables are evaluated in the fundamental representation: `wilson_qlink`
-maps each edge word to its 2x2 matrix once and the antipode to the linear
-map `antipode_matrix`, and the vertex-splitting check contracts operators on
-(C^2)^(x 3n) instead of expanding the split words.  The symbolic expansions
+maps each edge word to its 2x2 matrix once and applies the antipode as a
+linear map on matrices, and the vertex-splitting check contracts operators
+on (C^2)^(x 3n) instead of expanding the split words.  The symbolic expansions
 (`decorated_words`, `nabla_vertex`) stay public; the tests evaluate them as
 the independent oracle for the numeric results.
 """
@@ -320,7 +320,7 @@ def uq_fundamental(w: UqWord, t: complex) -> np.ndarray:
     return np.array([[m00, m01], [m10, m11]], dtype=complex)
 
 
-def antipode_matrix(m: np.ndarray, t: complex) -> np.ndarray:
+def _antipode_matrix(m: np.ndarray, t: complex) -> np.ndarray:
     """rho(S(x)) from m = rho(x), on the last two axes of a stack of matrices.
 
     rho(S(x)) = M rho(x)^T M^-1 with M = [[0, -t^2], [1, 0]], that is
@@ -597,12 +597,12 @@ def wilson_qlink(graph: CiliatedGraph, qlink: QLink, conn: QConnection,
         for i, (c0, c1, c0_over) in enumerate(crossings):
             shape = [1] * n + [2, 2]
             shape[i] = len(rterms)
-            d0, d1 = (alphas, betas) if c0_over else (betas, antipode_matrix(alphas, t))
+            d0, d1 = (alphas, betas) if c0_over else (betas, _antipode_matrix(alphas, t))
             for (e, side), deco in ((c0, d0), (c1, d1)):
                 deco = deco.reshape(shape)
-                dec[e] = deco @ dec[e] if side == 0 else dec[e] @ antipode_matrix(deco, t)
+                dec[e] = deco @ dec[e] if side == 0 else dec[e] @ _antipode_matrix(deco, t)
     for e in against:
-        dec[e] = antipode_matrix(dec[e] @ k, t)
+        dec[e] = _antipode_matrix(dec[e] @ k, t)
     for e in cilium_edges:
         dec[e] = dec[e] @ k
     states = 1
@@ -804,9 +804,9 @@ def _apply(psi: np.ndarray, op: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     return np.moveaxis(psi, range(k), axes)
 
 
-def nabla_iterate_probes(graph: CiliatedGraph, vertex: object, inputs: Sequence[UqWord],
-                         t: complex, probes: Sequence[tuple[np.ndarray, np.ndarray]]
-                         ) -> tuple[complex, complex]:
+def _iterate_probes(graph: CiliatedGraph, vertex: object, inputs: Sequence[UqWord],
+                    t: complex, probes: Sequence[tuple[np.ndarray, np.ndarray]]
+                    ) -> tuple[complex, complex]:
     """Probe values of (nabla (x) id) nabla and (id (x) nabla) nabla on `inputs`.
 
     Each iterate is a sum of 3n-fold pure tensors X_1 (x) ... (x) X_3n; its
@@ -822,8 +822,6 @@ def nabla_iterate_probes(graph: CiliatedGraph, vertex: object, inputs: Sequence[
     n, perm = tangle.n, tangle.permutation
     if len(inputs) != n:
         raise ValueError(f"expected {n} inputs at {vertex!r}, got {len(inputs)}")
-    if len(probes) != 3 * n:
-        raise ValueError(f"expected {3 * n} probe pairs, got {len(probes)}")
     rterms = r_matrix_terms(t)
     r_ops: dict[tuple[int, int], np.ndarray] = {}
     values = []
@@ -865,12 +863,11 @@ def nabla_coassociativity_residual(graph: CiliatedGraph, vertex: object,
 
     Equality is probed by contracting every slot of the two iterates with
     fixed random vectors in the fundamental representation, so the check is
-    basis-free and reduces both iterates to one number each
-    (`nabla_iterate_probes`).
+    basis-free and reduces both iterates to one number each.
     """
     n = len(graph.ciliation[vertex])
     probes = [(rng.standard_normal(2) + 1j * rng.standard_normal(2),
                rng.standard_normal(2) + 1j * rng.standard_normal(2))
               for _ in range(3 * n)]
-    lv, rv = nabla_iterate_probes(graph, vertex, inputs, t, probes)
+    lv, rv = _iterate_probes(graph, vertex, inputs, t, probes)
     return abs(lv - rv) / max(1.0, abs(lv), abs(rv))

@@ -25,7 +25,8 @@ from skeinlab.qlattice import (
     W_K,
     W_KI,
     W_ONE,
-    antipode_matrix,
+    _antipode_matrix,
+    _iterate_probes,
     bowtie_qlinks,
     charmed_k,
     charmed_k_matrix,
@@ -34,7 +35,6 @@ from skeinlab.qlattice import (
     fundamental_tangle,
     gauge_act_q,
     nabla_coassociativity_residual,
-    nabla_iterate_probes,
     nabla_vertex,
     r_matrix,
     r_matrix_terms,
@@ -110,7 +110,7 @@ def collapse_tensors(terms) -> dict:
 
 
 def symbolic_iterate_probes(graph, vertex, inputs, t, probes):
-    """Slow reference for nabla_iterate_probes: expand both iterates of the
+    """Slow reference for _iterate_probes: expand both iterates of the
     vertex split into pure tensors of words, then contract slot by slot."""
     n = len(graph.ciliation[vertex])
     left_terms, right_terms = [], []
@@ -638,7 +638,7 @@ class TestRepresentationAgainstWords:
         for t in GENERIC_T + (1,):
             for _ in range(20):
                 w = random_word(rng) + random_word(rng) + random_word(rng)
-                assert np.allclose(antipode_matrix(uq_fundamental(w, t), t),
+                assert np.allclose(_antipode_matrix(uq_fundamental(w, t), t),
                                    uq_fundamental(uq_antipode(w), t), atol=1e-10)
 
     def test_wilson_matches_decorated_word_traces(self):
@@ -669,7 +669,7 @@ class TestRepresentationAgainstWords:
             for pair in itertools.product(("E", "F", "K", "Ki"), repeat=2):
                 inputs = [UqWord.letter(ch) for ch in pair]
                 probes = draw_probes(rng, 6)
-                got = nabla_iterate_probes(g, "v1", inputs, t, probes)
+                got = _iterate_probes(g, "v1", inputs, t, probes)
                 want = symbolic_iterate_probes(g, "v1", inputs, t, probes)
                 assert all(rel_close(a, b) for a, b in zip(got, want)), (pair, t)
 
@@ -679,7 +679,7 @@ class TestRepresentationAgainstWords:
         for letters in (("K", "Ki", "K"), ("Ki", "Ki", "K")):
             inputs = [UqWord.letter(ch) for ch in letters]
             probes = draw_probes(rng, 9)
-            got = nabla_iterate_probes(g, "w", inputs, GENERIC_T[0], probes)
+            got = _iterate_probes(g, "w", inputs, GENERIC_T[0], probes)
             want = symbolic_iterate_probes(g, "w", inputs, GENERIC_T[0], probes)
             assert all(rel_close(a, b) for a, b in zip(got, want)), letters
 
@@ -692,12 +692,6 @@ class TestRepresentationAgainstWords:
             res = nabla_coassociativity_residual(g, "w", [W_K, W_KI, W_K], t,
                                                  np.random.default_rng(seed))
             assert res < 1e-8, (seed, res)
-
-    def test_probe_count_checked(self):
-        g = triangle_graph()
-        with pytest.raises(ValueError):
-            nabla_iterate_probes(g, "v1", [W_K, W_E], GENERIC_T[0],
-                                 draw_probes(np.random.default_rng(0), 5))
 
 
 class TestMultiCrossingLinks:
