@@ -24,6 +24,21 @@ def _norm_scalar(c: Scalar) -> Scalar:
     return c
 
 
+def _trusted(coeffs: dict[int, Scalar]) -> "LaurentPoly":
+    """Wrap an exponent map whose keys are ints and values exact scalars.
+
+    Only arithmetic on already-checked polynomials calls this: it drops zero
+    coefficients and turns integral Fractions into ints, without the type
+    checks of the public constructor.
+    """
+    clean = {k: c for k, c in coeffs.items() if c}
+    if Fraction in map(type, clean.values()):
+        clean = {k: _norm_scalar(c) for k, c in clean.items()}
+    out = object.__new__(LaurentPoly)
+    out._coeffs = clean
+    return out
+
+
 def binary_power(base, n: int, one):
     """base ** n for n >= 0 by repeated squaring.
 
@@ -95,22 +110,26 @@ class LaurentPoly:
         return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
+        # A constant hashes like the scalar it equals.
+        if self._coeffs.keys() <= {0}:
+            return hash(self._coeffs.get(0, 0))
         return hash(frozenset(self._coeffs.items()))
 
     def __add__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = LaurentPoly.term(other)
-        elif not isinstance(other, LaurentPoly):
-            return NotImplemented
         out = dict(self._coeffs)
+        get = out.get
         for k, c in other._coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return LaurentPoly(out)
+            out[k] = get(k, 0) + c
+        return _trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({k: -c for k, c in self._coeffs.items()})
+        return _trusted({k: -c for k, c in self._coeffs.items()})
 
     def __sub__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
@@ -123,16 +142,18 @@ class LaurentPoly:
         return LaurentPoly.term(other) - self
 
     def __mul__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly({k: c * other for k, c in self._coeffs.items()})
         if not isinstance(other, LaurentPoly):
+            if isinstance(other, (int, Fraction)):
+                return _trusted({k: c * other for k, c in self._coeffs.items()})
             return NotImplemented
         out: dict[int, Scalar] = {}
+        get = out.get
+        right = other._coeffs.items()
         for k1, c1 in self._coeffs.items():
-            for k2, c2 in other._coeffs.items():
+            for k2, c2 in right:
                 k = k1 + k2
-                out[k] = out.get(k, 0) + c1 * c2
-        return LaurentPoly(out)
+                out[k] = get(k, 0) + c1 * c2
+        return _trusted(out)
 
     __rmul__ = __mul__
 
@@ -160,16 +181,18 @@ class LaurentPoly:
         """Expand under the substitution A = -exp(h/4), truncated at h^order.
 
         A^k becomes (-1)^k exp(k h / 4), whose h^j coefficient is
-        (-1)^k (k/4)^j / j!.
+        (-1)^k (k/4)^j / j!.  So the h^j coefficient of the polynomial is the
+        power sum s_j = sum_k c_k (-1)^k k^j over 4^j j!, and s_j is an integer
+        when the c_k are.
         """
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
-        coeffs = [Fraction(0)] * (order + 1)
-        for k, c in self._coeffs.items():
-            sign = -1 if k % 2 else 1
-            base = Fraction(k, 4)
-            for j in range(order + 1):
-                coeffs[j] += Fraction(c) * sign * base ** j / factorial(j)
+        exps = list(self._coeffs)
+        terms = [-c if k % 2 else c for k, c in self._coeffs.items()]
+        coeffs = []
+        for j in range(order + 1):
+            coeffs.append(Fraction(sum(terms), 4 ** j * factorial(j)))
+            terms = [c * k for c, k in zip(terms, exps)]
         return HSeries(order, coeffs)
 
     def __str__(self) -> str:
@@ -268,7 +291,7 @@ class HSeries:
         if len(coeffs) != order + 1:
             raise ValueError("coefficient list length must be order + 1")
         self._order = order
-        self._coeffs = tuple(Fraction(c) for c in coeffs)
+        self._coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
 
     @classmethod
     def constant(cls, c: Scalar, order: int) -> "HSeries":

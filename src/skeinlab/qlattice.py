@@ -372,6 +372,19 @@ def r_matrix_terms(t: complex) -> list[tuple[UqWord, UqWord]]:
     ]
 
 
+def _r_matrix_legs(t: complex) -> tuple[np.ndarray, np.ndarray]:
+    """The R-matrix as five pure tensors of matrix units, stacked as legs.
+
+    R = t E00(x)E00 + t^-1 E00(x)E11 + (t - t^-3) E01(x)E10 + t^-1 E11(x)E00
+    + t E11(x)E11 holds at every nonzero t, so unlike the word legs of
+    `r_matrix_terms` no coefficient grows like 1/(t^4 - 1) near t^4 = 1.
+    """
+    t = complex(t)
+    e00, e01, e10, e11 = np.eye(4, dtype=complex).reshape(4, 2, 2)
+    alphas = np.array([t * e00, e00 / t, (t - t ** -3) * e01, e11 / t, t * e11])
+    return alphas, np.array([e00, e11, e10, e00, e11])
+
+
 def r_matrix(t: complex) -> np.ndarray:
     """The 4x4 R-matrix sum of kron(rho(alpha), rho(beta))."""
     out = np.zeros((4, 4), dtype=complex)
@@ -590,13 +603,11 @@ def wilson_qlink(graph: CiliatedGraph, qlink: QLink, conn: QConnection,
     k = charmed_k_matrix(t)
     dec = {e: uq_fundamental(_as_uq(conn[e]), t) for e in qlink.used_edges()}
     if crossings:
-        rterms = r_matrix_terms(t)
-        alphas = np.array([uq_fundamental(a, t) for a, _ in rterms])
-        betas = np.array([uq_fundamental(b, t) for _, b in rterms])
+        alphas, betas = _r_matrix_legs(t)
         n = len(crossings)
         for i, (c0, c1, c0_over) in enumerate(crossings):
             shape = [1] * n + [2, 2]
-            shape[i] = len(rterms)
+            shape[i] = len(alphas)
             d0, d1 = (alphas, betas) if c0_over else (betas, _antipode_matrix(alphas, t))
             for (e, side), deco in ((c0, d0), (c1, d1)):
                 deco = deco.reshape(shape)

@@ -5,10 +5,16 @@ longitude, and a slope-one curve) subject to
 
     A*x*y - A^-1*y*x = (A^2 - A^-2)*z
 
-and its two cyclic companions in (y, z; x) and (z, x; y).  Solving each
-relation for the descending product gives a confluent rewriting system onto
-the ordered monomials x^a y^b z^c, which form a basis.  Coefficients are
-exact Laurent polynomials in A.
+and its two cyclic companions in (y, z; x) and (z, x; y) (Bullock and
+Przytycki, Proc. AMS 2000).  The ordered monomials x^a y^b z^c form a basis,
+with exact Laurent polynomials in A as coefficients.  Products are computed
+from a table of the right action of one generator on a normal-form monomial,
+filled on demand: z appends, y moves left through z^c by
+z*y = A^2*y*z + (A^-1 - A^3)*x, and x moves left through z^c by
+z*x = A^-2*x*z + (A - A^-3)*y and then through y^b by
+y*x = A^2*x*y + (A^-1 - A^3)*z.  A product m1 * x^a y^b z^c applies the
+table one generator at a time, so the table only grows with the degrees of
+the monomials reached.
 
 Setting A = -e^{h/4} makes the commutator of any two elements divisible by
 h; the constant term of commutator/h is the Poisson bracket of the classical
@@ -21,71 +27,102 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .poly import LaurentPoly, binary_power, render_laurent
+from .poly import LaurentPoly, Scalar, _trusted, binary_power, render_laurent
 
 Monomial = tuple[int, int, int]
+# Normal-form terms with coefficients as bare exponent maps {k: c} of
+# Laurent polynomials; the product works on these and wraps them at the end.
+Terms = dict[Monomial, dict[int, Scalar]]
 _X, _Y, _Z = 0, 1, 2
 _NAMES = ("x", "y", "z")
 
-_REWRITES: dict[tuple[int, int], tuple[tuple[tuple[int, ...], LaurentPoly], ...]] = {
-    (_Y, _X): (((_X, _Y), LaurentPoly({2: 1})), ((_Z,), LaurentPoly({3: -1, -1: 1}))),
-    (_Z, _Y): (((_Y, _Z), LaurentPoly({2: 1})), ((_X,), LaurentPoly({3: -1, -1: 1}))),
-    (_Z, _X): (((_X, _Z), LaurentPoly({-2: 1})), ((_Y,), LaurentPoly({1: 1, -3: -1}))),
-}
+_ONE = {0: 1}
+_A2 = {2: 1}
+_AM2 = {-2: 1}
+_AM1_A3 = {-1: 1, 3: -1}
+_A_AM3 = {1: 1, -3: -1}
 
-_NORMAL_MEMO: dict[tuple[int, ...], dict[Monomial, LaurentPoly]] = {}
-
-
-def _first_redex(w: tuple[int, ...]) -> int:
-    for i in range(len(w) - 1):
-        if (w[i], w[i + 1]) in _REWRITES:
-            return i
-    return -1
+# m * g in normal form, for a normal-form monomial m and a generator g,
+# filled on demand.  An entry's monomials have degree at most deg(m) + 1, so
+# the table holds at most three entries per monomial of the degrees reached.
+_RIGHT_ACTION: dict[tuple[Monomial, int], Terms] = {}
 
 
-def _normalize_word(word: tuple[int, ...]) -> dict[Monomial, LaurentPoly]:
-    """Expand a generator word into sorted monomials with Laurent coefficients.
+def _madd(out: Terms, terms: Terms, weight: dict[int, Scalar]) -> None:
+    """out += terms * weight, in place on out's own exponent maps."""
+    pairs = weight.items()
+    for mono, coeffs in terms.items():
+        acc = out.get(mono)
+        if acc is None:
+            acc = out[mono] = {}
+        get = acc.get
+        for k1, c1 in coeffs.items():
+            for k2, c2 in pairs:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
 
-    Iterative depth-first pass so every intermediate word is memoized once;
-    the rewrite system branches, and without sharing the same intermediate
-    word would be re-expanded exponentially often.
+
+def _nonzero(terms: Terms) -> Terms:
+    out = {}
+    for mono, coeffs in terms.items():
+        coeffs = {k: c for k, c in coeffs.items() if c}
+        if coeffs:
+            out[mono] = coeffs
+    return out
+
+
+def _act(terms: Terms, gen: int) -> Terms:
+    """Right-multiply normal-form terms by a generator."""
+    out: Terms = {}
+    for mono, coeffs in terms.items():
+        _madd(out, _right_action(mono, gen), coeffs)
+    return _nonzero(out)
+
+
+def _times_z(terms: Terms, n: int = 1) -> Terms:
+    return {(a, b, c + n): p for (a, b, c), p in terms.items()}
+
+
+def _right_action(mono: Monomial, gen: int) -> Terms:
+    """mono * gen in normal form.
+
+    z appends.  y moves left through z^c by z*y = A^2*y*z + (A^-1 - A^3)*x,
+    and x moves left through z^c by z*x = A^-2*x*z + (A - A^-3)*y, then
+    through y^b by y*x = A^2*x*y + (A^-1 - A^3)*z.  Each step peels one
+    letter off mono, so the recursion ends at monomials that gen extends.
     """
-    cached = _NORMAL_MEMO.get(word)
+    key = (mono, gen)
+    cached = _RIGHT_ACTION.get(key)
     if cached is not None:
         return cached
-    stack = [word]
-    while stack:
-        w = stack[-1]
-        if w in _NORMAL_MEMO:
-            stack.pop()
-            continue
-        i = _first_redex(w)
-        if i < 0:
-            key = (w.count(_X), w.count(_Y), w.count(_Z))
-            _NORMAL_MEMO[w] = {key: LaurentPoly.one()}
-            stack.pop()
-            continue
-        children = [
-            (w[:i] + repl + w[i + 2:], rc)
-            for repl, rc in _REWRITES[(w[i], w[i + 1])]
-        ]
-        missing = [cw for cw, _ in children if cw not in _NORMAL_MEMO]
-        if missing:
-            stack.extend(missing)
-            continue
-        out: dict[Monomial, LaurentPoly] = {}
-        for cw, rc in children:
-            for key, c in _NORMAL_MEMO[cw].items():
-                term = c * rc
-                prev = out.get(key)
-                acc = term if prev is None else prev + term
-                if acc.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-        _NORMAL_MEMO[w] = out
-        stack.pop()
-    return _NORMAL_MEMO[word]
+    a, b, c = mono
+    out: Terms = {}
+    if gen == _Z or (gen == _Y and c == 0) or (gen == _X and b == c == 0):
+        out[(a + (gen == _X), b + (gen == _Y), c + (gen == _Z))] = _ONE
+    elif c:
+        # mono = m * z: m * z * g = lead * m * g * z + other * m * h
+        m = (a, b, c - 1)
+        lead, other, h = (_A2, _AM1_A3, _X) if gen == _Y else (_AM2, _A_AM3, _Y)
+        _madd(out, _times_z(_right_action(m, gen)), lead)
+        _madd(out, _right_action(m, h), other)
+        out = _nonzero(out)
+    else:
+        # gen is x and mono = m * y: m * y * x = A^2 * m * x * y + (A^-1 - A^3) * m * z
+        m = (a, b - 1, 0)
+        _madd(out, _act(_right_action(m, _X), _Y), _A2)
+        _madd(out, {(a, b - 1, 1): _ONE}, _AM1_A3)
+        out = _nonzero(out)
+    _RIGHT_ACTION[key] = out
+    return out
+
+
+def _monomial_product(m1: Monomial, m2: Monomial) -> Terms:
+    """m1 * x^a y^b z^c, one generator at a time from the left."""
+    terms: Terms = {m1: _ONE}
+    a, b, c = m2
+    for gen in (_X,) * a + (_Y,) * b:
+        terms = _act(terms, gen)
+    return _times_z(terms, c)
 
 
 Coeffish = Union[int, Fraction, LaurentPoly]
@@ -155,6 +192,9 @@ class TorusSkeinElement:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # A constant hashes like the LaurentPoly (and scalar) it equals.
+        if self._terms.keys() <= {(0, 0, 0)}:
+            return hash(self._terms.get((0, 0, 0), LaurentPoly.zero()))
         return hash(frozenset(self._terms.items()))
 
     # -- arithmetic ----------------------------------------------------
@@ -166,12 +206,12 @@ class TorusSkeinElement:
         for m, c in other._terms.items():
             prev = table.get(m)
             table[m] = c if prev is None else prev + c
-        return TorusSkeinElement(table)
+        return _element(table)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TorusSkeinElement":
-        return TorusSkeinElement({m: -c for m, c in self._terms.items()})
+        return _element({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "TorusSkeinElement":
         other = _coerce(other)
@@ -188,20 +228,14 @@ class TorusSkeinElement:
     def __mul__(self, other) -> "TorusSkeinElement":
         if isinstance(other, (int, Fraction, LaurentPoly)):
             p = _as_poly(other)
-            return TorusSkeinElement({m: c * p for m, c in self._terms.items()})
+            return _element({m: c * p for m, c in self._terms.items()})
         if not isinstance(other, TorusSkeinElement):
             return NotImplemented
-        result: dict[Monomial, LaurentPoly] = {}
-        for (a1, b1, c1), p1 in self._terms.items():
-            for (a2, b2, c2), p2 in other._terms.items():
-                word = (_X,) * a1 + (_Y,) * b1 + (_Z,) * c1 \
-                    + (_X,) * a2 + (_Y,) * b2 + (_Z,) * c2
-                weight = p1 * p2
-                for mono, c in _normalize_word(word).items():
-                    add = c * weight
-                    prev = result.get(mono)
-                    result[mono] = add if prev is None else prev + add
-        return TorusSkeinElement(result)
+        result: Terms = {}
+        for m1, p1 in self._terms.items():
+            for m2, p2 in other._terms.items():
+                _madd(result, _monomial_product(m1, m2), (p1 * p2)._coeffs)
+        return _element({m: _trusted(c) for m, c in result.items()})
 
     def __rmul__(self, other) -> "TorusSkeinElement":
         if isinstance(other, (int, Fraction, LaurentPoly)):
@@ -223,6 +257,13 @@ class TorusSkeinElement:
 
     def __repr__(self) -> str:
         return f"TorusSkeinElement({self._terms!r})"
+
+
+def _element(terms: dict[Monomial, LaurentPoly]) -> TorusSkeinElement:
+    """Wrap normal-form terms computed from checked elements, dropping zeros."""
+    out = object.__new__(TorusSkeinElement)
+    out._terms = {m: c for m, c in terms.items() if not c.is_zero}
+    return out
 
 
 def _coerce(v) -> TorusSkeinElement | None:
@@ -335,6 +376,9 @@ class CommPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # A constant hashes like the number it equals.
+        if self._terms.keys() <= {(0, 0, 0)}:
+            return hash(self._terms.get((0, 0, 0), 0))
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other) -> "CommPoly":

@@ -1,6 +1,7 @@
 """Exact Laurent arithmetic and the h-expansion at A = -exp(h/4)."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -52,6 +53,15 @@ class TestRingAxioms:
         assert LaurentPoly.term(-1, 1) ** -1 == LaurentPoly.term(-1, -1)
         with pytest.raises(ValueError):
             (LaurentPoly.one() + LaurentPoly.a_power(1)) ** -1
+
+    def test_results_drop_zeros_and_integral_fractions(self):
+        p = LaurentPoly({1: Fraction(1, 2), 0: Fraction(2, 3)})
+        assert type((p + p).coeff(1)) is int
+        assert type((p * 2).coeff(1)) is int
+        assert type((p * LaurentPoly.term(Fraction(3))).coeff(0)) is int
+        assert type((-(p * 2)).coeff(1)) is int
+        assert (p - p).support() == []
+        assert (p * 0).is_zero
 
     def test_scalar_mixing(self):
         p = LaurentPoly.a_power(2)
@@ -105,7 +115,31 @@ class TestEvaluation:
         assert abs((p + q).eval_at(a) - (p.eval_at(a) + q.eval_at(a))) < 1e-9
 
 
+def h_series_reference(p: LaurentPoly, order: int) -> list:
+    """The h^j coefficients of p(-exp(h/4)), one Fraction term per exponent
+    and order: c (-1)^k (k/4)^j / j!."""
+    coeffs = [Fraction(0)] * (order + 1)
+    for k, c in p.items():
+        sign = -1 if k % 2 else 1
+        for j in range(order + 1):
+            coeffs[j] += Fraction(c) * sign * Fraction(k, 4) ** j / factorial(j)
+    return coeffs
+
+
+fraction_polys = st.dictionaries(
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    max_size=5,
+).map(LaurentPoly)
+
+
 class TestHSeries:
+    @given(st.one_of(polys, fraction_polys), st.integers(min_value=0, max_value=5))
+    def test_power_sums_match_termwise_expansion(self, p, order):
+        s = p.to_h_series(order)
+        assert [s.coeff(j) for j in range(order + 1)] == h_series_reference(p, order)
+
+
     def test_a_expands_to_minus_exp_quarter_h(self):
         s = LaurentPoly.a_power(1).to_h_series(3)
         assert [s.coeff(j) for j in range(4)] == [

@@ -27,6 +27,7 @@ from skeinlab.qlattice import (
     W_ONE,
     _antipode_matrix,
     _iterate_probes,
+    _r_matrix_legs,
     bowtie_qlinks,
     charmed_k,
     charmed_k_matrix,
@@ -364,6 +365,12 @@ class TestRMatrix:
             ])
             assert np.allclose(r_matrix(t), want, atol=1e-10)
 
+    def test_matrix_unit_legs_sum_to_r_matrix(self):
+        for t in GENERIC_T:
+            alphas, betas = _r_matrix_legs(t)
+            got = sum(np.kron(a, b) for a, b in zip(alphas, betas))
+            assert np.allclose(got, r_matrix(t), atol=1e-12)
+
     def test_yang_baxter(self):
         rng = np.random.default_rng(69)
         for _ in range(8):
@@ -446,6 +453,17 @@ class TestWilsonObservable:
             assert abs(wilson_qlink(g, da, conn, t) + (t ** 2 + t ** -2)) < 1e-10
             assert abs(wilson_qlink(g, db, conn, t)
                        - 2 * (t ** 4 + t ** -4)) < 1e-10
+
+    def test_closed_forms_near_t_fourth_one(self):
+        # Next to t^4 = 1 the word legs' coefficients grow like 1/(t^4 - 1);
+        # the matrix-unit legs keep W(d) and the residual at rounding level.
+        g = bowtie_graph()
+        d, da, db = bowtie_qlinks()
+        conn = {e: W_ONE for e in g.edges}
+        for t in (1 + 1e-8, 1 - 1e-9, 1j * (1 + 1e-8)):
+            want = -(t ** 3 - t ** -1 + 2 * t ** -5)
+            assert abs(wilson_qlink(g, d, conn, t) - want) <= 1e-13 * abs(want), t
+            assert abs(skein_residual(g, d, da, db, conn, t)) <= 1e-13, t
 
     def test_crossing_skein_relation_trivial_connection(self):
         g = bowtie_graph()

@@ -1,10 +1,12 @@
 """Noncommutative x, y, z algebra: normal forms, products, Poisson limit."""
 
 import cmath
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skeinlab.poly import LaurentPoly
 from skeinlab.torus_skein import (
@@ -24,6 +26,70 @@ Z = TorusSkeinElement.z()
 
 def lp(coeffs: dict) -> LaurentPoly:
     return LaurentPoly(coeffs)
+
+
+# ----------------------------------------------------------------------
+# slow reference: rewrite generator words until no descending pair is left
+
+_X, _Y, _Z = 0, 1, 2
+_REWRITES = {
+    (_Y, _X): (((_X, _Y), lp({2: 1})), ((_Z,), lp({3: -1, -1: 1}))),
+    (_Z, _Y): (((_Y, _Z), lp({2: 1})), ((_X,), lp({3: -1, -1: 1}))),
+    (_Z, _X): (((_X, _Z), lp({-2: 1})), ((_Y,), lp({1: 1, -3: -1}))),
+}
+_WORD_MEMO: dict = {}
+
+
+def normalize_word(word: tuple) -> dict:
+    """Sorted monomials of a generator word, by rewriting its first
+    descending pair; every intermediate word is memoized once."""
+    stack = [word]
+    while stack:
+        w = stack[-1]
+        if w in _WORD_MEMO:
+            stack.pop()
+            continue
+        i = next((i for i in range(len(w) - 1) if (w[i], w[i + 1]) in _REWRITES), -1)
+        if i < 0:
+            _WORD_MEMO[w] = {(w.count(_X), w.count(_Y), w.count(_Z)): LaurentPoly.one()}
+            stack.pop()
+            continue
+        children = [(w[:i] + repl + w[i + 2:], rc) for repl, rc in _REWRITES[(w[i], w[i + 1])]]
+        missing = [cw for cw, _ in children if cw not in _WORD_MEMO]
+        if missing:
+            stack.extend(missing)
+            continue
+        out: dict = {}
+        for cw, rc in children:
+            for key, c in _WORD_MEMO[cw].items():
+                out[key] = out.get(key, LaurentPoly.zero()) + c * rc
+        _WORD_MEMO[w] = {k: c for k, c in out.items() if not c.is_zero}
+        stack.pop()
+    return _WORD_MEMO[word]
+
+
+def reference_product(p: TorusSkeinElement, q: TorusSkeinElement) -> TorusSkeinElement:
+    total = TorusSkeinElement.zero()
+    for (a1, b1, c1), p1 in p.items():
+        for (a2, b2, c2), p2 in q.items():
+            word = (_X,) * a1 + (_Y,) * b1 + (_Z,) * c1 + (_X,) * a2 + (_Y,) * b2 + (_Z,) * c2
+            total = total + TorusSkeinElement(normalize_word(word)) * (p1 * p2)
+    return total
+
+
+def monomials(max_degree: int) -> list:
+    return [m for m in itertools.product(range(max_degree + 1), repeat=3)
+            if sum(m) <= max_degree]
+
+
+# Elements of degree <= 4 with small Fraction coefficients.
+fraction_polys = st.dictionaries(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    min_size=1, max_size=3,
+).map(LaurentPoly)
+elements = st.dictionaries(st.sampled_from(monomials(4)), fraction_polys,
+                           max_size=3).map(TorusSkeinElement)
 
 
 def random_element(rng: random.Random) -> TorusSkeinElement:
@@ -96,11 +162,85 @@ class TestNormalForm:
         assert lp({3: 1}) * Y == TorusSkeinElement({(0, 1, 0): lp({3: 1})})
         assert (X - X).is_zero
 
+    def test_monomial_products_match_word_rewriting(self):
+        for m1, m2 in itertools.product(monomials(3), repeat=2):
+            got = TorusSkeinElement.monomial(*m1) * TorusSkeinElement.monomial(*m2)
+            assert got == reference_product(TorusSkeinElement.monomial(*m1),
+                                            TorusSkeinElement.monomial(*m2)), (m1, m2)
+
+    @settings(deadline=None, max_examples=60)
+    @given(elements, elements)
+    def test_products_match_word_rewriting(self, p, q):
+        assert p * q == reference_product(p, q)
+
     def test_powers(self):
         assert (X + Y) ** 0 == TorusSkeinElement.one()
         assert (X + Y) ** 2 == (X + Y) * (X + Y)
         with pytest.raises(ValueError):
             (X + Y) ** -1
+
+
+# ----------------------------------------------------------------------
+# oracle: the closed-torus skein algebra and the Frohman-Gelca formula
+#
+# An element is a map from slopes (p, q) to Laurent coefficients; (p, q)
+# and (-p, -q) name the same curve (p, q)_T, and the key (0, 0) holds the
+# empty diagram 1, since (0, 0)_T = 2.
+
+
+def slope(p: int, q: int) -> tuple:
+    return (p, q) if (p, q) >= (0, 0) else (-p, -q)
+
+
+def closed_torus_product(u: dict, v: dict) -> dict:
+    """(p,q)_T (r,s)_T = A^(ps-qr) (p+r,q+s)_T + A^-(ps-qr) (p-r,q-s)_T."""
+    out: dict = {}
+
+    def add(key, c):
+        out[key] = out.get(key, LaurentPoly.zero()) + c
+
+    for (p, q), c1 in u.items():
+        for (r, s), c2 in v.items():
+            if (p, q) == (0, 0) or (r, s) == (0, 0):
+                add((p + r, q + s), c1 * c2)
+                continue
+            e = p * s - q * r
+            for key, a in ((slope(p + r, q + s), e), (slope(p - r, q - s), -e)):
+                add(key, c1 * c2 * LaurentPoly.a_power(a) * (2 if key == (0, 0) else 1))
+    return {k: c for k, c in out.items() if not c.is_zero}
+
+
+def closed_torus_image(elem: TorusSkeinElement) -> dict:
+    """Image under x, y, z -> (1,0)_T, (0,1)_T, (1,1)_T."""
+    gens = [{(1, 0): LaurentPoly.one()}, {(0, 1): LaurentPoly.one()},
+            {(1, 1): LaurentPoly.one()}]
+    total: dict = {}
+    for mono, coeff in elem.items():
+        image = {(0, 0): coeff}
+        for gen, power in zip(gens, mono):
+            for _ in range(power):
+                image = closed_torus_product(image, gen)
+        for key, c in image.items():
+            total[key] = total.get(key, LaurentPoly.zero()) + c
+    return {k: c for k, c in total.items() if not c.is_zero}
+
+
+class TestClosedTorusImage:
+    def test_generator_relations(self):
+        # A*x*y - A^-1*y*x = (A^2 - A^-2)*z holds for the images.
+        x, y, z = (closed_torus_image(g) for g in (X, Y, Z))
+        a, ai = LaurentPoly.a_power(1), LaurentPoly.a_power(-1)
+        lhs = {k: a * c for k, c in closed_torus_product(x, y).items()}
+        for k, c in closed_torus_product(y, x).items():
+            lhs[k] = lhs.get(k, LaurentPoly.zero()) - ai * c
+        assert {k: c for k, c in lhs.items() if not c.is_zero} == {
+            k: lp({2: 1, -2: -1}) * c for k, c in z.items()}
+
+    @settings(deadline=None, max_examples=40)
+    @given(elements, elements)
+    def test_image_is_multiplicative(self, p, q):
+        assert closed_torus_image(p * q) == closed_torus_product(
+            closed_torus_image(p), closed_torus_image(q))
 
 
 class TestClassicalLimit:
@@ -189,6 +329,39 @@ class TestPoissonBracket:
     def test_order_validation(self):
         with pytest.raises(ValueError):
             poisson_bracket(X, Y, order=1)
+
+
+SCALARS = [0, 1, 5, -2, Fraction(1, 2), Fraction(6, 3), 5.0, 0.5, 5 + 0j]
+
+
+def constant_forms(c) -> list:
+    """c and the constants of each type that compare equal to it."""
+    forms = [c, CommPoly.constant(c)]
+    if isinstance(c, (int, Fraction)):
+        forms += [LaurentPoly.term(c), TorusSkeinElement({(0, 0, 0): c})]
+    return forms
+
+
+hashables = st.one_of(
+    st.sampled_from(SCALARS).flatmap(lambda c: st.sampled_from(constant_forms(c))),
+    st.sampled_from([LaurentPoly({0: 5, 2: 1}), X, X + 5, CommPoly({(1, 0, 0): 5})]),
+    fraction_polys,
+    fraction_polys.map(lambda p: TorusSkeinElement({(0, 0, 0): p})),
+)
+
+
+class TestHashing:
+    @given(hashables, hashables)
+    def test_equal_values_hash_alike(self, a, b):
+        if a == b:
+            assert hash(a) == hash(b), (a, b)
+
+    def test_constants_hash_like_scalars(self):
+        for c in SCALARS:
+            for form in constant_forms(c):
+                assert form == c and hash(form) == hash(c), form
+        assert LaurentPoly() == 0 and hash(LaurentPoly()) == hash(0)
+        assert TorusSkeinElement.zero() == 0 and hash(TorusSkeinElement.zero()) == hash(0)
 
 
 class TestParsingAndRendering:
