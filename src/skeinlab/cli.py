@@ -1,16 +1,13 @@
 """Command-line front end.
 
 Subcommands: bracket, skein, char, lattice, qlattice, verify.  Exit codes:
-0 success, 1 verification failure, 2 input error.  The environment variable
-SKEINLAB_THREADS caps internal parallelism (evaluations currently run on a
-single thread, which respects any positive cap).
+0 success, 1 verification failure, 2 input error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import re
 import sys
@@ -48,16 +45,6 @@ def _emit(args, text_value: str, json_value) -> None:
         print(json.dumps(json_value, sort_keys=True))
     else:
         print(text_value)
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("SKEINLAB_THREADS")
-    if raw is None:
-        return 1
-    n = int(raw)
-    if n < 1:
-        raise ValueError("SKEINLAB_THREADS must be a positive integer")
-    return n
 
 
 # ----------------------------------------------------------------------
@@ -200,7 +187,7 @@ def _random_skein_element(rng: random.Random) -> torus_skein.TorusSkeinElement:
 
 def _verify_checks(seed: int, tol: float):
     from .poly import LaurentPoly
-    from .qlattice import (UqWord, charmed_k, classical_to_quantum,
+    from .qlattice import (W_CHARM, UqWord, classical_to_quantum,
                            gauge_act_q, nabla_coassociativity_residual,
                            skein_residual, uq_counit, uq_trace, wilson_qlink)
 
@@ -351,7 +338,7 @@ def _verify_checks(seed: int, tol: float):
     def check_charmed_and_tangle():
         for _ in range(3):
             t = complex(nprng.uniform(0.6, 1.4), nprng.uniform(-0.4, 0.4))
-            if abs(uq_trace(charmed_k(), t) - (t * t + 1 / (t * t))) > 1e-12:
+            if abs(uq_trace(W_CHARM, t) - (t * t + 1 / (t * t))) > 1e-12:
                 return False, "tr k != t^2 + t^-2"
         graph = lattice.CiliatedGraph(
             ["w", "u1", "u2", "u3"],
@@ -591,7 +578,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_signed_lists(
         sys.argv[1:] if argv is None else list(argv)))
     try:
-        _thread_cap()
         return args.func(args)
     except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,6 +42,20 @@ def smoothing_weld_positions(crossing: Crossing, kind: str) -> tuple[tuple[int, 
     return vertical if kind == "A" else horizontal
 
 
+def _find(parent: dict[int, int], x: int) -> int:
+    """Root of x in a union-find forest kept as a parent map, halving paths."""
+    while parent.get(x, x) != x:
+        parent[x] = parent.get(parent[x], parent[x])
+        x = parent[x]
+    return x
+
+
+def _union(parent: dict[int, int], x: int, y: int) -> None:
+    rx, ry = _find(parent, x), _find(parent, y)
+    if rx != ry:
+        parent[rx] = ry
+
+
 class LinkDiagram:
     """Immutable crossing data plus free (crossingless) loops."""
 
@@ -115,24 +129,12 @@ class LinkDiagram:
     def component_count(self) -> int:
         """Number of link components (strand-through closure of the arcs)."""
         parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent.get(x, x) != x:
-                parent[x] = parent.get(parent[x], parent[x])
-                x = parent[x]
-            return x
-
-        def union(x: int, y: int) -> None:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
         labels = set()
         for x in self._crossings.values():
             labels.update(x.ends)
-            union(x.ends[0], x.ends[2])
-            union(x.ends[1], x.ends[3])
-        roots = {find(l) for l in labels}
+            _union(parent, x.ends[0], x.ends[2])
+            _union(parent, x.ends[1], x.ends[3])
+        roots = {_find(parent, l) for l in labels}
         return len(roots) + self._free_loops
 
     def face_orbits(self) -> list[list[Dart]]:
@@ -166,27 +168,18 @@ class LinkDiagram:
             return True
         arcs = self.arcs()
         parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent.get(x, x) != x:
-                parent[x] = parent.get(parent[x], parent[x])
-                x = parent[x]
-            return x
-
-        for label, (d1, d2) in arcs.items():
-            r1, r2 = find(d1[0]), find(d2[0])
-            if r1 != r2:
-                parent[r1] = r2
+        for d1, d2 in arcs.values():
+            _union(parent, d1[0], d2[0])
         groups: dict[int, list[int]] = {}
         for cid in self._crossings:
-            groups.setdefault(find(cid), []).append(cid)
+            groups.setdefault(_find(parent, cid), []).append(cid)
         face_count: dict[int, int] = {}
         for orbit in self.face_orbits():
-            root = find(orbit[0][0])
+            root = _find(parent, orbit[0][0])
             face_count[root] = face_count.get(root, 0) + 1
         for root, cids in groups.items():
             v = len(cids)
-            e = sum(1 for d1, _ in arcs.values() if find(d1[0]) == root)
+            e = sum(1 for d1, _ in arcs.values() if _find(parent, d1[0]) == root)
             f = face_count.get(root, 0)
             if v - e + f != 2:
                 return False

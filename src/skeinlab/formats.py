@@ -17,6 +17,17 @@ from .lattice import CiliatedGraph
 from .qlattice import QLink, UqWord
 
 
+def _object(value, what: str) -> dict:
+    """value, or a ValueError if it is not a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
+def _load(obj: dict | str, what: str) -> dict:
+    return _object(json.loads(obj) if isinstance(obj, str) else obj, what)
+
+
 # ----------------------------------------------------------------------
 # link diagrams
 
@@ -41,12 +52,13 @@ def diagram_to_json(d: LinkDiagram) -> dict:
 
 
 def diagram_from_json(obj: dict | str) -> LinkDiagram:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+    obj = _load(obj, "a diagram")
     if "word" in obj:
         return parse_braid(obj["word"], int(obj["strands"]))
     crossings = obj.get("crossings", [])
     over = obj.get("over")
+    if over is not None and len(over) != len(crossings):
+        raise ValueError(f'"over" lists {len(over)} pairs for {len(crossings)} crossings')
     table = {}
     for i, ends in enumerate(crossings):
         ends = tuple(int(a) for a in ends)
@@ -101,8 +113,7 @@ def rep_to_json(rep: Mapping[str, np.ndarray]) -> dict:
 
 
 def rep_from_json(obj: dict | str) -> dict[str, np.ndarray]:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+    obj = _load(obj, "a representation")
     return {str(name): matrix_from_json(rows) for name, rows in obj.items()}
 
 
@@ -121,12 +132,12 @@ def graph_to_json(g: CiliatedGraph) -> dict:
 
 
 def graph_from_json(obj: dict | str) -> CiliatedGraph:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+    obj = _load(obj, "a graph")
     vertices = [str(v) for v in obj["vertices"]]
-    edges = {int(e): (str(u), str(v)) for e, (u, v) in obj["edges"].items()}
+    edges = {int(e): (str(u), str(v))
+             for e, (u, v) in _object(obj["edges"], '"edges"').items()}
     cil = {str(v): [(int(e), int(end)) for e, end in ends]
-           for v, ends in obj["ciliation"].items()}
+           for v, ends in _object(obj["ciliation"], '"ciliation"').items()}
     faces = [[(int(e), int(d)) for e, d in face] for face in obj.get("faces", [])]
     return CiliatedGraph(vertices, edges, cil, faces)
 
@@ -136,8 +147,7 @@ def connection_to_json(conn: Mapping[int, np.ndarray]) -> dict:
 
 
 def connection_from_json(obj: dict | str) -> dict[int, np.ndarray]:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+    obj = _load(obj, "a connection")
     return {int(e): matrix_from_json(rows) for e, rows in obj.items()}
 
 
@@ -153,8 +163,7 @@ def qlink_to_json(q: QLink) -> dict:
 
 
 def qlink_from_json(obj: dict | str) -> QLink:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+    obj = _load(obj, "a q-link")
     loops = [[(int(e), int(d)) for e, d in loop] for loop in obj["loops"]]
     crossings = [(str(c["at"]), str(c["sign"])) for c in obj.get("crossings", [])]
     return QLink(loops, crossings)
@@ -169,8 +178,7 @@ def qconnection_to_json(conn: Mapping[int, UqWord]) -> dict:
 
 
 def qconnection_from_json(obj: dict | str) -> dict[int, UqWord]:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+    obj = _load(obj, "a quantum connection")
     out = {}
     for e, terms in obj.items():
         w = UqWord.zero()

@@ -24,62 +24,144 @@ def _norm_scalar(c: Scalar) -> Scalar:
     return c
 
 
-def _trusted(coeffs: dict[int, Scalar]) -> "LaurentPoly":
-    """Wrap an exponent map whose keys are ints and values exact scalars.
+class SparseSum:
+    """Sparse linear combination: a map from keys to nonzero coefficients.
 
-    Only arithmetic on already-checked polynomials calls this: it drops zero
-    coefficients and turns integral Fractions into ints, without the type
-    checks of the public constructor.
+    No zero coefficient is ever stored, so equality is structural.  A
+    subclass names the key of its constant term (`_UNIT`), the scalar types
+    that coerce to constants (`_SCALARS`) and `_check`, which validates one
+    entry given to the public constructor and returns it normalized; it also
+    defines its own product.  Everything else lives here: constructors,
+    equality and hashing, addition, negation, subtraction, scaling and
+    powers.
     """
-    clean = {k: c for k, c in coeffs.items() if c}
-    if Fraction in map(type, clean.values()):
-        clean = {k: _norm_scalar(c) for k, c in clean.items()}
-    out = object.__new__(LaurentPoly)
-    out._coeffs = clean
-    return out
 
+    __slots__ = ("_terms",)
+    _UNIT: object = None
+    _SCALARS: tuple[type, ...] = ()
 
-def binary_power(base, n: int, one):
-    """base ** n for n >= 0 by repeated squaring.
-
-    The base is squared only while bits of n remain, so p ** 2 costs one
-    multiplication and p ** 1 none.
-    """
-    result = None
-    while True:
-        if n & 1:
-            result = base if result is None else result * base
-        n >>= 1
-        if not n:
-            return one if result is None else result
-        base = base * base
-
-
-class LaurentPoly:
-    """Laurent polynomial in A with exact integer or rational coefficients."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, Scalar] | None = None):
-        clean: dict[int, Scalar] = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                if not isinstance(k, int):
-                    raise TypeError(f"exponent {k!r} is not an integer")
-                if not isinstance(c, (int, Fraction)):
-                    raise TypeError(f"coefficient {c!r} is not exact")
-                c = _norm_scalar(c)
-                if c != 0:
-                    clean[k] = c
-        self._coeffs = clean
+    def __init__(self, terms: Mapping | None = None):
+        table: dict = {}
+        check = self._check
+        for key, c in dict(terms or ()).items():
+            key, c = check(key, c)
+            prev = table.get(key)
+            table[key] = c if prev is None else prev + c
+        self._terms = {k: c for k, c in table.items() if c}
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
+    def _wrap(cls, terms: dict) -> "SparseSum":
+        """Wrap terms computed from checked values, dropping zero coefficients."""
+        out = object.__new__(cls)
+        out._terms = {k: c for k, c in terms.items() if c}
+        return out
+
+    @classmethod
+    def _constant(cls, c) -> "SparseSum":
+        return cls({cls._UNIT: c})
+
+    @classmethod
+    def zero(cls):
         return cls()
 
     @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+    def one(cls):
+        return cls._constant(1)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, self._SCALARS):
+            other = self._constant(other)
+        elif not isinstance(other, type(self)):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self) -> int:
+        # A constant hashes like the scalar it equals.
+        if self._terms.keys() <= {self._UNIT}:
+            return hash(self._terms.get(self._UNIT, 0))
+        return hash(frozenset(self._terms.items()))
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            if not isinstance(other, self._SCALARS):
+                return NotImplemented
+            other = self._constant(other)
+        out = dict(self._terms)
+        get = out.get
+        for k, c in other._terms.items():
+            prev = get(k)
+            out[k] = c if prev is None else prev + c
+        return self._wrap(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._wrap({k: -c for k, c in self._terms.items()})
+
+    def __sub__(self, other):
+        if isinstance(other, type(self)):
+            return self + (-other)
+        if isinstance(other, self._SCALARS):
+            return self + self._constant(-other)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def _scale(self, s):
+        """Every coefficient times the scalar s."""
+        return self._wrap({k: c * s for k, c in self._terms.items()})
+
+    def __pow__(self, n: int):
+        """self ** n for n >= 0 by repeated squaring.
+
+        The base is squared only while bits of n remain, so p ** 2 costs one
+        multiplication and p ** 1 none.
+        """
+        if n < 0:
+            raise ValueError(f"negative powers are not defined for {type(self).__name__}")
+        base, result = self, None
+        while True:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            if not n:
+                return self.one() if result is None else result
+            base = base * base
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._terms!r})"
+
+
+class LaurentPoly(SparseSum):
+    """Laurent polynomial in A with exact integer or rational coefficients."""
+
+    __slots__ = ()
+    _UNIT = 0
+    _SCALARS = (int, Fraction)
+
+    @staticmethod
+    def _check(k, c) -> tuple[int, Scalar]:
+        if not isinstance(k, int):
+            raise TypeError(f"exponent {k!r} is not an integer")
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"coefficient {c!r} is not exact")
+        return k, _norm_scalar(c)
+
+    @classmethod
+    def _wrap(cls, coeffs: dict[int, Scalar]) -> "LaurentPoly":
+        """Also turns integral Fractions into ints (only when a Fraction is present)."""
+        out = super()._wrap(coeffs)
+        if Fraction in map(type, out._terms.values()):
+            out._terms = {k: _norm_scalar(c) for k, c in out._terms.items()}
+        return out
 
     @classmethod
     def term(cls, coeff: Scalar, exp: int = 0) -> "LaurentPoly":
@@ -90,81 +172,38 @@ class LaurentPoly:
         return cls({exp: 1})
 
     def items(self) -> Iterator[tuple[int, Scalar]]:
-        return iter(sorted(self._coeffs.items()))
+        return iter(sorted(self._terms.items()))
 
     def coeff(self, exp: int) -> Scalar:
-        return self._coeffs.get(exp, 0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
+        return self._terms.get(exp, 0)
 
     def support(self) -> list[int]:
-        return sorted(self._coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.term(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        # A constant hashes like the scalar it equals.
-        if self._coeffs.keys() <= {0}:
-            return hash(self._coeffs.get(0, 0))
-        return hash(frozenset(self._coeffs.items()))
-
-    def __add__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = LaurentPoly.term(other)
-        out = dict(self._coeffs)
-        get = out.get
-        for k, c in other._coeffs.items():
-            out[k] = get(k, 0) + c
-        return _trusted(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentPoly":
-        return _trusted({k: -c for k, c in self._coeffs.items()})
-
-    def __sub__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
-        if isinstance(other, LaurentPoly):
-            return self + (-other)
-        if isinstance(other, (int, Fraction)):
-            return self + LaurentPoly.term(-other)
-        return NotImplemented
-
-    def __rsub__(self, other: Scalar) -> "LaurentPoly":
-        return LaurentPoly.term(other) - self
+        return sorted(self._terms)
 
     def __mul__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
-            if isinstance(other, (int, Fraction)):
-                return _trusted({k: c * other for k, c in self._coeffs.items()})
+            if isinstance(other, self._SCALARS):
+                return self._scale(other)
             return NotImplemented
         out: dict[int, Scalar] = {}
         get = out.get
-        right = other._coeffs.items()
-        for k1, c1 in self._coeffs.items():
+        right = other._terms.items()
+        for k1, c1 in self._terms.items():
             for k2, c2 in right:
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
-        return _trusted(out)
+        return LaurentPoly._wrap(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
-            if len(self._coeffs) == 1:
-                ((k, c),) = self._coeffs.items()
+            if len(self._terms) == 1:
+                ((k, c),) = self._terms.items()
                 if c in (1, -1):
                     return LaurentPoly({k * n: c if n % 2 else 1})
             raise ValueError("negative powers only defined for unit monomials")
-        return binary_power(self, n, LaurentPoly.one())
+        return SparseSum.__pow__(self, n)
 
     def eval_at(self, a: complex) -> complex:
         """Numeric evaluation at a nonzero complex value of A."""
@@ -172,10 +211,10 @@ class LaurentPoly:
             raise ValueError("Laurent polynomials cannot be evaluated at A = 0")
         if isinstance(a, (int, Fraction)):
             total: Scalar = 0
-            for k, c in self._coeffs.items():
+            for k, c in self._terms.items():
                 total += c * (Fraction(a) ** k)
             return _norm_scalar(Fraction(total))
-        return sum(c * a ** k for k, c in self._coeffs.items())
+        return sum(c * a ** k for k, c in self._terms.items())
 
     def to_h_series(self, order: int) -> "HSeries":
         """Expand under the substitution A = -exp(h/4), truncated at h^order.
@@ -187,8 +226,8 @@ class LaurentPoly:
         """
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
-        exps = list(self._coeffs)
-        terms = [-c if k % 2 else c for k, c in self._coeffs.items()]
+        exps = list(self._terms)
+        terms = [-c if k % 2 else c for k, c in self._terms.items()]
         coeffs = []
         for j in range(order + 1):
             coeffs.append(Fraction(sum(terms), 4 ** j * factorial(j)))
@@ -197,9 +236,6 @@ class LaurentPoly:
 
     def __str__(self) -> str:
         return render_laurent(self)
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self._coeffs!r})"
 
 
 def _render_coeff(c: Scalar) -> str:

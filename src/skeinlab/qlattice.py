@@ -45,6 +45,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .lattice import CiliatedGraph, EdgeEnd, Step
+from .poly import SparseSum
 
 Word = tuple[str, ...]
 _LETTERS = ("E", "F", "K", "Ki")
@@ -69,30 +70,21 @@ def _concat(w1: Word, w2: Word) -> Word:
     return tuple(out)
 
 
-class UqWord:
+class UqWord(SparseSum):
     """Linear combination of reduced words in E, F, K, Ki."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _UNIT = ()
+    _SCALARS = (int, float, complex)
 
-    def __init__(self, terms: Mapping[Word, complex] = ()):
-        table: dict[Word, complex] = {}
-        for word, c in dict(terms).items():
-            word = _reduce(word)
-            c = table.get(word, 0) + c
-            if c == 0:
-                table.pop(word, None)
-            else:
-                table[word] = c
-        self._terms = table
+    @staticmethod
+    def _check(word, c) -> tuple[Word, complex]:
+        return _reduce(word), c
 
     # -- constructors --------------------------------------------------
     @classmethod
     def unit(cls) -> "UqWord":
-        return cls({(): 1})
-
-    @classmethod
-    def zero(cls) -> "UqWord":
-        return cls()
+        return cls.one()
 
     @classmethod
     def letter(cls, name: str) -> "UqWord":
@@ -109,82 +101,28 @@ class UqWord:
     def coeff(self, word: Iterable[str]) -> complex:
         return self._terms.get(_reduce(word), 0)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, float, complex)):
-            other = UqWord({(): other})
-        if not isinstance(other, UqWord):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
     def diff_norm(self, other: "UqWord") -> float:
         keys = set(self._terms) | set(other._terms)
         return max((abs(self._terms.get(k, 0) - other._terms.get(k, 0)) for k in keys),
                    default=0.0)
 
     # -- arithmetic ----------------------------------------------------
-    def __add__(self, other) -> "UqWord":
-        if isinstance(other, (int, float, complex)):
-            other = UqWord({(): other})
-        if not isinstance(other, UqWord):
-            return NotImplemented
-        table = dict(self._terms)
-        for w, c in other._terms.items():
-            c = table.get(w, 0) + c
-            if c == 0:
-                table.pop(w, None)
-            else:
-                table[w] = c
-        out = UqWord.__new__(UqWord)
-        out._terms = table
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "UqWord":
-        out = UqWord.__new__(UqWord)
-        out._terms = {w: -c for w, c in self._terms.items()}
-        return out
-
-    def __sub__(self, other) -> "UqWord":
-        if isinstance(other, (int, float, complex)):
-            other = UqWord({(): other})
-        if not isinstance(other, UqWord):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "UqWord":
-        return (-self) + other
-
     def __mul__(self, other) -> "UqWord":
-        if isinstance(other, (int, float, complex)):
-            out = UqWord.__new__(UqWord)
-            out._terms = {} if other == 0 else {w: c * other for w, c in self._terms.items()}
-            return out
+        if isinstance(other, self._SCALARS):
+            return self._scale(other)
         if not isinstance(other, UqWord):
             return NotImplemented
         table: dict[Word, complex] = {}
+        get = table.get
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
                 w = _concat(w1, w2)
-                c = table.get(w, 0) + c1 * c2
-                if c == 0:
-                    table.pop(w, None)
-                else:
-                    table[w] = c
-        out = UqWord.__new__(UqWord)
-        out._terms = table
-        return out
+                table[w] = get(w, 0) + c1 * c2
+        return self._wrap(table)
 
     def __rmul__(self, other) -> "UqWord":
-        if isinstance(other, (int, float, complex)):
-            return self * other
+        if isinstance(other, self._SCALARS):
+            return self._scale(other)
         return NotImplemented
 
     def __str__(self) -> str:
@@ -193,9 +131,6 @@ class UqWord:
         return " + ".join(
             f"({c})*{'.'.join(w) if w else '1'}" for w, c in self.items())
 
-    def __repr__(self) -> str:
-        return f"UqWord({self._terms!r})"
-
 
 W_ONE = UqWord.unit()
 W_E = UqWord.letter("E")
@@ -203,10 +138,6 @@ W_F = UqWord.letter("F")
 W_K = UqWord.letter("K")
 W_KI = UqWord.letter("Ki")
 W_CHARM = UqWord.from_word(("K", "K"))        # the charmed element k = K^2
-
-
-def charmed_k() -> UqWord:
-    return W_CHARM
 
 
 # ----------------------------------------------------------------------
@@ -231,13 +162,8 @@ def uq_antipode(w: UqWord) -> UqWord:
             s, rep = _S_IMAGE[ch]
             sign *= s
             image = _concat(image, rep)
-        c = sign * c
-        prev = table.get(image, 0) + c
-        if prev == 0:
-            table.pop(image, None)
-        else:
-            table[image] = prev
-    return UqWord(table)
+        table[image] = table.get(image, 0) + sign * c
+    return UqWord._wrap(table)
 
 
 def uq_counit(w: UqWord) -> complex:

@@ -16,7 +16,7 @@ from skeinlab.characters import (
     trace_identity_residual,
     trace_word,
 )
-from skeinlab.torus_skein import CommPoly, TorusSkeinElement, specialize
+from skeinlab.torus_skein import CommPoly, TorusSkeinElement
 
 
 class TestMatrices:
@@ -135,7 +135,7 @@ class TestEvaluationMap:
         # The noncommutative product at A = -1 lands in the trace ring: the
         # product relation for y*x degenerates to plain commutative xy.
         rep = random_rep("ab", np.random.default_rng(14))
-        p = specialize(TorusSkeinElement.y() * TorusSkeinElement.x(), -1)
+        p = (TorusSkeinElement.y() * TorusSkeinElement.x()).specialize(-1)
         want = phi_evaluate(CommPoly.x(), rep) * phi_evaluate(CommPoly.y(), rep)
         assert abs(phi_evaluate(p, rep) - want) < 1e-9
 

@@ -248,16 +248,29 @@ class TestQLatticeCommand:
             assert "t must be nonzero" in err and "Traceback" not in err
 
 
-class TestEnvironment:
-    def test_thread_cap_must_be_positive(self, monkeypatch, capsys):
-        monkeypatch.setenv("SKEINLAB_THREADS", "0")
-        assert main(["bracket", "--pd", "O"]) == 2
-        assert "SKEINLAB_THREADS" in capsys.readouterr().err
+LOOP_GRAPH = {"vertices": ["v"], "edges": {"1": ["v", "v"]},
+              "ciliation": {"v": [[1, 0], [1, 1]]}}
 
-    def test_valid_thread_cap_accepted(self, monkeypatch, capsys):
-        monkeypatch.setenv("SKEINLAB_THREADS", "4")
-        assert main(["bracket", "--pd", "O"]) == 0
-        capsys.readouterr()
+
+class TestEnvironment:
+    @pytest.mark.parametrize("command, data, message", [
+        ("bracket", {"crossings": [[1, 2, 3, 4], [3, 4, 1, 2]], "over": [[2, 4]]},
+         '"over" lists 1 pairs for 2 crossings'),
+        ("bracket", [1, 2, 3], "a diagram must be a JSON object"),
+        ("lattice", {**LOOP_GRAPH, "edges": [[1, "v", "v"]]}, '"edges" must be a JSON object'),
+        ("qlattice", {**LOOP_GRAPH, "edges": [[1, "v", "v"]]}, '"edges" must be a JSON object'),
+        ("qlattice", {**LOOP_GRAPH, "ciliation": [["v", [1, 0]]]},
+         '"ciliation" must be a JSON object'),
+    ])
+    def test_malformed_json_is_a_usage_error(self, command, data, message, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        args = {"bracket": ["--json", str(path)],
+                "lattice": ["--graph", str(path), "--wilson", "1"],
+                "qlattice": ["--graph", str(path), "--qlink", str(path)]}[command]
+        assert main([command, *args]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_module_invocation(self):
         proc = subprocess.run(

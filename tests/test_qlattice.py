@@ -29,7 +29,6 @@ from skeinlab.qlattice import (
     _iterate_probes,
     _r_matrix_legs,
     bowtie_qlinks,
-    charmed_k,
     charmed_k_matrix,
     classical_to_quantum,
     decorated_words,
@@ -230,7 +229,7 @@ class TestWordAlgebra:
         assert W_K * W_KI == W_ONE
 
     def test_charmed_element(self):
-        assert charmed_k() == W_CHARM == UqWord.from_word(("K", "K"))
+        assert W_CHARM == UqWord.from_word(("K", "K"))
         for t in GENERIC_T:
             m = charmed_k_matrix(t)
             assert np.allclose(m, np.diag([t ** 2, t ** -2]))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skeinlab.poly import LaurentPoly
+from skeinlab.qlattice import UqWord
 from skeinlab.torus_skein import (
     CommPoly,
     TorusSkeinElement,
@@ -16,7 +17,6 @@ from skeinlab.torus_skein import (
     parse_skein,
     poisson_bracket,
     render_skein,
-    specialize,
 )
 
 X = TorusSkeinElement.x()
@@ -262,8 +262,8 @@ class TestClassicalLimit:
 
     def test_lift_section(self):
         p = CommPoly({(1, 2, 0): 3, (0, 0, 1): Fraction(-1, 2)})
-        assert specialize(lift(p), -1) == p
-        assert specialize(lift(p), 1) == p
+        assert lift(p).specialize(-1) == p
+        assert lift(p).specialize(1) == p
         with pytest.raises(TypeError):
             lift(CommPoly({(1, 0, 0): 0.5}))
 
@@ -339,6 +339,8 @@ def constant_forms(c) -> list:
     forms = [c, CommPoly.constant(c)]
     if isinstance(c, (int, Fraction)):
         forms += [LaurentPoly.term(c), TorusSkeinElement({(0, 0, 0): c})]
+    if isinstance(c, (int, float, complex)):
+        forms.append(UqWord({(): c}))
     return forms
 
 
@@ -395,12 +397,13 @@ class TestParsingAndRendering:
 
 
 
-# (base, its ring's one) for each of the three types with a power operator
+# (base, its ring's one) for each of the four types with a power operator
 POWER_BASES = [
     (lp({1: 2, -3: -1}), LaurentPoly.one()),
     (TorusSkeinElement({(1, 0, 0): lp({1: 1}), (0, 1, 1): lp({-1: 2})}),
      TorusSkeinElement.one()),
     (CommPoly({(1, 0, 0): 2, (0, 1, 1): -1, (0, 0, 0): 3}), CommPoly.constant(1)),
+    (UqWord({("E",): 2, ("K", "F"): -1, (): 3}), UqWord.unit()),
 ]
 POWER_IDS = [type(p).__name__ for p, _ in POWER_BASES]
 
