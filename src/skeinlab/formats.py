@@ -54,7 +54,12 @@ def diagram_to_json(d: LinkDiagram) -> dict:
 def diagram_from_json(obj: dict | str) -> LinkDiagram:
     obj = _load(obj, "a diagram")
     if "word" in obj:
-        return parse_braid(obj["word"], int(obj["strands"]))
+        word, strands = obj["word"], obj.get("strands")
+        if not isinstance(word, list) or not all(type(s) is int for s in word):
+            raise ValueError('"word" must be a list of integer braid letters')
+        if type(strands) is not int:
+            raise ValueError('"strands" must be an integer')
+        return parse_braid(word, strands)
     crossings = obj.get("crossings", [])
     over = obj.get("over")
     if over is not None and len(over) != len(crossings):

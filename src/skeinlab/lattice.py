@@ -84,18 +84,11 @@ class CiliatedGraph:
             raise ValueError("path is not closed")
         return first
 
-    def step_endpoints(self, step: Step) -> tuple[object, object]:
-        u, v = self.edges[step[0]]
-        return (u, v) if step[1] == 1 else (v, u)
-
     def end_vertex(self, end: EdgeEnd) -> object:
         return self.edges[end[0]][end[1]]
 
     def cilial_position(self, vertex: object, end: EdgeEnd) -> int:
         return self.ciliation[vertex].index(end)
-
-    def vertex_ends(self, vertex: object) -> list[EdgeEnd]:
-        return list(self.ciliation[vertex])
 
 
 def holonomy(graph: CiliatedGraph, conn: Connection, path: Sequence[Step]) -> np.ndarray:

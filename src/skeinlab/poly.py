@@ -355,11 +355,6 @@ class HSeries:
     def __hash__(self) -> int:
         return hash((self._order, self._coeffs))
 
-    def agrees_with(self, other: "HSeries") -> bool:
-        """Equality up to the smaller of the two truncation orders."""
-        n = min(self._order, other._order)
-        return self._coeffs[: n + 1] == other._coeffs[: n + 1]
-
     def _binary(self, other: "HSeries | Scalar", op) -> "HSeries":
         if isinstance(other, (int, Fraction)):
             other = HSeries.constant(other, self._order)

@@ -171,26 +171,10 @@ def uq_counit(w: UqWord) -> complex:
                 if not any(ch in ("E", "F") for ch in word)), 0)
 
 
-_COPRODUCT_CASES: dict[str, tuple[tuple[Word, Word], ...]] = {
-    "K": ((("K",), ("K",)),),
-    "Ki": ((("Ki",), ("Ki",)),),
-    "E": ((("E",), ("K",)), (("Ki",), ("E",))),
-    "F": ((("F",), ("K",)), (("Ki",), ("F",))),
-}
-
-
 def uq_coproduct(w: UqWord) -> list[tuple[UqWord, UqWord]]:
     """Coproduct as a list of pure tensors; coefficients ride on the left leg."""
-    out = []
-    for word, c in w.items():
-        partial: list[tuple[Word, Word]] = [((), ())]
-        for ch in word:
-            partial = [(_concat(left, dl), _concat(right, dr))
-                       for left, right in partial
-                       for dl, dr in _COPRODUCT_CASES[ch]]
-        for left, right in partial:
-            out.append((UqWord.from_word(left, c), UqWord.from_word(right)))
-    return out
+    return [(UqWord.from_word(left, c), UqWord.from_word(right))
+            for c, (left, right) in uq_coproduct_n(w, 2)]
 
 
 def _delta_n_letter(ch: str, n: int) -> list[tuple[Word, ...]]:
@@ -305,6 +289,8 @@ def _r_matrix_legs(t: complex) -> tuple[np.ndarray, np.ndarray]:
     + t E11(x)E11 holds at every nonzero t, so unlike the word legs of
     `r_matrix_terms` no coefficient grows like 1/(t^4 - 1) near t^4 = 1.
     """
+    if t == 0:
+        raise ValueError("t must be nonzero")
     t = complex(t)
     e00, e01, e10, e11 = np.eye(4, dtype=complex).reshape(4, 2, 2)
     alphas = np.array([t * e00, e00 / t, (t - t ** -3) * e01, e11 / t, t * e11])
@@ -312,11 +298,8 @@ def _r_matrix_legs(t: complex) -> tuple[np.ndarray, np.ndarray]:
 
 
 def r_matrix(t: complex) -> np.ndarray:
-    """The 4x4 R-matrix sum of kron(rho(alpha), rho(beta))."""
-    out = np.zeros((4, 4), dtype=complex)
-    for alpha, beta in r_matrix_terms(t):
-        out = out + np.kron(uq_fundamental(alpha, t), uq_fundamental(beta, t))
-    return out
+    """The 4x4 R-matrix, summed from the matrix-unit legs."""
+    return sum(np.kron(a, b) for a, b in zip(*_r_matrix_legs(t)))
 
 
 def yang_baxter_residual(t: complex) -> float:

@@ -354,15 +354,13 @@ def lift(p: CommPoly) -> TorusSkeinElement:
     return TorusSkeinElement(table)
 
 
-def poisson_bracket(p, q, order: int = 3) -> CommPoly:
+def poisson_bracket(p, q) -> CommPoly:
     """Poisson bracket of the classical limit, extracted from the commutator.
 
-    Computes p*q - q*p, pushes every coefficient through A = -e^{h/4}, checks
-    divisibility by h, and returns the constant term of commutator/h.  Inputs
-    may be TorusSkeinElement values or exact CommPoly values (lifted).
+    Computes p*q - q*p, pushes every coefficient through A = -e^{h/4} to
+    first order, checks divisibility by h, and returns the h^1 coefficient.
+    Inputs may be TorusSkeinElement values or exact CommPoly values (lifted).
     """
-    if order < 2:
-        raise ValueError("need series order >= 2 to divide by h meaningfully")
     if isinstance(p, CommPoly):
         p = lift(p)
     if isinstance(q, CommPoly):
@@ -370,7 +368,7 @@ def poisson_bracket(p, q, order: int = 3) -> CommPoly:
     comm = p * q - q * p
     table: dict[Monomial, Fraction] = {}
     for mono, coeff in comm.items():
-        series = coeff.to_h_series(order)
+        series = coeff.to_h_series(1)
         if series.constant_term() != 0:
             raise ArithmeticError(
                 "commutator has a nonzero classical term; rewriting is inconsistent")

@@ -9,6 +9,7 @@ import pytest
 
 from skeinlab.bracket import bracket
 from skeinlab.characters import character_point, random_rep, trace_word
+from skeinlab import checks
 from skeinlab.cli import main
 from skeinlab.diagram import corpus, parse_braid
 from skeinlab.formats import (
@@ -248,6 +249,47 @@ class TestQLatticeCommand:
             assert "t must be nonzero" in err and "Traceback" not in err
 
 
+class TestVerifyCommand:
+    def test_json_lists_the_text_checks(self, capsys):
+        assert main(["verify", "--seed", "7"]) == 0
+        text = capsys.readouterr().out.splitlines()
+        assert main(["verify", "--seed", "7", "--format", "json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert (obj["seed"], obj["passed"], obj["total"]) == (7, 17, 17)
+        assert len(obj["checks"]) == 17 and all(c["ok"] for c in obj["checks"])
+        assert [f"ok   {c['name']}: {c['detail']}" for c in obj["checks"]] == text[:-1]
+        assert text[-1] == "17/17 checks passed (seed 7)"
+
+    def test_a_raising_check_fails_alone(self, monkeypatch, capsys):
+        real_battery = checks.battery
+
+        def battery(seed):
+            def boom():
+                raise RuntimeError("boom")
+            pairs = real_battery(seed)
+            pairs[3] = (pairs[3][0], boom)
+            return pairs
+
+        monkeypatch.setattr(checks, "battery", battery)
+        assert main(["verify", "--seed", "7"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAIL sweep_vs_statesum: error: RuntimeError('boom')" in lines
+        assert sum(line.startswith("ok   ") for line in lines) == 16
+        assert lines[-1] == "16/17 checks passed (seed 7)"
+
+    @pytest.mark.parametrize("argv", [
+        ["bracket", "--pd", "O", "--tol", "1e-3"],
+        ["skein", "--expr", "x", "--tol", "1e-3"],
+        ["char", "--rep", "rep.json", "--point", "--tol", "1e-3"],
+        ["verify", "--tol", "1e-3"],
+        ["skein", "--expr", "x", "--poisson", "y", "--order", "3"],
+    ])
+    def test_options_that_changed_nothing_are_gone(self, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+
+
 LOOP_GRAPH = {"vertices": ["v"], "edges": {"1": ["v", "v"]},
               "ciliation": {"v": [[1, 0], [1, 1]]}}
 
@@ -261,6 +303,10 @@ class TestEnvironment:
         ("qlattice", {**LOOP_GRAPH, "edges": [[1, "v", "v"]]}, '"edges" must be a JSON object'),
         ("qlattice", {**LOOP_GRAPH, "ciliation": [["v", [1, 0]]]},
          '"ciliation" must be a JSON object'),
+        ("bracket", {"word": [1, "x"], "strands": 2}, '"word" must be a list of integer'),
+        ("bracket", {"word": [1, 1.5], "strands": 2}, '"word" must be a list of integer'),
+        ("bracket", {"word": 5, "strands": 2}, '"word" must be a list of integer'),
+        ("bracket", {"word": [1], "strands": "two"}, '"strands" must be an integer'),
     ])
     def test_malformed_json_is_a_usage_error(self, command, data, message, tmp_path, capsys):
         path = tmp_path / "input.json"

@@ -355,20 +355,28 @@ class TestHopfStructure:
 
 class TestRMatrix:
     def test_matrix_form_at_generic_t(self):
-        for t in GENERIC_T:
-            want = np.array([
+        def closed_form(t):
+            return np.array([
                 [t, 0, 0, 0],
                 [0, 1 / t, t - t ** -3, 0],
                 [0, 0, 1 / t, 0],
                 [0, 0, 0, t],
             ])
-            assert np.allclose(r_matrix(t), want, atol=1e-10)
+
+        for t in GENERIC_T:
+            assert np.allclose(r_matrix(t), closed_form(t), atol=1e-10)
+        # near t^4 = 1, where the word legs carry coefficients ~1/(t^4 - 1)
+        for t in (1 + 1e-8, 1j * (1 + 1e-8)):
+            assert np.abs(r_matrix(t) - closed_form(t)).max() < 1e-13
 
     def test_matrix_unit_legs_sum_to_r_matrix(self):
+        # the matrix legs (Wilson values) against the word legs (coassociativity)
         for t in GENERIC_T:
             alphas, betas = _r_matrix_legs(t)
             got = sum(np.kron(a, b) for a, b in zip(alphas, betas))
-            assert np.allclose(got, r_matrix(t), atol=1e-12)
+            want = sum(np.kron(uq_fundamental(a, t), uq_fundamental(b, t))
+                       for a, b in r_matrix_terms(t))
+            assert np.allclose(got, want, atol=1e-12)
 
     def test_yang_baxter(self):
         rng = np.random.default_rng(69)

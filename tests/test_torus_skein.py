@@ -326,10 +326,6 @@ class TestPoissonBracket:
         for g in (cx, cy, cz):
             assert poisson_bracket(casimir, g).is_zero
 
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            poisson_bracket(X, Y, order=1)
-
 
 SCALARS = [0, 1, 5, -2, Fraction(1, 2), Fraction(6, 3), 5.0, 0.5, 5 + 0j]
 
@@ -352,9 +348,16 @@ hashables = st.one_of(
 )
 
 
+# two constant forms of one scalar, of different types: independent draws
+# give such an equal pair too rarely for the hash property to bite
+equal_constants = st.sampled_from(SCALARS).flatmap(
+    lambda c: st.permutations(constant_forms(c)).map(lambda forms: tuple(forms[:2])))
+
+
 class TestHashing:
-    @given(hashables, hashables)
-    def test_equal_values_hash_alike(self, a, b):
+    @given(st.one_of(equal_constants, st.tuples(hashables, hashables)))
+    def test_equal_values_hash_alike(self, pair):
+        a, b = pair
         if a == b:
             assert hash(a) == hash(b), (a, b)
 
