@@ -95,19 +95,11 @@ def bracket_statesum(d: LinkDiagram, max_crossings: int = 24) -> LaurentPoly:
         loops += loops_through(a, c, e)
         counts[(k_exp, loops)] += 1
 
-    total: dict[int, int] = {}
-    delta_pows: dict[int, LaurentPoly] = {}
+    by_loops: dict[int, dict[int, int]] = {}
     for (k_exp, loops), mult in counts.items():
-        dp = delta_pows.get(loops)
-        if dp is None:
-            dp = LOOP_VALUE ** loops
-            delta_pows[loops] = dp
-        for e, c in dp.items():
-            total[e + k_exp] = total.get(e + k_exp, 0) + mult * c
-    result = LaurentPoly(total)
-    if d.free_loops:
-        result = result * LOOP_VALUE ** d.free_loops
-    return result
+        by_loops.setdefault(loops, {})[k_exp] = mult
+    return sum((LaurentPoly(powers) * LOOP_VALUE ** (loops + d.free_loops)
+                for loops, powers in by_loops.items()), LaurentPoly.zero())
 
 
 def _peak_width(d: LinkDiagram, order: list[int]) -> int:

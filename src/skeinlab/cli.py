@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Subcommands: bracket, skein, char, lattice, qlattice, verify.  Exit codes:
-0 success, 1 verification failure, 2 input error.
+Subcommands: bracket, skein, char, lattice, qlattice, verify.  The mode
+flags of a subcommand exclude each other.  Exit codes: 0 success,
+1 verification failure, 2 input error.
 """
 
 from __future__ import annotations
@@ -139,11 +140,9 @@ def _cmd_lattice(args) -> int:
         value = lattice.wilson_loop(g, conn, _parse_path(args.wilson))
         _emit(args, _fmt_complex(value), {"wilson": formats.complex_to_json(value)})
         return 0
-    if args.flat:
-        flat = lattice.is_flat(g, conn, tol=args.tol)
-        _emit(args, "flat" if flat else "not flat", {"flat": flat})
-        return 0 if flat else 1
-    raise ValueError("choose one of --holonomy, --wilson, --flat")
+    flat = lattice.is_flat(g, conn, tol=args.tol)
+    _emit(args, "flat" if flat else "not flat", {"flat": flat})
+    return 0 if flat else 1
 
 
 def _cmd_qlattice(args) -> int:
@@ -210,28 +209,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("skein", help="punctured-torus skein algebra arithmetic")
     p.add_argument("--expr", required=True, help="expression in x, y, z, A")
-    p.add_argument("--poisson", metavar="EXPR2",
-                   help="Poisson bracket of --expr with EXPR2 in the classical limit")
-    p.add_argument("--specialize", metavar="A_VALUE",
-                   help="evaluate coefficients at a number, e.g. -1")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--poisson", metavar="EXPR2",
+                      help="Poisson bracket of --expr with EXPR2 in the classical limit")
+    mode.add_argument("--specialize", metavar="A_VALUE",
+                      help="evaluate coefficients at a number, e.g. -1")
     common(p)
     p.set_defaults(func=_cmd_skein)
 
     p = sub.add_parser("char", help="SL2 character evaluations")
     p.add_argument("--rep", required=True, help="JSON file: generator -> 2x2 matrix")
-    p.add_argument("--trace", metavar="WORD", help="trace of a word, capitals invert")
-    p.add_argument("--phi", metavar="EXPR",
-                   help="evaluate a polynomial in x, y, z at the character")
-    p.add_argument("--point", action="store_true", help="print (x, y, z)")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--trace", metavar="WORD", help="trace of a word, capitals invert")
+    mode.add_argument("--phi", metavar="EXPR",
+                      help="evaluate a polynomial in x, y, z at the character")
+    mode.add_argument("--point", action="store_true", help="print (x, y, z), the default")
     common(p)
     p.set_defaults(func=_cmd_char)
 
     p = sub.add_parser("lattice", help="classical holonomy and Wilson loops")
     p.add_argument("--graph", required=True)
     p.add_argument("--connection")
-    p.add_argument("--holonomy", metavar="PATH", help="signed edge list, e.g. '1,-2,3'")
-    p.add_argument("--wilson", metavar="PATH")
-    p.add_argument("--flat", action="store_true")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--holonomy", metavar="PATH", help="signed edge list, e.g. '1,-2,3'")
+    mode.add_argument("--wilson", metavar="PATH")
+    mode.add_argument("--flat", action="store_true")
     p.add_argument("--tol", type=float, default=1e-8, help="flatness tolerance of --flat")
     common(p)
     p.set_defaults(func=_cmd_lattice)

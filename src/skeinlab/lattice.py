@@ -184,10 +184,9 @@ def trivial_connection(graph: CiliatedGraph) -> dict[int, np.ndarray]:
 def bouquet(k: int) -> CiliatedGraph:
     """One vertex, k loop edges; the surface graph of a free group F_k.
 
-    With k = 2 this is a spine of the punctured torus: loops a = edge 1 and
-    b = edge 2.  No faces are distinguished; the would-be square face is the
-    puncture, so its commutator holonomy is unconstrained (see
-    `peripheral_path`).
+    Each loop's two ends are adjacent in the cilial order, so the ribbon
+    surface is planar with k + 1 boundary cycles: for k = 2 a pair of pants,
+    not the punctured torus (see `punctured_torus_graph`).
     """
     edges = {i: ("v", "v") for i in range(1, k + 1)}
     cil = [(i, end) for i in range(1, k + 1) for end in (0, 1)]
@@ -195,11 +194,19 @@ def bouquet(k: int) -> CiliatedGraph:
 
 
 def punctured_torus_graph() -> CiliatedGraph:
-    return bouquet(2)
+    """Loops a = edge 1 and b = edge 2 at one vertex, their ends interleaved.
+
+    With the cilial order (1,0), (2,0), (1,1), (2,1) the ribbon surface is
+    the one-holed torus: its single boundary cycle is `peripheral_path`, the
+    puncture, so no face is distinguished and the commutator holonomy is
+    unconstrained.
+    """
+    return CiliatedGraph(["v"], {1: ("v", "v"), 2: ("v", "v")},
+                         {"v": [(1, 0), (2, 0), (1, 1), (2, 1)]})
 
 
 def peripheral_path() -> list[Step]:
-    """Boundary loop a b a^-1 b^-1 of the punctured torus on bouquet(2)."""
+    """Boundary loop a b a^-1 b^-1 of `punctured_torus_graph`, the puncture."""
     return [(1, 1), (2, 1), (1, -1), (2, -1)]
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import factorial
-from typing import Iterator, Mapping, Union
+from operator import add
+from typing import Mapping, Union
 
 Scalar = Union[int, Fraction]
 
@@ -28,17 +29,22 @@ class SparseSum:
     """Sparse linear combination: a map from keys to nonzero coefficients.
 
     No zero coefficient is ever stored, so equality is structural.  A
-    subclass names the key of its constant term (`_UNIT`), the scalar types
-    that coerce to constants (`_SCALARS`) and `_check`, which validates one
-    entry given to the public constructor and returns it normalized; it also
-    defines its own product.  Everything else lives here: constructors,
-    equality and hashing, addition, negation, subtraction, scaling and
-    powers.
+    subclass gives only its key rules: the key of its constant term
+    (`_UNIT`), the zero coefficient (`_ZERO`), the scalar types that coerce
+    to constants (`_SCALARS`), `_check`, which validates one entry given to
+    the public constructor and returns it normalized, `_combine`, the key of
+    a product of two keys, and `_order`, the sort key of `items()` (None
+    sorts keys as they are); a product that is not a convolution of keys
+    replaces `_product` instead of `_combine`.  Everything else lives here:
+    constructors, equality and hashing, inspection, addition, negation,
+    subtraction, scaling, products and powers.
     """
 
     __slots__ = ("_terms",)
     _UNIT: object = None
+    _ZERO: object = 0
     _SCALARS: tuple[type, ...] = ()
+    _order = None
 
     def __init__(self, terms: Mapping | None = None):
         table: dict = {}
@@ -119,6 +125,43 @@ class SparseSum:
         """Every coefficient times the scalar s."""
         return self._wrap({k: c * s for k, c in self._terms.items()})
 
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            return self._product(other._terms)
+        if isinstance(other, self._SCALARS):
+            return self._scale(other)
+        return NotImplemented
+
+    def __rmul__(self, other):
+        if isinstance(other, self._SCALARS):
+            return self._scale(other)
+        return NotImplemented
+
+    def _product(self, right: dict):
+        """self times the terms `right`: the convolution over `_combine`."""
+        out: dict = {}
+        get = out.get
+        combine = self._combine
+        right = right.items()
+        for k1, c1 in self._terms.items():
+            for k2, c2 in right:
+                k = combine(k1, k2)
+                out[k] = get(k, 0) + c1 * c2
+        return self._wrap(out)
+
+    def items(self) -> list:
+        """(key, coefficient) pairs, sorted by `_order`."""
+        terms = self._terms
+        return [(k, terms[k]) for k in sorted(terms, key=self._order)]
+
+    def coeff(self, key):
+        """The coefficient of a key, validated as the constructor would."""
+        return self._terms.get(self._check(key, self._ZERO)[0], self._ZERO)
+
+    def diff_norm(self, other) -> float:
+        """Largest absolute coefficient of self - other."""
+        return max(map(abs, (self - other)._terms.values()), default=0.0)
+
     def __pow__(self, n: int):
         """self ** n for n >= 0 by repeated squaring.
 
@@ -146,6 +189,7 @@ class LaurentPoly(SparseSum):
     __slots__ = ()
     _UNIT = 0
     _SCALARS = (int, Fraction)
+    _combine = add
 
     @staticmethod
     def _check(k, c) -> tuple[int, Scalar]:
@@ -171,30 +215,13 @@ class LaurentPoly(SparseSum):
     def a_power(cls, exp: int) -> "LaurentPoly":
         return cls({exp: 1})
 
-    def items(self) -> Iterator[tuple[int, Scalar]]:
-        return iter(sorted(self._terms.items()))
-
-    def coeff(self, exp: int) -> Scalar:
-        return self._terms.get(exp, 0)
-
     def support(self) -> list[int]:
         return sorted(self._terms)
 
-    def __mul__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            if isinstance(other, self._SCALARS):
-                return self._scale(other)
-            return NotImplemented
-        out: dict[int, Scalar] = {}
-        get = out.get
-        right = other._terms.items()
-        for k1, c1 in self._terms.items():
-            for k2, c2 in right:
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-        return LaurentPoly._wrap(out)
-
-    __rmul__ = __mul__
+    # Bound here, not only inherited, so that they stay in this class's
+    # __dict__, where the benchmark's tracer wraps them.
+    __mul__ = SparseSum.__mul__
+    __rmul__ = SparseSum.__rmul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -238,29 +265,34 @@ class LaurentPoly(SparseSum):
         return render_laurent(self)
 
 
-def _render_coeff(c: Scalar) -> str:
-    return str(c)
+def join_signed(terms) -> str:
+    """Join (negative, text) pairs as 'a - b + c'; '0' when there are none."""
+    out = ""
+    for neg, text in terms:
+        if out:
+            out += f" - {text}" if neg else f" + {text}"
+        else:
+            out = f"-{text}" if neg else text
+    return out or "0"
+
+
+def scaled(mag, *units: str) -> str:
+    """Text of a magnitude times the nonempty units; a magnitude of 1 drops out."""
+    unit = "*".join(u for u in units if u)
+    if not unit:
+        return str(mag)
+    return unit if mag == 1 else f"{mag}*{unit}"
+
+
+def power_text(name: str, k: int) -> str:
+    """'' for name^0, 'name' for name^1, else 'name^k'."""
+    return "" if k == 0 else name if k == 1 else f"{name}^{k}"
 
 
 def render_laurent(p: LaurentPoly) -> str:
     """Render as e.g. 'A^7 + A^3 + A^-1 - A^-9', highest power first."""
-    if p.is_zero:
-        return "0"
-    parts: list[str] = []
-    for k in sorted(p.support(), reverse=True):
-        c = p.coeff(k)
-        neg = c < 0
-        mag = -c if neg else c
-        if k == 0:
-            body = _render_coeff(mag)
-        else:
-            a = "A" if k == 1 else f"A^{k}"
-            body = a if mag == 1 else f"{_render_coeff(mag)}*{a}"
-        if not parts:
-            parts.append(f"-{body}" if neg else body)
-        else:
-            parts.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(parts)
+    return join_signed((c < 0, scaled(abs(c), power_text("A", k)))
+                       for k, c in reversed(p.items()))
 
 
 _TERM_RE = re.compile(
@@ -393,25 +425,9 @@ class HSeries:
         return HSeries(self._order - 1, list(self._coeffs[1:]))
 
     def __str__(self) -> str:
-        parts: list[str] = []
-        for j, c in enumerate(self._coeffs):
-            if c == 0:
-                continue
-            neg = c < 0
-            mag = -c if neg else c
-            if j == 0:
-                body = str(mag)
-            else:
-                h = "h" if j == 1 else f"h^{j}"
-                body = h if mag == 1 else f"{mag}*{h}"
-            if not parts:
-                parts.append(f"-{body}" if neg else body)
-            else:
-                parts.append(f"- {body}" if neg else f"+ {body}")
-        tail = f"O(h^{self._order + 1})"
-        if not parts:
-            return tail
-        return " ".join(parts) + " + " + tail
+        terms = [(c < 0, scaled(abs(c), power_text("h", j)))
+                 for j, c in enumerate(self._coeffs) if c]
+        return join_signed(terms + [(False, f"O(h^{self._order + 1})")])
 
     def __repr__(self) -> str:
         return f"HSeries(order={self._order}, coeffs={[str(c) for c in self._coeffs]})"

@@ -45,7 +45,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .lattice import CiliatedGraph, EdgeEnd, Step
-from .poly import SparseSum
+from .poly import SparseSum, join_signed
 
 Word = tuple[str, ...]
 _LETTERS = ("E", "F", "K", "Ki")
@@ -76,10 +76,15 @@ class UqWord(SparseSum):
     __slots__ = ()
     _UNIT = ()
     _SCALARS = (int, float, complex)
+    _combine = staticmethod(_concat)
 
     @staticmethod
     def _check(word, c) -> tuple[Word, complex]:
         return _reduce(word), c
+
+    @staticmethod
+    def _order(word: Word):
+        return len(word), word
 
     # -- constructors --------------------------------------------------
     @classmethod
@@ -94,42 +99,8 @@ class UqWord(SparseSum):
     def from_word(cls, word: Iterable[str], coeff: complex = 1) -> "UqWord":
         return cls({tuple(word): coeff})
 
-    # -- inspection ----------------------------------------------------
-    def items(self) -> list[tuple[Word, complex]]:
-        return sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def coeff(self, word: Iterable[str]) -> complex:
-        return self._terms.get(_reduce(word), 0)
-
-    def diff_norm(self, other: "UqWord") -> float:
-        keys = set(self._terms) | set(other._terms)
-        return max((abs(self._terms.get(k, 0) - other._terms.get(k, 0)) for k in keys),
-                   default=0.0)
-
-    # -- arithmetic ----------------------------------------------------
-    def __mul__(self, other) -> "UqWord":
-        if isinstance(other, self._SCALARS):
-            return self._scale(other)
-        if not isinstance(other, UqWord):
-            return NotImplemented
-        table: dict[Word, complex] = {}
-        get = table.get
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                w = _concat(w1, w2)
-                table[w] = get(w, 0) + c1 * c2
-        return self._wrap(table)
-
-    def __rmul__(self, other) -> "UqWord":
-        if isinstance(other, self._SCALARS):
-            return self._scale(other)
-        return NotImplemented
-
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        return " + ".join(
-            f"({c})*{'.'.join(w) if w else '1'}" for w, c in self.items())
+        return join_signed((False, f"({c})*{'.'.join(w) if w else '1'}") for w, c in self.items())
 
 
 W_ONE = UqWord.unit()

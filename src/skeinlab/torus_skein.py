@@ -27,7 +27,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .poly import LaurentPoly, Scalar, SparseSum, render_laurent
+from .poly import (LaurentPoly, Scalar, SparseSum, join_signed, power_text, render_laurent,
+                   scaled)
 
 Monomial = tuple[int, int, int]
 # Normal-form terms with coefficients as bare exponent maps {k: c} of
@@ -139,63 +140,62 @@ def _monomial(mono) -> Monomial:
     return mono  # type: ignore[return-value]
 
 
-class TorusSkeinElement(SparseSum):
-    """Linear combination of normal-form monomials x^a y^b z^c."""
+def _display_key(mono: Monomial):
+    return (-sum(mono), tuple(-e for e in mono))
+
+
+def _render_monomial(mono: Monomial) -> str:
+    return "*".join(power_text(name, e) for name, e in zip(_NAMES, mono) if e)
+
+
+class _MonomialSum(SparseSum):
+    """Linear combination of monomials x^a y^b z^c, listed in total-degree order."""
 
     __slots__ = ()
     _UNIT = (0, 0, 0)
+    _order = staticmethod(_display_key)
+
+    @classmethod
+    def x(cls):
+        return cls({(1, 0, 0): 1})
+
+    @classmethod
+    def y(cls):
+        return cls({(0, 1, 0): 1})
+
+    @classmethod
+    def z(cls):
+        return cls({(0, 0, 1): 1})
+
+
+class TorusSkeinElement(_MonomialSum):
+    """Linear combination of normal-form monomials x^a y^b z^c."""
+
+    __slots__ = ()
+    _ZERO = LaurentPoly.zero()
     _SCALARS = (int, Fraction, LaurentPoly)
 
     @staticmethod
     def _check(mono, c) -> tuple[Monomial, LaurentPoly]:
         return _monomial(mono), _as_poly(c)
 
-    # -- constructors --------------------------------------------------
-    @classmethod
-    def x(cls) -> "TorusSkeinElement":
-        return cls({(1, 0, 0): 1})
-
-    @classmethod
-    def y(cls) -> "TorusSkeinElement":
-        return cls({(0, 1, 0): 1})
-
-    @classmethod
-    def z(cls) -> "TorusSkeinElement":
-        return cls({(0, 0, 1): 1})
-
     @classmethod
     def monomial(cls, a: int, b: int, c: int, coeff: Coeffish = 1) -> "TorusSkeinElement":
         return cls({(a, b, c): coeff})
 
-    # -- inspection ----------------------------------------------------
-    def items(self) -> list[tuple[Monomial, LaurentPoly]]:
-        return sorted(self._terms.items(), key=lambda kv: _display_key(kv[0]))
+    def _product(self, right: dict) -> "TorusSkeinElement":
+        """Each pair of monomials through the right-action table."""
+        result: Terms = {}
+        for m1, p1 in self._terms.items():
+            for m2, p2 in right.items():
+                _madd(result, _monomial_product(m1, m2), (p1 * p2)._terms)
+        return self._wrap({m: LaurentPoly._wrap(c) for m, c in result.items()})
 
-    def coeff(self, mono: Monomial) -> LaurentPoly:
-        return self._terms.get(tuple(mono), LaurentPoly.zero())
-
-    # -- arithmetic ----------------------------------------------------
-    def __mul__(self, other) -> "TorusSkeinElement":
-        if isinstance(other, TorusSkeinElement):
-            result: Terms = {}
-            for m1, p1 in self._terms.items():
-                for m2, p2 in other._terms.items():
-                    _madd(result, _monomial_product(m1, m2), (p1 * p2)._terms)
-            return self._wrap({m: LaurentPoly._wrap(c) for m, c in result.items()})
-        if isinstance(other, self._SCALARS):
-            return self._scale(_as_poly(other))
-        return NotImplemented
-
-    def __rmul__(self, other) -> "TorusSkeinElement":
-        if isinstance(other, self._SCALARS):
-            return self._scale(_as_poly(other))
-        return NotImplemented
-
-    # Bound here, not only inherited, so that it stays in this class's __dict__,
-    # where the benchmark's tracer wraps it.
+    # Bound here, not only inherited, so that they stay in this class's
+    # __dict__, where the benchmark's tracer wraps them.
+    __mul__ = SparseSum.__mul__
     __pow__ = SparseSum.__pow__
 
-    # -- specialization ------------------------------------------------
     def specialize(self, a) -> "CommPoly":
         """Evaluate every coefficient at A=a, yielding a commutative polynomial."""
         return CommPoly({m: c.eval_at(a) for m, c in self._terms.items()})
@@ -204,104 +204,41 @@ class TorusSkeinElement(SparseSum):
         return render_skein(self)
 
 
-def _display_key(mono: Monomial):
-    return (-sum(mono), tuple(-e for e in mono))
-
-
-def _render_monomial(mono: Monomial) -> str:
-    parts = []
-    for name, e in zip(_NAMES, mono):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts)
-
-
 def render_skein(elem: "TorusSkeinElement") -> str:
     """Render with monomials in total-degree order, e.g. `A^2*x*y - (A^3 - A^-1)*z`."""
-    if elem.is_zero:
-        return "0"
-    pieces = []
+    terms = []
     for mono, poly in elem.items():
-        body = render_laurent(poly)
-        mono_text = _render_monomial(mono)
-        if len(poly.support()) > 1:
-            sign = "+"
-            if body.startswith("-"):
-                sign = "-"
-                body = render_laurent(-poly)
-            text = f"({body})*{mono_text}" if mono_text else f"({body})"
+        unit = _render_monomial(mono)
+        if len(poly._terms) > 1:
+            neg = poly._terms[max(poly._terms)] < 0
+            terms.append((neg, scaled(f"({render_laurent(-poly if neg else poly)})", unit)))
         else:
-            sign = "-" if body.startswith("-") else "+"
-            if body.startswith("-"):
-                body = body[1:]
-            if not mono_text:
-                text = body
-            elif body == "1":
-                text = mono_text
-            else:
-                text = f"{body}*{mono_text}"
-        pieces.append((sign, text))
-    out = pieces[0][1] if pieces[0][0] == "+" else "-" + pieces[0][1]
-    for sign, text in pieces[1:]:
-        out += f" {sign} {text}"
-    return out
+            ((k, c),) = poly._terms.items()
+            terms.append((c < 0, scaled(abs(c), power_text("A", k), unit)))
+    return join_signed(terms)
 
 
 # ----------------------------------------------------------------------
 # commutative limit
 
 
-class CommPoly(SparseSum):
+class CommPoly(_MonomialSum):
     """Commutative polynomial in x, y, z with numeric coefficients."""
 
     __slots__ = ()
-    _UNIT = (0, 0, 0)
     _SCALARS = (int, float, complex, Fraction)
 
     @staticmethod
     def _check(mono, c) -> tuple[Monomial, object]:
         return _monomial(mono), c
 
+    @staticmethod
+    def _combine(m1: Monomial, m2: Monomial) -> Monomial:
+        return (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
+
     @classmethod
     def constant(cls, c) -> "CommPoly":
         return cls._constant(c)
-
-    @classmethod
-    def x(cls) -> "CommPoly":
-        return cls({(1, 0, 0): 1})
-
-    @classmethod
-    def y(cls) -> "CommPoly":
-        return cls({(0, 1, 0): 1})
-
-    @classmethod
-    def z(cls) -> "CommPoly":
-        return cls({(0, 0, 1): 1})
-
-    def items(self) -> list[tuple[Monomial, object]]:
-        return sorted(self._terms.items(), key=lambda kv: _display_key(kv[0]))
-
-    def coeff(self, mono: Monomial):
-        return self._terms.get(tuple(mono), 0)
-
-    def __mul__(self, other) -> "CommPoly":
-        if isinstance(other, self._SCALARS):
-            return self._scale(other)
-        if not isinstance(other, CommPoly):
-            return NotImplemented
-        table: dict[Monomial, object] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                table[m] = table.get(m, 0) + c1 * c2
-        return self._wrap(table)
-
-    def __rmul__(self, other) -> "CommPoly":
-        if isinstance(other, self._SCALARS):
-            return self._scale(other)
-        return NotImplemented
 
     def evaluate(self, x, y, z):
         total = 0
@@ -309,35 +246,16 @@ class CommPoly(SparseSum):
             total = total + coeff * x ** a * y ** b * z ** c
         return total
 
-    def max_abs_diff(self, other: "CommPoly") -> float:
-        keys = set(self._terms) | set(other._terms)
-        return max((abs(complex(self.coeff(k)) - complex(other.coeff(k))) for k in keys),
-                   default=0.0)
-
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
+        """Real coefficients print signed, complex ones in parentheses."""
+        terms = []
         for mono, c in self.items():
-            mono_text = _render_monomial(mono)
-            if isinstance(c, (int, Fraction)):
-                sign = "-" if c < 0 else "+"
-                mag = -c if c < 0 else c
-                body = str(mag)
-            else:
-                sign = "+"
-                body = f"({c})"
-            if not mono_text:
-                text = body
-            elif body == "1":
-                text = mono_text
-            else:
-                text = f"{body}*{mono_text}"
-            pieces.append((sign, text))
-        out = pieces[0][1] if pieces[0][0] == "+" else "-" + pieces[0][1]
-        for sign, text in pieces[1:]:
-            out += f" {sign} {text}"
-        return out
+            unit = _render_monomial(mono)
+            if isinstance(c, complex) and not c.imag:
+                c = c.real
+            terms.append((False, scaled(f"({str(c).strip('()')})", unit))
+                         if isinstance(c, complex) else (c < 0, scaled(abs(c), unit)))
+        return join_signed(terms)
 
 
 def lift(p: CommPoly) -> TorusSkeinElement:

@@ -138,6 +138,15 @@ class TestSkeinCommand:
     def test_parse_error(self, capsys):
         assert main(["skein", "--expr", "x *"]) == 2
 
+    def test_specialize_prints_real_coefficients_signed(self, capsys):
+        assert main(["skein", "--expr", "x - 2*A*y", "--specialize", "0.5"]) == 0
+        assert capsys.readouterr().out.strip() == "x - y"
+
+    def test_modes_are_exclusive(self):
+        with pytest.raises(SystemExit) as info:
+            main(["skein", "--expr", "x", "--poisson", "y", "--specialize", "-1"])
+        assert info.value.code == 2
+
 
 class TestCharCommand:
     def test_trace(self, rep_file, capsys):
@@ -160,6 +169,12 @@ class TestCharCommand:
         got = complex(capsys.readouterr().out.strip())
         x, y, z = character_point(rep)
         assert abs(got - (x * y - z)) < 1e-9
+
+    def test_modes_are_exclusive(self, rep_file):
+        _, path = rep_file
+        with pytest.raises(SystemExit) as info:
+            main(["char", "--rep", path, "--trace", "ab", "--phi", "x"])
+        assert info.value.code == 2
 
 
 class TestLatticeCommand:
@@ -198,6 +213,17 @@ class TestLatticeCommand:
     def test_bad_path_is_an_error(self, triangle_files):
         gp, _ = triangle_files
         assert main(["lattice", "--graph", gp, "--wilson", "1,3"]) == 2
+
+    @pytest.mark.parametrize("modes", [
+        ["--holonomy", "1,2,3", "--wilson", "4,-5,6"],
+        ["--wilson", "1,2,3", "--flat"],
+        [],
+    ])
+    def test_exactly_one_mode(self, triangle_files, modes):
+        gp, _ = triangle_files
+        with pytest.raises(SystemExit) as info:
+            main(["lattice", "--graph", gp, *modes])
+        assert info.value.code == 2
 
     def test_path_may_start_with_a_negative_edge(self, triangle_files, tmp_path, capsys):
         from skeinlab.characters import random_sl2

@@ -34,7 +34,34 @@ def random_connection(graph, rng) -> dict:
     return {e: random_sl2(rng) for e in graph.edges}
 
 
+def boundary_cycles(graph) -> list[list[tuple[int, int]]]:
+    """Boundary cycles of the ribbon surface, as closed edge paths: run along
+    an end's edge, then turn to the end before the far one in cilial order."""
+    before = {}
+    for ends in graph.ciliation.values():
+        for i, end in enumerate(ends):
+            before[end] = ends[i - 1]
+    cycles, seen = [], set()
+    for end in before:
+        path = []
+        while end not in seen:
+            seen.add(end)
+            e, side = end
+            path.append((e, 1 if side == 0 else -1))
+            end = before[(e, 1 - side)]
+        if path:
+            cycles.append(path)
+    return cycles
+
+
 class TestGraphs:
+    def test_punctured_torus_is_the_one_holed_torus(self):
+        assert len(boundary_cycles(bouquet(2))) == 3
+        (cycle,) = boundary_cycles(punctured_torus_graph())
+        path = peripheral_path()
+        reverse = [(e, -d) for e, d in reversed(path)]
+        assert any(cycle == p[k:] + p[:k] for p in (path, reverse) for k in range(len(p)))
+
     def test_standard_graphs_validate(self):
         for g in (bouquet(1), bouquet(3), triangle_graph(), bowtie_graph()):
             assert set(g.ciliation) == set(g.vertices)

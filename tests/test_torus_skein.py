@@ -258,7 +258,7 @@ class TestClassicalLimit:
             p, q = random_element(rng), random_element(rng)
             got = (p * q).specialize(-1)
             want = p.specialize(-1) * q.specialize(-1)
-            assert got.max_abs_diff(want) == 0
+            assert got.diff_norm(want) == 0
 
     def test_lift_section(self):
         p = CommPoly({(1, 2, 0): 3, (0, 0, 1): Fraction(-1, 2)})
@@ -294,7 +294,7 @@ class TestPoissonBracket:
 
             h = 1e-4
             extrapolated = 2 * at(h / 2) - at(h)
-            assert extrapolated.max_abs_diff(want) < 1e-6
+            assert extrapolated.diff_norm(want) < 1e-6
 
     def test_antisymmetry(self):
         rng = random.Random(46)
@@ -393,6 +393,15 @@ class TestParsingAndRendering:
         assert str(poisson_bracket(X, Y)) == "-1/2*x*y - z"
         assert str(CommPoly.zero()) == "0"
         assert str(CommPoly({(0, 0, 0): 2, (1, 0, 0): -1})) == "-x + 2"
+
+    def test_coeff_validates_its_key(self):
+        assert (X.coeff([1, 0, 0]), X.coeff((0, 0, 0))) == (1, 0)
+        assert UqWord.letter("K").coeff(("K", "Ki", "K")) == 1
+        for value, key, error in ((X, (1, 0), ValueError), (CommPoly.x(), (-1, 0, 0), ValueError),
+                                  (LaurentPoly.one(), 1.5, TypeError),
+                                  (UqWord.one(), ("G",), ValueError)):
+            with pytest.raises(error):
+                value.coeff(key)
 
     def test_comm_poly_evaluate(self):
         p = CommPoly({(2, 0, 0): 1, (0, 1, 0): -3, (0, 0, 0): 5})
