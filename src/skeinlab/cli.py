@@ -12,7 +12,8 @@ import json
 import re
 import sys
 
-from . import characters, checks, diagram, formats, lattice, qlattice, torus_skein
+# numpy-backed modules are imported by their handlers: bracket and skein load no numpy
+from . import diagram, formats, torus_skein
 from .bracket import bracket as _bracket_eval
 from .poly import render_laurent
 
@@ -92,6 +93,7 @@ def _cmd_skein(args) -> int:
 
 
 def _cmd_char(args) -> int:
+    from . import characters
     rep = formats.rep_from_json(_load_json(args.rep))
     if args.trace is not None:
         value = characters.trace_word(rep, args.trace)
@@ -126,6 +128,7 @@ def _parse_path(text: str) -> list[tuple[int, int]]:
 
 
 def _cmd_lattice(args) -> int:
+    from . import lattice
     g = formats.graph_from_json(_load_json(args.graph))
     if args.connection is not None:
         conn = formats.connection_from_json(_load_json(args.connection))
@@ -146,6 +149,7 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_qlattice(args) -> int:
+    from . import qlattice
     g = formats.graph_from_json(_load_json(args.graph))
     q = formats.qlink_from_json(_load_json(args.qlink))
     if args.qconnection is not None:
@@ -171,6 +175,7 @@ def _cmd_qlattice(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import checks
     results = checks.run(args.seed)
     passed = sum(r["ok"] for r in results)
     lines = [f"{'ok  ' if r['ok'] else 'FAIL'} {r['name']}: {r['detail']}" for r in results]

@@ -8,13 +8,15 @@ encoded as [re, im] pairs; plain numbers are accepted on input.
 from __future__ import annotations
 
 import json
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .diagram import Crossing, LinkDiagram, parse_braid
-from .lattice import CiliatedGraph
-from .qlattice import QLink, UqWord
+
+if TYPE_CHECKING:        # imported where used, so that diagrams load no numpy
+    import numpy as np
+
+    from .lattice import CiliatedGraph
+    from .qlattice import QLink, UqWord
 
 
 def _object(value, what: str) -> dict:
@@ -103,14 +105,19 @@ def complex_from_json(v) -> complex:
 
 
 def matrix_to_json(m: np.ndarray) -> list:
+    import numpy as np
     m = np.asarray(m, dtype=complex)
     return [[complex_to_json(m[i, j]) for j in range(m.shape[1])]
             for i in range(m.shape[0])]
 
 
 def matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex_from_json(v) for v in row] for row in rows],
-                    dtype=complex)
+    """A 2x2 complex matrix from two rows of two entries."""
+    import numpy as np
+    m = np.array([[complex_from_json(v) for v in row] for row in rows], dtype=complex)
+    if m.shape != (2, 2):
+        raise ValueError(f"a matrix must be 2x2, not of shape {m.shape}")
+    return m
 
 
 def rep_to_json(rep: Mapping[str, np.ndarray]) -> dict:
@@ -137,6 +144,7 @@ def graph_to_json(g: CiliatedGraph) -> dict:
 
 
 def graph_from_json(obj: dict | str) -> CiliatedGraph:
+    from .lattice import CiliatedGraph
     obj = _load(obj, "a graph")
     vertices = [str(v) for v in obj["vertices"]]
     edges = {int(e): (str(u), str(v))
@@ -168,6 +176,7 @@ def qlink_to_json(q: QLink) -> dict:
 
 
 def qlink_from_json(obj: dict | str) -> QLink:
+    from .qlattice import QLink
     obj = _load(obj, "a q-link")
     loops = [[(int(e), int(d)) for e, d in loop] for loop in obj["loops"]]
     crossings = [(str(c["at"]), str(c["sign"])) for c in obj.get("crossings", [])]
@@ -183,6 +192,7 @@ def qconnection_to_json(conn: Mapping[int, UqWord]) -> dict:
 
 
 def qconnection_from_json(obj: dict | str) -> dict[int, UqWord]:
+    from .qlattice import UqWord
     obj = _load(obj, "a quantum connection")
     out = {}
     for e, terms in obj.items():

@@ -284,6 +284,19 @@ def scaled(mag, *units: str) -> str:
     return unit if mag == 1 else f"{mag}*{unit}"
 
 
+def numeric_term(c, unit: str) -> tuple[bool, str]:
+    """(negative, text) of a numeric coefficient times a unit, for join_signed.
+
+    A real coefficient, a complex one with zero imaginary part included,
+    prints signed; a complex one prints in parentheses.
+    """
+    if isinstance(c, complex) and not c.imag:
+        c = c.real
+    if isinstance(c, complex):
+        return False, scaled(f"({str(c).strip('()')})", unit)
+    return c < 0, scaled(abs(c), unit)
+
+
 def power_text(name: str, k: int) -> str:
     """'' for name^0, 'name' for name^1, else 'name^k'."""
     return "" if k == 0 else name if k == 1 else f"{name}^{k}"

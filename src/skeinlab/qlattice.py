@@ -45,7 +45,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .lattice import CiliatedGraph, EdgeEnd, Step
-from .poly import SparseSum, join_signed
+from .poly import SparseSum, join_signed, numeric_term
 
 Word = tuple[str, ...]
 _LETTERS = ("E", "F", "K", "Ki")
@@ -100,7 +100,8 @@ class UqWord(SparseSum):
         return cls({tuple(word): coeff})
 
     def __str__(self) -> str:
-        return join_signed((False, f"({c})*{'.'.join(w) if w else '1'}") for w, c in self.items())
+        """Real coefficients print signed, complex ones in parentheses."""
+        return join_signed(numeric_term(c, ".".join(w)) for w, c in self.items())
 
 
 W_ONE = UqWord.unit()

@@ -1,11 +1,16 @@
 """Command-line interface: outputs, exit codes, file handling."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skeinlab.bracket import bracket
 from skeinlab.characters import character_point, random_rep, trace_word
@@ -16,12 +21,13 @@ from skeinlab.formats import (
     connection_to_json,
     diagram_to_json,
     graph_to_json,
+    qconnection_to_json,
     qlink_to_json,
     rep_to_json,
 )
 from skeinlab.lattice import bowtie_graph, triangle_graph, trivial_connection
 from skeinlab.poly import LaurentPoly
-from skeinlab.qlattice import bowtie_qlinks
+from skeinlab.qlattice import bowtie_qlinks, classical_to_quantum
 
 
 @pytest.fixture()
@@ -146,6 +152,20 @@ class TestSkeinCommand:
         with pytest.raises(SystemExit) as info:
             main(["skein", "--expr", "x", "--poisson", "y", "--specialize", "-1"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("expr, message", [
+        ("y^1000*x", "skein product of degree 1001 exceeds the budget of 24"),
+        ("y^900*x", "skein product of degree 901 exceeds the budget of 24"),
+        ("x^99999999", "exponent 99999999 exceeds the budget of 1000"),
+        ("A^-1001", "exponent -1001 exceeds the budget of 1000"),
+    ])
+    def test_oversized_input_is_a_usage_error(self, expr, message, capsys):
+        assert main(["skein", "--expr", expr]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+
+    def test_high_powers_already_in_normal_form(self, capsys):
+        assert main(["skein", "--expr", "x^1000 * y^1000 * z^1000"]) == 0
+        assert capsys.readouterr().out.strip() == "x^1000*y^1000*z^1000"
 
 
 class TestCharCommand:
@@ -357,3 +377,85 @@ class TestEnvironment:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == 2
+
+
+# ----------------------------------------------------------------------
+# fuzzed input files: every run ends in a documented exit code
+
+json_leaves = st.one_of(st.none(), st.booleans(), st.integers(-3, 6),
+                        st.floats(-2, 2, allow_nan=False), st.text("abvEK01-", max_size=3))
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text("abv0123", max_size=2), inner, max_size=3)),
+    max_leaves=8)
+
+
+def _slots(doc, path=()):
+    """Paths of every value inside doc, the root included."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _slots(value, path + (key,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """doc with up to three values replaced by random JSON or deleted."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_slots(doc))))
+        if not path:
+            doc = draw(json_values)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            parent[path[-1]] = draw(json_values)
+        else:
+            del parent[path[-1]]
+    return doc
+
+
+_WORDS = st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=8)
+_TRIANGLE = triangle_graph()
+_BOWTIE = bowtie_graph()
+# command -> (file options, strategies of the valid files they mutate, mode arguments)
+FUZZED = {
+    "bracket": (["--json"],
+                [st.one_of(_WORDS.map(lambda w: {"word": w, "strands": 3}),
+                           _WORDS.map(lambda w: diagram_to_json(parse_braid(w, 3))))],
+                [[], ["--method", "statesum"]]),
+    "char": (["--rep"], [st.just(rep_to_json(random_rep("ab", np.random.default_rng(7))))],
+             [["--trace", "abAB"], ["--point"], ["--phi", "x*y - z"]]),
+    "lattice": (["--graph", "--connection"],
+                [st.just(graph_to_json(_TRIANGLE)),
+                 st.just(connection_to_json(trivial_connection(_TRIANGLE)))],
+                [["--wilson", "1,2,3"], ["--holonomy", "1,2"], ["--flat"]]),
+    "qlattice": (["--graph", "--qlink", "--qconnection"],
+                 [st.just(graph_to_json(_BOWTIE)), st.just(qlink_to_json(bowtie_qlinks()[0])),
+                  st.just(qconnection_to_json(classical_to_quantum(
+                      trivial_connection(_BOWTIE))))],
+                 [["--t", "0.9+0.2j"]]),
+}
+
+
+class TestFuzzedFiles:
+    @pytest.mark.parametrize("command", sorted(FUZZED))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_is_documented(self, command, data):
+        options, docs, modes = FUZZED[command]
+        argv = [command, *data.draw(st.sampled_from(modes))]
+        with tempfile.TemporaryDirectory() as tmp:
+            for option, doc in zip(options, docs):
+                path = os.path.join(tmp, option.strip("-") + ".json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(data.draw(mutated(data.draw(doc))), fh)
+                argv += [option, path]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2)
+        assert (code == 2) == err.getvalue().startswith("error: ")

@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from skeinlab.poly import LaurentPoly
 from skeinlab.qlattice import UqWord
 from skeinlab.torus_skein import (
+    MAX_DEGREE,
+    MAX_EXPONENT,
     CommPoly,
     TorusSkeinElement,
     lift,
@@ -367,6 +369,29 @@ class TestHashing:
                 assert form == c and hash(form) == hash(c), form
         assert LaurentPoly() == 0 and hash(LaurentPoly()) == hash(0)
         assert TorusSkeinElement.zero() == 0 and hash(TorusSkeinElement.zero()) == hash(0)
+
+
+class TestBudgets:
+    def test_reordering_products_stop_at_the_degree_budget(self):
+        below = TorusSkeinElement.monomial(0, MAX_DEGREE - 1, 0)
+        assert (below * X).coeff((1, MAX_DEGREE - 1, 0)) == lp({2 * (MAX_DEGREE - 1): 1})
+        for left, right in ((below * Y, X), (TorusSkeinElement.monomial(0, 12, 12),
+                                             TorusSkeinElement.monomial(12, 0, 0))):
+            with pytest.raises(ValueError, match=f"exceeds the budget of {MAX_DEGREE}"):
+                left * right
+
+    def test_products_in_normal_form_have_no_degree_budget(self):
+        n = 10 ** 6
+        assert X ** n == TorusSkeinElement.monomial(n, 0, 0)
+        assert (TorusSkeinElement.monomial(n, n, 0) * TorusSkeinElement.monomial(0, n, n)
+                == TorusSkeinElement.monomial(n, 2 * n, n))
+
+    def test_parsed_exponents_stop_at_their_budget(self):
+        assert parse_skein(f"x^{MAX_EXPONENT}") == TorusSkeinElement.monomial(MAX_EXPONENT, 0, 0)
+        for bad in (f"x^{MAX_EXPONENT + 1}", f"(1 + A)^{MAX_EXPONENT + 1}",
+                    f"A^-{MAX_EXPONENT + 1}"):
+            with pytest.raises(ValueError, match=f"exceeds the budget of {MAX_EXPONENT}"):
+                parse_skein(bad)
 
 
 class TestParsingAndRendering:
