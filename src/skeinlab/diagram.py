@@ -162,28 +162,22 @@ class LinkDiagram:
                 orbits.append(orbit)
         return orbits
 
+    def _face_of(self, dart: Dart) -> list[Dart] | None:
+        """The face orbit through a dart, None for a dart not in the map."""
+        return next((o for o in self.face_orbits() if dart in o), None)
+
     def is_planar(self) -> bool:
-        """Every connected piece of the map must have genus zero."""
-        if not self._crossings:
-            return True
-        arcs = self.arcs()
+        """Every connected piece of the map must have genus zero.
+
+        A 4-valent piece has E = 2V, so its Euler characteristic V - E + F
+        is F - V, at most 2 and equal to 2 exactly at genus zero; summed over
+        the pieces, F - V reaches twice their number only when all are planar.
+        """
         parent: dict[int, int] = {}
-        for d1, d2 in arcs.values():
+        for d1, d2 in self.arcs().values():
             _union(parent, d1[0], d2[0])
-        groups: dict[int, list[int]] = {}
-        for cid in self._crossings:
-            groups.setdefault(_find(parent, cid), []).append(cid)
-        face_count: dict[int, int] = {}
-        for orbit in self.face_orbits():
-            root = _find(parent, orbit[0][0])
-            face_count[root] = face_count.get(root, 0) + 1
-        for root, cids in groups.items():
-            v = len(cids)
-            e = sum(1 for d1, _ in arcs.values() if _find(parent, d1[0]) == root)
-            f = face_count.get(root, 0)
-            if v - e + f != 2:
-                return False
-        return True
+        pieces = {_find(parent, cid) for cid in self._crossings}
+        return len(self.face_orbits()) - len(self._crossings) == 2 * len(pieces)
 
     # ------------------------------------------------------------------
     # surgery
@@ -337,11 +331,7 @@ class LinkDiagram:
         return self._fused({cid}, [((cid, 0), (cid, 2)), ((cid, 1), (cid, 3))])
 
     def _r2_insert(self, d1: Dart, d2: Dart, finger_over: bool) -> "LinkDiagram":
-        orbit = None
-        for o in self.face_orbits():
-            if d1 in o:
-                orbit = o
-                break
+        orbit = self._face_of(d1)
         if orbit is None or d2 not in orbit:
             raise ValueError("R2 site darts must lie on a common face")
         u = self.label_at(d1)
@@ -393,11 +383,7 @@ class LinkDiagram:
         return self._fused({c1, c2}, welds)
 
     def _r3(self, d_p: Dart) -> "LinkDiagram":
-        orbit = None
-        for o in self.face_orbits():
-            if d_p in o:
-                orbit = o
-                break
+        orbit = self._face_of(d_p)
         if orbit is None or len(orbit) != 3:
             raise ValueError("R3 site must lie on a triangular face")
         i = orbit.index(d_p)

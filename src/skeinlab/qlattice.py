@@ -298,10 +298,10 @@ class QLink:
 
     Each loop is a closed edge path of steps (eid, +-1); an edge may be used
     at most once across all loops, and a vertex at most twice.  A vertex
-    passed twice is a transverse double point: its four edge-ends must
-    alternate between the two passages in the cilial cyclic order, and the
-    crossing list must record a sign there, '+' if the first passage in
-    traversal order runs over, '-' if under.
+    passed twice is a double point, transverse when its four edge-ends
+    alternate between the two passages in the cilial order.  The crossing
+    list records a sign at exactly the transverse double points, '+' if the
+    first passage in traversal order runs over, '-' if under.
     """
 
     def __init__(self, loops: Sequence[Sequence[Step]],
@@ -316,91 +316,7 @@ class QLink:
         return [e for loop in self.loops for e, _ in loop]
 
     def validate(self, graph: CiliatedGraph) -> None:
-        _validated_passages(graph, self)
-
-
-def _validated_passages(graph: CiliatedGraph, qlink: QLink) -> dict[object, list[_Passage]]:
-    """Check a q-link against a graph and return its passages by vertex."""
-    for loop in qlink.loops:
-        graph._check_path(loop, closed=True)
-    used = qlink.used_edges()
-    if len(used) != len(set(used)):
-        raise ValueError("an edge is traversed more than once")
-    passages = _passages(graph, qlink)
-    if any(len(ps) > 2 for ps in passages.values()):
-        raise ValueError("a vertex is visited more than twice")
-    transverse = set()
-    for v, ps in passages.items():
-        if len(ps) == 2 and _is_transverse(_double_ends(graph, passages, v)):
-            transverse.add(v)
-    listed = [v for v, _ in qlink.crossings]
-    if len(listed) != len(set(listed)):
-        raise ValueError("duplicate crossing vertex")
-    if set(listed) != transverse:
-        raise ValueError(
-            "crossing signs must be given exactly at transverse double points; "
-            f"expected {sorted(map(str, transverse))}, got {sorted(map(str, listed))}")
-    return passages
-
-
-class _Passage(NamedTuple):
-    order: tuple[int, int]        # (loop index, arrival step index): traversal order
-    loop: int
-    in_end: EdgeEnd
-    out_end: EdgeEnd
-
-
-def _step_arrival_end(step: Step) -> EdgeEnd:
-    e, d = step
-    return (e, 1) if d == 1 else (e, 0)
-
-
-def _step_departure_end(step: Step) -> EdgeEnd:
-    e, d = step
-    return (e, 0) if d == 1 else (e, 1)
-
-
-def _passages(graph: CiliatedGraph, qlink: QLink) -> dict[object, list[_Passage]]:
-    out: dict[object, list[_Passage]] = {}
-    for li, loop in enumerate(qlink.loops):
-        for i, step in enumerate(loop):
-            nxt = loop[(i + 1) % len(loop)]
-            in_end = _step_arrival_end(step)
-            v = graph.end_vertex(in_end)
-            p = _Passage((li, i), li, in_end, _step_departure_end(nxt))
-            out.setdefault(v, []).append(p)
-    for ps in out.values():
-        ps.sort(key=lambda p: p.order)
-    return out
-
-
-def _double_ends(graph: CiliatedGraph, passages: Mapping[object, list[_Passage]],
-                 vertex: object) -> list[tuple[EdgeEnd, int]]:
-    """The four link ends at a twice-visited vertex in cilial order, tagged
-    with the passage (0 = first in traversal order, 1 = second) each serves."""
-    ps = passages[vertex]
-    owner = {}
-    for idx, p in enumerate(ps):
-        owner[p.in_end] = idx
-        owner[p.out_end] = idx
-    ends = [(end, owner[end]) for end in graph.ciliation[vertex] if end in owner]
-    if len(ends) != 4 or len(owner) != 4:
-        raise ValueError(f"double point at {vertex!r} does not use four distinct ends")
-    return ends
-
-
-def _is_transverse(ends: list[tuple[EdgeEnd, int]]) -> bool:
-    """Whether the passages alternate around the vertex (cross transversally)."""
-    tags = [tag for _, tag in ends]
-    return tags in ([0, 1, 0, 1], [1, 0, 1, 0])
-
-
-def _crossing_ends(graph: CiliatedGraph, passages: Mapping[object, list[_Passage]],
-                   vertex: object) -> list[tuple[EdgeEnd, int]]:
-    ends = _double_ends(graph, passages, vertex)
-    if not _is_transverse(ends):
-        raise ValueError(f"passages at {vertex!r} do not alternate (not transverse)")
-    return ends
+        _decorations(graph, self)
 
 
 QConnection = Mapping[int, UqWord]
@@ -416,24 +332,53 @@ def _decorations(graph: CiliatedGraph, qlink: QLink
                  ) -> tuple[list[tuple[EdgeEnd, EdgeEnd, bool]], list[int], list[int]]:
     """Validate a q-link and locate the decorations of its Wilson observable:
     per crossing (cilially first end, second end, first end on the over
-    strand?), the edges gaining a k at a cilium, the edges run backwards."""
-    passages = _validated_passages(graph, qlink)
-    crossings = []
-    for vertex, sign in qlink.crossings:
-        ends = _crossing_ends(graph, passages, vertex)
-        (c0, tag0), (c1, _) = ends[0], ends[1]
-        over_tag = 0 if sign == "+" else 1
-        crossings.append((c0, c1, tag0 == over_tag))
+    strand?), the edges gaining a k at a cilium, the edges run backwards.
 
-    # cilium steps: one k for each transition whose incoming end sits after
-    # the outgoing end in the cilial order of the vertex where they meet
-    cilium_edges = []
+    One walk over the steps records each passage through a vertex: the end
+    a step arrives by and the end the next step leaves by.  A passage
+    crosses the cilium when its arrival end sits after its departure end in
+    the cilial order of the vertex.
+    """
+    for loop in qlink.loops:
+        graph._check_path(loop, closed=True)
+    used = qlink.used_edges()
+    if len(used) != len(set(used)):
+        raise ValueError("an edge is traversed more than once")
+    passages: dict[object, list[tuple[EdgeEnd, EdgeEnd]]] = {}
+    cilium_edges, against = [], []
+    for loop in qlink.loops:
+        for (e, d), (e_next, d_next) in zip(loop, loop[1:] + loop[:1]):
+            arrival, departure = (e, (1 + d) // 2), (e_next, (1 - d_next) // 2)
+            v = graph.end_vertex(arrival)
+            passages.setdefault(v, []).append((arrival, departure))
+            if graph.cilial_position(v, arrival) > graph.cilial_position(v, departure):
+                cilium_edges.append(e)
+            if d == -1:
+                against.append(e)
+    if any(len(ps) > 2 for ps in passages.values()):
+        raise ValueError("a vertex is visited more than twice")
+
+    # No edge is used twice, so a double point has four distinct ends, two
+    # per passage; tagged 0 (first passage) or 1 in cilial order, they
+    # alternate exactly when the first and third tags agree.
+    transverse = {}
     for v, ps in passages.items():
-        for p in ps:
-            if graph.cilial_position(v, p.in_end) > graph.cilial_position(v, p.out_end):
-                cilium_edges.append(p.in_end[0])
-
-    against = [e for loop in qlink.loops for e, d in loop if d == -1]
+        if len(ps) == 2:
+            tag = {end: i for i, passage in enumerate(ps) for end in passage}
+            ends = [end for end in graph.ciliation[v] if end in tag]
+            if tag[ends[0]] == tag[ends[2]]:
+                transverse[v] = (ends[0], ends[1], tag[ends[0]] == 0)
+    listed = [v for v, _ in qlink.crossings]
+    if len(listed) != len(set(listed)):
+        raise ValueError("duplicate crossing vertex")
+    if set(listed) != set(transverse):
+        raise ValueError(
+            "crossing signs must be given exactly at transverse double points; "
+            f"expected {sorted(map(str, transverse))}, got {sorted(map(str, listed))}")
+    crossings = []
+    for v, sign in qlink.crossings:
+        c0, c1, c0_first = transverse[v]
+        crossings.append((c0, c1, c0_first == (sign == "+")))
     return crossings, cilium_edges, against
 
 

@@ -48,7 +48,9 @@ _A_AM3 = {1: 1, -3: -1}
 # its total degree (one core of a 2-vCPU VM, Python 3.11: y^40*x 1 s,
 # y^15*x^15 10 s), so it stops above degree MAX_DEGREE; a product already in
 # normal form is one monomial at any degree.  Parsed exponents stop at
-# MAX_EXPONENT, which bounds the coefficients of powers such as (1 + A)^n.
+# MAX_EXPONENT, and so does a parsed power's exponent times the span of
+# A-exponents in its base's coefficients, which bounds the coefficients of
+# powers such as (1 + A)^n and of nested powers such as ((1 + A)^n)^m.
 MAX_DEGREE = 24
 MAX_EXPONENT = 1000
 
@@ -347,7 +349,10 @@ def parse_skein(text: str) -> TorusSkeinElement:
     (integer k, possibly negative) injects coefficient monomials.
     """
     toks = _Tokens(text)
-    result = _parse_sum(toks)
+    try:
+        result = _parse_sum(toks)
+    except RecursionError:
+        raise ValueError("expression nests too deeply") from None
     if toks.peek() is not None:
         raise ValueError(f"trailing input near {toks.take()[1]!r}")
     return result
@@ -390,6 +395,11 @@ def _parse_power(toks: _Tokens) -> TorusSkeinElement:
     n = sign * int(text)
     if abs(n) > MAX_EXPONENT:
         raise ValueError(f"exponent {n} exceeds the budget of {MAX_EXPONENT}")
+    exps = [k for poly in base._terms.values() for k in poly._terms]
+    span = max(exps, default=0) - min(exps, default=0)
+    if abs(n) * span > MAX_EXPONENT:
+        raise ValueError(f"exponent {n} times coefficient span {span} "
+                         f"exceeds the budget of {MAX_EXPONENT}")
     if n >= 0:
         return base ** n
     if len(base._terms) == 1 and (0, 0, 0) in base._terms:

@@ -158,10 +158,20 @@ class TestSkeinCommand:
         ("y^900*x", "skein product of degree 901 exceeds the budget of 24"),
         ("x^99999999", "exponent 99999999 exceeds the budget of 1000"),
         ("A^-1001", "exponent -1001 exceeds the budget of 1000"),
+        ("((1 + A)^1000)^2",
+         "exponent 2 times coefficient span 1000 exceeds the budget of 1000"),
+        ("((1 + A)^1000)^1000",
+         "exponent 1000 times coefficient span 1000 exceeds the budget of 1000"),
+        ("(" * 400 + "x" + ")" * 400, "expression nests too deeply"),
     ])
     def test_oversized_input_is_a_usage_error(self, expr, message, capsys):
         assert main(["skein", "--expr", expr]) == 2
         assert capsys.readouterr().err.strip() == f"error: {message}"
+
+    def test_power_at_the_span_budget(self, capsys):
+        assert main(["skein", "--expr", "(1 + A)^1000"]) == 0
+        out = capsys.readouterr().out.strip()
+        assert out.startswith("(A^1000 + 1000*A^999 + 499500*A^998") and out.endswith(" + 1)")
 
     def test_high_powers_already_in_normal_form(self, capsys):
         assert main(["skein", "--expr", "x^1000 * y^1000 * z^1000"]) == 0
@@ -189,6 +199,11 @@ class TestCharCommand:
         got = complex(capsys.readouterr().out.strip())
         x, y, z = character_point(rep)
         assert abs(got - (x * y - z)) < 1e-9
+
+    def test_deep_nesting_is_a_usage_error(self, rep_file, capsys):
+        _, path = rep_file
+        assert main(["char", "--rep", path, "--phi", "(" * 400 + "x" + ")" * 400]) == 2
+        assert capsys.readouterr().err.strip() == "error: expression nests too deeply"
 
     def test_modes_are_exclusive(self, rep_file):
         _, path = rep_file

@@ -164,6 +164,43 @@ class TestFaces:
         })
         assert not d.is_planar()
 
+    def test_planarity_matches_euler_per_piece(self):
+        # Random 4-valent maps, alone and beside a braid closure: is_planar
+        # must agree with V - E + F = 2 checked on every connected piece.
+        def planar_by_pieces(d):
+            arcs = list(d.arcs().values())
+            faces = d.face_orbits()
+            unseen = set(d.crossing_ids())
+            while unseen:
+                piece, stack = set(), [unseen.pop()]
+                while stack:
+                    c = stack.pop()
+                    piece.add(c)
+                    near = {d2[0] for d1, d2 in arcs if d1[0] == c}
+                    near |= {d1[0] for d1, d2 in arcs if d2[0] == c}
+                    stack.extend(near & unseen)
+                    unseen -= near
+                e = sum(1 for d1, _ in arcs if d1[0] in piece)
+                f = sum(1 for o in faces if o[0][0] in piece)
+                if len(piece) - e + f != 2:
+                    return False
+            return True
+
+        rng = random.Random(29)
+        seen = set()
+        for _ in range(80):
+            n = rng.randint(1, 5)
+            labels = [l for l in range(2 * n) for _ in range(2)]
+            rng.shuffle(labels)
+            d = LinkDiagram({i: (tuple(labels[4 * i:4 * i + 4]), rng.randint(0, 1))
+                             for i in range(n)})
+            if rng.random() < 0.5:
+                d = d.disjoint_union(random_braid_diagram(rng, max_crossings=5))
+            want = planar_by_pieces(d)
+            assert d.is_planar() == want
+            seen.add(want)
+        assert seen == {True, False}
+
 
 class TestMoves:
     def test_curl_insert_then_delete_round_trips(self):

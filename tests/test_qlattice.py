@@ -10,6 +10,7 @@ import pytest
 from skeinlab.characters import random_sl2, sl2_inverse
 from skeinlab.lattice import (
     CiliatedGraph,
+    bouquet,
     bowtie_graph,
     gauge_act,
     triangle_graph,
@@ -439,6 +440,37 @@ class TestQLinkValidation:
     def test_bad_sign_string_rejected(self):
         with pytest.raises(ValueError):
             QLink([], [("v", "x")])
+
+    _D_LOOP = [(1, 1), (2, 1), (3, 1), (4, 1), (5, -1), (6, 1)]
+    _DA_LOOP = [(1, 1), (2, 1), (3, 1), (6, -1), (5, 1), (4, -1)]
+
+    @pytest.mark.parametrize("graph, loops, crossings, message", [
+        (triangle_graph, [[(1, 1), (1, -1)]], [],
+         "an edge is traversed more than once"),
+        (lambda: bouquet(3), [[(1, 1), (2, 1), (3, 1)]], [],
+         "a vertex is visited more than twice"),
+        (bowtie_graph, [_D_LOOP], [("v3", "+"), ("v3", "-")],
+         "duplicate crossing vertex"),
+        (bowtie_graph, [_D_LOOP], [],
+         "crossing signs must be given exactly at transverse double points; "
+         "expected ['v3'], got []"),
+        (bowtie_graph, [_DA_LOOP], [("v3", "+")],
+         "crossing signs must be given exactly at transverse double points; "
+         "expected [], got ['v3']"),
+        (bowtie_graph, [[(1, 1), (2, 1)]], [], "path is not closed"),
+        (bowtie_graph, [[(1, 1), (3, 1)]], [], "path breaks at edge 3: 'v1' != 'v2'"),
+        (bowtie_graph, [[(9, 1)]], [], "bad step (9, 1)"),
+    ], ids=["edge_twice", "vertex_thrice", "duplicate_crossing", "missing_sign",
+            "sign_at_smooth_vertex", "open_path", "broken_path", "unknown_edge"])
+    def test_error_messages(self, graph, loops, crossings, message):
+        g = graph()
+        q = QLink(loops, crossings)
+        with pytest.raises(ValueError) as info:
+            q.validate(g)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            wilson_qlink(g, q, {e: W_ONE for e in g.edges}, 1.1)
+        assert str(info.value) == message
 
 
 class TestWilsonObservable:
