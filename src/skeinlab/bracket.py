@@ -19,11 +19,14 @@ import heapq
 from collections import Counter
 from operator import add
 
-from .diagram import LinkDiagram, smoothing_weld_positions
+from .diagram import LinkDiagram, _find, _union, smoothing_weld_positions
 from .poly import LOOP_VALUE, LaurentPoly
 
+MAX_CROSSINGS = 24  # default budget of the state sum, which visits 2^n states
+MAX_WIDTH = 12      # default budget of the sweep's frontier of open strand-ends
 
-def bracket_statesum(d: LinkDiagram, max_crossings: int = 24) -> LaurentPoly:
+
+def bracket_statesum(d: LinkDiagram, max_crossings: int = MAX_CROSSINGS) -> LaurentPoly:
     """Sum A^(a-b) delta^loops over all 2^n smoothings.
 
     States are visited in Gray-code order, so consecutive states differ in
@@ -53,22 +56,15 @@ def bracket_statesum(d: LinkDiagram, max_crossings: int = 24) -> LaurentPoly:
             per_kind.append((base + i, base + j, base + k, base + l))
         welds.append(per_kind)
 
-    # start from the all-A state and count its loops in full
+    # start from the all-A state: its loops are the classes of alpha and w
     w = [0] * m
     for (a, b, c, e), _ in welds:
         w[a], w[b], w[c], w[e] = b, a, e, c
-    visited = bytearray(m)
-    loops = 0
+    parent: dict[int, int] = {}
     for s in range(m):
-        if visited[s]:
-            continue
-        loops += 1
-        t = s
-        while not visited[t]:
-            visited[t] = 1
-            u = w[t]
-            visited[u] = 1
-            t = alpha[u]
+        _union(parent, s, alpha[s])
+        _union(parent, s, w[s])
+    loops = len({_find(parent, s) for s in range(m)})
 
     def loops_through(a: int, c: int, e: int) -> int:
         """1 if the loop through dart a also passes c (welded to e), else 2."""
@@ -116,7 +112,7 @@ def _peak_width(d: LinkDiagram, order: list[int]) -> int:
     return peak
 
 
-def sweep_order(d: LinkDiagram, max_width: int = 12) -> list[int]:
+def sweep_order(d: LinkDiagram, max_width: int = MAX_WIDTH) -> list[int]:
     """Greedy crossing order keeping the frontier of open strand-ends narrow.
 
     Each step places the crossing whose placement changes the frontier width
@@ -232,39 +228,25 @@ def _sweep_steps(d: LinkDiagram, order: list[int]) -> list[tuple]:
     return steps
 
 
-def _route(slot: tuple[int, ...], weld: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], int]:
+def _route(slot: tuple[int, ...], weld: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Join a crossing's positions through its smoothing and the outside.
 
     `slot[p]` is the position that p reaches outside the crossing, or -1 if
     p leads to the frontier.  Returns the pairs of frontier-bound positions
-    now joined, and the number of loops closed.
+    now joined, and the number of loops closed: a class of positions joined
+    by the weld and the slots holds two frontier-bound positions or none.
     """
-    visited = [False] * 4
-    chains = []
+    parent: dict[int, int] = {}
     for p in range(4):
-        if visited[p] or slot[p] >= 0:
-            continue
-        cur = p
-        while True:
-            visited[cur] = True
-            q = weld[cur]
-            visited[q] = True
-            if slot[q] < 0:
-                chains.append((p, q))
-                break
-            cur = slot[q]
-    closures = 0
+        _union(parent, p, weld[p])
+        if slot[p] >= 0:
+            _union(parent, p, slot[p])
+    ends: dict[int, list[int]] = {}
     for p in range(4):
-        if visited[p]:
-            continue
-        cur = p
-        while not visited[cur]:
-            visited[cur] = True
-            q = weld[cur]
-            visited[q] = True
-            cur = slot[q]
-        closures += 1
-    return tuple(chains), closures
+        chain = ends.setdefault(_find(parent, p), [])
+        if slot[p] < 0:
+            chain.append(p)
+    return tuple(tuple(e) for e in ends.values() if e), sum(1 for e in ends.values() if not e)
 
 
 # A coefficient table (low, coeffs) stands for the sum of coeffs[k] * A^(low + 2k):
@@ -291,7 +273,7 @@ def _add_tables(t1: Table, t2: Table) -> Table:
     return low, out
 
 
-def bracket_tl_sweep(d: LinkDiagram, max_width: int = 12) -> LaurentPoly:
+def bracket_tl_sweep(d: LinkDiagram, max_width: int = MAX_WIDTH) -> LaurentPoly:
     """Frontier sweep: states are pairings of open strand-ends.
 
     The pairing alone determines all future loop closures, so states with
@@ -342,8 +324,8 @@ def bracket_tl_sweep(d: LinkDiagram, max_width: int = 12) -> LaurentPoly:
     return result
 
 
-def bracket(d: LinkDiagram, method: str = "auto", max_crossings: int = 24,
-            max_width: int = 12) -> LaurentPoly:
+def bracket(d: LinkDiagram, method: str = "auto", max_crossings: int = MAX_CROSSINGS,
+            max_width: int = MAX_WIDTH) -> LaurentPoly:
     """Evaluate the bracket, preferring the sweep when the frontier stays narrow."""
     if method == "statesum":
         return bracket_statesum(d, max_crossings)

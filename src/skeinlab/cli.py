@@ -14,7 +14,7 @@ import sys
 
 # numpy-backed modules are imported by their handlers: bracket and skein load no numpy
 from . import diagram, formats, torus_skein
-from .bracket import bracket as _bracket_eval
+from .bracket import MAX_CROSSINGS, MAX_WIDTH, bracket as _bracket_eval
 from .poly import render_laurent
 
 
@@ -35,7 +35,10 @@ def _parse_t(text: str) -> complex:
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nests too deeply") from None
 
 
 def _emit(args, text_value: str, json_value) -> None:
@@ -206,9 +209,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", dest="json_file", help="diagram or braid JSON file")
     p.add_argument("--method", choices=("auto", "sweep", "statesum"), default="auto")
     p.add_argument("--order", type=int, help="also print the h-expansion at A=-e^(h/4)")
-    p.add_argument("--max-crossings", type=int, default=24,
+    p.add_argument("--max-crossings", type=int, default=MAX_CROSSINGS,
                    help="crossing cap of the state sum (--method statesum, or auto's fallback)")
-    p.add_argument("--max-width", type=int, default=12)
+    p.add_argument("--max-width", type=int, default=MAX_WIDTH)
     common(p)
     p.set_defaults(func=_cmd_bracket)
 

@@ -42,7 +42,7 @@ def smoothing_weld_positions(crossing: Crossing, kind: str) -> tuple[tuple[int, 
     return vertical if kind == "A" else horizontal
 
 
-def _find(parent: dict[int, int], x: int) -> int:
+def _find(parent: dict, x):
     """Root of x in a union-find forest kept as a parent map, halving paths."""
     while parent.get(x, x) != x:
         parent[x] = parent.get(parent[x], parent[x])
@@ -50,7 +50,7 @@ def _find(parent: dict[int, int], x: int) -> int:
     return x
 
 
-def _union(parent: dict[int, int], x: int, y: int) -> None:
+def _union(parent: dict, x, y) -> None:
     rx, ry = _find(parent, x), _find(parent, y)
     if rx != ry:
         parent[rx] = ry
@@ -185,58 +185,28 @@ class LinkDiagram:
     def _fused(self, removed: set[int], welds: Sequence[tuple[Dart, Dart]]) -> "LinkDiagram":
         """Delete the crossings in `removed`, welding their darts in pairs.
 
-        Arc/weld chains between surviving slots merge into single arcs;
-        closed chains become free loops.
+        Arcs and welds join darts into chains: a chain between two surviving
+        slots becomes one arc, labelled by the smaller of its end labels, and
+        a closed chain becomes a free loop.
         """
-        arcs = self.arcs()
-        weld_partner: dict[Dart, Dart] = {}
-        for d1, d2 in welds:
-            weld_partner[d1] = d2
-            weld_partner[d2] = d1
-        for cid in removed:
+        welded = {d for pair in welds for d in pair}
+        if any((cid, pos) not in welded for cid in removed for pos in range(4)):
+            raise ValueError("welds must cover every dart of every removed crossing")
+        parent: dict[Dart, Dart] = {}
+        for d1, d2 in [*welds, *self.arcs().values()]:
+            _union(parent, d1, d2)
+        chains: dict[Dart, list[Dart]] = {}
+        for cid in self._crossings:
             for pos in range(4):
-                if (cid, pos) not in weld_partner:
-                    raise ValueError("welds must cover every dart of every removed crossing")
-
-        def floating(d: Dart) -> bool:
-            return d[0] in removed
-
-        visited: set[Dart] = set()
+                ends = chains.setdefault(_find(parent, (cid, pos)), [])
+                if cid not in removed:
+                    ends.append((cid, pos))
         relabel: dict[Dart, int] = {}
         new_loops = self._free_loops
-
-        for label in sorted(arcs):
-            for start in arcs[label]:
-                if floating(start):
-                    continue
-                far = self.arc_partner(start, arcs)
-                if not floating(far) or far in visited:
-                    continue
-                d = far
-                while True:
-                    visited.add(d)
-                    d2 = weld_partner[d]
-                    visited.add(d2)
-                    nxt = self.arc_partner(d2, arcs)
-                    if not floating(nxt):
-                        end = nxt
-                        break
-                    d = nxt
-                merged = min(self.label_at(start), self.label_at(end))
-                relabel[start] = merged
-                relabel[end] = merged
-
-        for cid in sorted(removed):
-            for pos in range(4):
-                d0 = (cid, pos)
-                if d0 in visited:
-                    continue
-                d = d0
-                while d not in visited:
-                    visited.add(d)
-                    d2 = weld_partner[d]
-                    visited.add(d2)
-                    d = self.arc_partner(d2, arcs)
+        for ends in chains.values():
+            if ends:
+                relabel.update(dict.fromkeys(ends, min(map(self.label_at, ends))))
+            else:
                 new_loops += 1
 
         table: dict[int, Crossing] = {}
@@ -244,8 +214,7 @@ class LinkDiagram:
             if cid in removed:
                 continue
             x = self._crossings[cid]
-            ends = tuple(relabel.get((cid, p), x.ends[p]) for p in range(4))
-            table[cid] = Crossing(ends, x.over_first)
+            table[cid] = Crossing(tuple(relabel[(cid, p)] for p in range(4)), x.over_first)
         return LinkDiagram(table, new_loops)
 
     def smoothed(self, cid: int, kind: str) -> "LinkDiagram":
@@ -280,7 +249,9 @@ class LinkDiagram:
         'R1d' (delete the kink crossing `site`), 'R2' (site is
         (dart, dart, over_flag) on a common face), 'R2d' (site is a crossing
         pair bounding a reducible bigon), 'R3' (site is the face dart naming
-        the strand slid across the opposite crossing).
+        the strand slid across the opposite crossing).  'R1d', 'R2d' and
+        'R3' apply exactly at the sites `r1_delete_sites`, `r2_delete_sites`
+        (either order) and `r3_sites` list.
         """
         if move in ("R1+", "R1-"):
             return self._r1_insert(site, positive=(move == "R1+"))
@@ -324,10 +295,8 @@ class LinkDiagram:
         return [p for p in range(4) if x.ends[p] == x.ends[(p + 1) % 4]]
 
     def _r1_delete(self, cid: int) -> "LinkDiagram":
-        if cid not in self._crossings:
-            raise ValueError(f"no crossing {cid}")
-        if not self.kink_positions(cid):
-            raise ValueError(f"crossing {cid} is not a kink")
+        if cid not in self.r1_delete_sites():
+            raise ValueError(f"no kink at crossing {cid!r}")
         return self._fused({cid}, [((cid, 0), (cid, 2)), ((cid, 1), (cid, 3))])
 
     def _r2_insert(self, d1: Dart, d2: Dart, finger_over: bool) -> "LinkDiagram":
@@ -359,46 +328,23 @@ class LinkDiagram:
         table[fl + 1] = Crossing((v, m, vm, u2), over_first)
         return LinkDiagram(table, self._free_loops)
 
-    def _bigon_orbits(self) -> list[tuple[Dart, Dart]]:
-        out = []
-        for o in self.face_orbits():
-            if len(o) == 2 and o[0][0] != o[1][0]:
-                out.append((o[0], o[1]))
-        return out
-
     def _r2_delete(self, c1: int, c2: int) -> "LinkDiagram":
-        site = None
-        for da, db in self._bigon_orbits():
-            if {da[0], db[0]} == {c1, c2}:
-                site = (da, db) if da[0] == c1 else (db, da)
-                break
-        if site is None:
-            raise ValueError(f"crossings {c1}, {c2} do not bound a bigon")
-        d1, d2 = site
-        x1 = self._crossings[c1]
-        x2 = self._crossings[c2]
-        if x1.is_over(d1[1]) != x2.is_over((d2[1] + 1) % 4):
-            raise ValueError("bigon strands alternate, not a reducible R2 pair")
+        sites = self.r2_delete_sites()
+        if (c1, c2) not in sites and (c2, c1) not in sites:
+            raise ValueError(f"crossings {c1!r}, {c2!r} do not bound a reducible bigon")
         welds = [((c, 0), (c, 2)) for c in (c1, c2)] + [((c, 1), (c, 3)) for c in (c1, c2)]
         return self._fused({c1, c2}, welds)
 
     def _r3(self, d_p: Dart) -> "LinkDiagram":
+        if d_p not in self.r3_sites():
+            raise ValueError(f"dart {d_p!r} does not name a strand R3 can slide")
         orbit = self._face_of(d_p)
-        if orbit is None or len(orbit) != 3:
-            raise ValueError("R3 site must lie on a triangular face")
         i = orbit.index(d_p)
-        d_q = orbit[(i + 1) % 3]
-        d_r = orbit[(i + 2) % 3]
         p, a_p = d_p
-        q, a_q = d_q
-        r, a_r = d_r
-        if len({p, q, r}) != 3:
-            raise ValueError("triangle must involve three distinct crossings")
+        q, a_q = orbit[(i + 1) % 3]
+        r, a_r = orbit[(i + 2) % 3]
         xp, xq, xr = self._crossings[p], self._crossings[q], self._crossings[r]
-        over_p = xp.is_over(a_p)            # moving strand vs the strand at p
-        over_q = xq.is_over((a_q + 1) % 4)  # moving strand vs the strand at q
-        if over_p != over_q:
-            raise ValueError("strand is not entirely over or under, R3 does not apply")
+        over_first = 0 if xp.is_over(a_p) else 1  # the moving strand's side at p and q
         ext2_p = xp.ends[(a_p + 2) % 4]
         ext1_p = xp.ends[(a_p + 3) % 4]
         ext2_q = xq.ends[(a_q + 2) % 4]
@@ -407,8 +353,8 @@ class LinkDiagram:
         ext1_r = xr.ends[(a_r + 3) % 4]
         n_pq, n_qr, n_rp = self._fresh_labels(3)
         table = dict(self._crossings)
-        table[p] = Crossing((ext1_q, ext2_r, n_pq, n_rp), 0 if over_p else 1)
-        table[q] = Crossing((n_pq, ext1_r, ext2_p, n_qr), 0 if over_q else 1)
+        table[p] = Crossing((ext1_q, ext2_r, n_pq, n_rp), over_first)
+        table[q] = Crossing((n_pq, ext1_r, ext2_p, n_qr), over_first)
         ends = list(xr.ends)
         ends[a_r] = ext1_p
         ends[(a_r + 1) % 4] = ext2_q
@@ -433,14 +379,15 @@ class LinkDiagram:
         return sites
 
     def r2_delete_sites(self) -> list[tuple[int, int]]:
+        """Crossing pairs bounding a bigon whose one strand is over at both."""
         sites = []
-        for d1, d2 in self._bigon_orbits():
-            x1 = self._crossings[d1[0]]
-            x2 = self._crossings[d2[0]]
-            if x1.is_over(d1[1]) == x2.is_over((d2[1] + 1) % 4):
-                pair = (d1[0], d2[0])
-                if pair not in sites:
-                    sites.append(pair)
+        for o in self.face_orbits():
+            if len(o) != 2 or o[0][0] == o[1][0]:
+                continue
+            (c1, a1), (c2, a2) = o
+            if self._crossings[c1].is_over(a1) == self._crossings[c2].is_over((a2 + 1) % 4):
+                if (c1, c2) not in sites:
+                    sites.append((c1, c2))
         return sites
 
     def r3_sites(self) -> list[Dart]:

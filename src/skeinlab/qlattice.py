@@ -50,6 +50,9 @@ from .poly import SparseSum, join_signed, numeric_term
 Word = tuple[str, ...]
 _LETTERS = ("E", "F", "K", "Ki")
 _CANCEL = {("K", "Ki"), ("Ki", "K")}
+# wilson_qlink stacks 5^c R-states of 2x2 complex matrices for c crossings:
+# 25 MB at c = 8, 15.6 GB at c = 12.
+MAX_QLINK_CROSSINGS = 8
 
 
 def _reduce(letters: Iterable[str]) -> Word:
@@ -426,6 +429,8 @@ def wilson_qlink(graph: CiliatedGraph, qlink: QLink, conn: QConnection,
     axis i, so one broadcast product per loop covers every R-state.
     """
     crossings, cilium_edges, against = _decorations(graph, qlink)
+    if len(crossings) > MAX_QLINK_CROSSINGS:
+        raise ValueError(f"{len(crossings)} crossings exceeds the q-link budget of {MAX_QLINK_CROSSINGS}")
     k = charmed_k_matrix(t)
     dec = {e: uq_fundamental(_as_uq(conn[e]), t) for e in qlink.used_edges()}
     if crossings:

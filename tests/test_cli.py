@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from skeinlab.bracket import bracket
 from skeinlab.characters import character_point, random_rep, trace_word
-from skeinlab import checks
+from skeinlab import checks, qlattice
 from skeinlab.cli import main
 from skeinlab.diagram import corpus, parse_braid
 from skeinlab.formats import (
@@ -309,6 +309,13 @@ class TestQLatticeCommand:
             err = capsys.readouterr().err
             assert "t must be nonzero" in err and "Traceback" not in err
 
+    def test_crossing_budget_is_a_usage_error(self, bowtie_files, monkeypatch, capsys):
+        monkeypatch.setattr(qlattice, "MAX_QLINK_CROSSINGS", 0)
+        gp, (dp, _, _) = bowtie_files
+        assert main(["qlattice", "--graph", gp, "--qlink", dp]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: 1 crossings exceeds the q-link budget of 0\n"
+
 
 class TestVerifyCommand:
     def test_json_lists_the_text_checks(self, capsys):
@@ -378,6 +385,18 @@ class TestEnvironment:
         assert main([command, *args]) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["bracket", "--json", "FILE"],
+        ["char", "--rep", "FILE"],
+        ["lattice", "--graph", "FILE", "--flat"],
+        ["qlattice", "--graph", "FILE", "--qlink", "FILE"],
+    ])
+    def test_deep_json_is_a_usage_error(self, argv, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main([str(path) if a == "FILE" else a for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {path}: JSON nests too deeply\n"
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -1,10 +1,12 @@
 """Link diagrams: parsing, smoothing, faces, and the local moves."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skeinlab.bracket import bracket
 from skeinlab.diagram import (
     Crossing,
     LinkDiagram,
@@ -16,6 +18,7 @@ from skeinlab.diagram import (
     random_move,
     smoothing_weld_positions,
 )
+from skeinlab.poly import LaurentPoly
 
 
 def kink() -> LinkDiagram:
@@ -268,6 +271,82 @@ class TestMoves:
     def test_unknown_move_rejected(self):
         with pytest.raises(ValueError):
             corpus()["trefoil"].apply_move("r4", None)
+
+
+def move_site_diagrams():
+    """The corpus with kinks added, and seeded braid closures with R2 fingers."""
+    rng = random.Random(41)
+    out = []
+    for d in corpus().values():
+        d = insert_kink_pair(d) if d.crossing_count == 0 else d.apply_move("R1+", min(d.arcs()))
+        out.append(d)
+    for _ in range(25):
+        d = random_braid_diagram(rng, max_crossings=6, max_strands=4)
+        for _ in range(rng.randint(1, 2)):
+            if d.crossing_count == 0:
+                d = insert_kink_pair(d)
+            d1, d2 = rng.choice(d.r2_sites())
+            d = d.apply_move("R2", (d1, d2, rng.random() < 0.5))
+        out.append(d)
+    return out
+
+
+class TestMoveSites:
+    # A deletion move applies exactly at the sites its enumerator lists.
+    KINK = (LaurentPoly.term(-1, 3), LaurentPoly.term(-1, -3))
+
+    def test_listed_sites_apply_and_keep_the_bracket(self):
+        counts = Counter()
+        for d in move_site_diagrams():
+            before = bracket(d)
+            for cid in d.r1_delete_sites():
+                after = d.apply_move("R1d", cid)
+                assert after.crossing_count == d.crossing_count - 1
+                assert before in {f * bracket(after) for f in self.KINK}
+                counts["R1d"] += 1
+            for pair in d.r2_delete_sites():
+                for site in (pair, pair[::-1]):
+                    after = d.apply_move("R2d", site)
+                    assert after.crossing_count == d.crossing_count - 2
+                    assert bracket(after) == before
+                counts["R2d"] += 1
+            for dart in d.r3_sites():
+                after = d.apply_move("R3", dart)
+                assert after.is_planar()
+                assert bracket(after) == before
+                counts["R3"] += 1
+        assert min(counts[m] for m in ("R1d", "R2d", "R3")) >= 5, counts
+
+    def test_unlisted_sites_are_refused(self):
+        for d in move_site_diagrams():
+            kinks = d.r1_delete_sites()
+            pairs = d.r2_delete_sites()
+            triangles = d.r3_sites()
+            for cid in d.crossing_ids():
+                if cid not in kinks:
+                    with pytest.raises(ValueError):
+                        d.apply_move("R1d", cid)
+                for other in d.crossing_ids():
+                    if (cid, other) not in pairs and (other, cid) not in pairs:
+                        with pytest.raises(ValueError):
+                            d.apply_move("R2d", (cid, other))
+                for pos in range(4):
+                    if (cid, pos) not in triangles:
+                        with pytest.raises(ValueError):
+                            d.apply_move("R3", (cid, pos))
+
+    @pytest.mark.parametrize("name, move, site", [
+        ("trefoil", "R1d", 0),                # a crossing that is not a kink
+        ("trefoil", "R1d", 99),               # a missing crossing id
+        ("trefoil", "R2d", (0, 99)),
+        ("hopf", "R2d", (0, 1)),              # its bigons alternate
+        ("hopf", "R2d", (1, 0)),
+        ("trefoil", "R3", (0, 0)),            # a dart not in r3_sites()
+        ("figure_eight", "R3", (99, 0)),
+    ])
+    def test_named_bad_sites(self, name, move, site):
+        with pytest.raises(ValueError):
+            corpus()[name].apply_move(move, site)
 
 
 class TestCanonical:

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from skeinlab import qlattice
 from skeinlab.characters import random_sl2, sl2_inverse
 from skeinlab.lattice import (
     CiliatedGraph,
@@ -558,6 +559,15 @@ class TestWilsonObservable:
         t = GENERIC_T[0]
         got = wilson_qlink(g, right_only, conn, t)
         assert abs(got - 3 * (-2)) < 1e-10
+
+    def test_crossing_budget(self, monkeypatch):
+        g = bowtie_graph()
+        d, da, _ = bowtie_qlinks()
+        conn = {e: W_ONE for e in g.edges}
+        monkeypatch.setattr(qlattice, "MAX_QLINK_CROSSINGS", 0)
+        with pytest.raises(ValueError, match="1 crossings exceeds the q-link budget of 0"):
+            wilson_qlink(g, d, conn, GENERIC_T[0])
+        assert abs(wilson_qlink(g, da, conn, 1.0) + 2) < 1e-12
 
 
 class TestStructuralWords:
