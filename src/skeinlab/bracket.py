@@ -24,6 +24,7 @@ from .poly import LOOP_VALUE, LaurentPoly
 
 MAX_CROSSINGS = 24  # default budget of the state sum, which visits 2^n states
 MAX_WIDTH = 12      # default budget of the sweep's frontier of open strand-ends
+MAX_FREE_LOOPS = 1000  # budget of a diagram's crossingless circles, each a factor of delta
 
 
 def bracket_statesum(d: LinkDiagram, max_crossings: int = MAX_CROSSINGS) -> LaurentPoly:
@@ -34,6 +35,8 @@ def bracket_statesum(d: LinkDiagram, max_crossings: int = MAX_CROSSINGS) -> Laur
     count changes by the difference between the loops through that crossing
     after and before the switch.
     """
+    if d.free_loops > MAX_FREE_LOOPS:
+        raise ValueError(f"{d.free_loops} free loops exceeds the budget of {MAX_FREE_LOOPS}")
     n = d.crossing_count
     if n > max_crossings:
         raise ValueError(f"{n} crossings exceeds the state-sum cap of {max_crossings}")
@@ -94,8 +97,9 @@ def bracket_statesum(d: LinkDiagram, max_crossings: int = MAX_CROSSINGS) -> Laur
     by_loops: dict[int, dict[int, int]] = {}
     for (k_exp, loops), mult in counts.items():
         by_loops.setdefault(loops, {})[k_exp] = mult
-    return sum((LaurentPoly(powers) * LOOP_VALUE ** (loops + d.free_loops)
-                for loops, powers in by_loops.items()), LaurentPoly.zero())
+    result = sum((LaurentPoly(powers) * LOOP_VALUE ** loops
+                  for loops, powers in by_loops.items()), LaurentPoly.zero())
+    return result * LOOP_VALUE ** d.free_loops if d.free_loops else result
 
 
 def _peak_width(d: LinkDiagram, order: list[int]) -> int:
@@ -279,6 +283,8 @@ def bracket_tl_sweep(d: LinkDiagram, max_width: int = MAX_WIDTH) -> LaurentPoly:
     The pairing alone determines all future loop closures, so states with
     equal pairings merge; their values are coefficient tables of A-powers.
     """
+    if d.free_loops > MAX_FREE_LOOPS:
+        raise ValueError(f"{d.free_loops} free loops exceeds the budget of {MAX_FREE_LOOPS}")
     order = sweep_order(d, max_width)
     routes: dict[tuple, tuple] = {}
     states: dict[tuple[int, ...], Table] = {(): (0, [1])}
@@ -319,9 +325,7 @@ def bracket_tl_sweep(d: LinkDiagram, max_width: int = MAX_WIDTH) -> LaurentPoly:
 
     low, coeffs = states.get((), (0, []))
     result = LaurentPoly({low + 2 * k: c for k, c in enumerate(coeffs) if c})
-    if d.free_loops:
-        result = result * LOOP_VALUE ** d.free_loops
-    return result
+    return result * LOOP_VALUE ** d.free_loops if d.free_loops else result
 
 
 def bracket(d: LinkDiagram, method: str = "auto", max_crossings: int = MAX_CROSSINGS,

@@ -11,6 +11,7 @@ import argparse
 import json
 import re
 import sys
+from fractions import Fraction
 
 # numpy-backed modules are imported by their handlers: bracket and skein load no numpy
 from . import diagram, formats, torus_skein
@@ -85,7 +86,9 @@ def _cmd_skein(args) -> int:
     elif args.specialize is not None:
         raw = args.specialize.strip()
         try:
-            a = int(raw)
+            a = int(raw) if "/" not in raw else Fraction(raw)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {raw!r}") from None
         except ValueError:
             a = complex(raw)
         text = str(p.specialize(a))
@@ -221,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--poisson", metavar="EXPR2",
                       help="Poisson bracket of --expr with EXPR2 in the classical limit")
     mode.add_argument("--specialize", metavar="A_VALUE",
-                      help="evaluate coefficients at a number, e.g. -1")
+                      help="evaluate coefficients at a number, e.g. -1, 1/3 or 0.5")
     common(p)
     p.set_defaults(func=_cmd_skein)
 

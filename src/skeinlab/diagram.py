@@ -452,13 +452,13 @@ def parse_braid(word: Sequence[int], strands: int) -> LinkDiagram:
     for s in word:
         if s == 0 or abs(s) >= strands:
             raise ValueError(f"braid letter {s} out of range for {strands} strands")
-    cur = list(range(strands))
+    cur: dict[int, int] = {}        # bottom label of each strand a letter touches
     fresh = strands
     table: dict[int, Crossing] = {}
     for n, s in enumerate(word):
         i = abs(s)
-        a = cur[i - 1]
-        b = cur[i]
+        a = cur.get(i - 1, i - 1)
+        b = cur.get(i, i)
         c, d = fresh, fresh + 1
         fresh += 2
         table[n] = Crossing((c, d, b, a), 0 if s > 0 else 1)
@@ -467,14 +467,13 @@ def parse_braid(word: Sequence[int], strands: int) -> LinkDiagram:
 
     # The closure joins the bottom end of strand j to its top end, labelled
     # j; the joined arc keeps j, the smaller of its two labels.  A strand no
-    # letter touches (bottom label still j) closes into a free circle.
-    rename = {cur[j]: j for j in range(strands)}
+    # letter touches closes into a free circle.
+    rename = {label: j for j, label in cur.items()}
     out = {
         cid: Crossing(tuple(rename.get(l, l) for l in x.ends), x.over_first)
         for cid, x in table.items()
     }
-    loops = sum(1 for j in range(strands) if cur[j] == j)
-    return LinkDiagram(out, loops)
+    return LinkDiagram(out, strands - len(cur))
 
 
 def parse_pd(text: str) -> LinkDiagram:

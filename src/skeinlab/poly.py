@@ -18,6 +18,16 @@ from typing import Mapping, Union
 
 Scalar = Union[int, Fraction]
 
+# Budgets that make oversized input fail fast with a ValueError.  A parsed
+# power stops at exponent MAX_EXPONENT, and so does its exponent times the
+# span of A-exponents in its base's coefficients, which bounds the
+# coefficients of powers such as (1 + A)^n and ((1 + A)^n)^m.  An h-series
+# stops at order MAX_SERIES_ORDER: its h^j coefficient has about j log j
+# digits, so order n costs about n^2 (one core of a 2-vCPU VM, Python 3.11:
+# order 1000 of a 400-crossing bracket 0.3 s).
+MAX_EXPONENT = 1000
+MAX_SERIES_ORDER = 1000
+
 
 def _norm_scalar(c: Scalar) -> Scalar:
     if isinstance(c, Fraction) and c.denominator == 1:
@@ -253,6 +263,8 @@ class LaurentPoly(SparseSum):
         """
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
+        if order > MAX_SERIES_ORDER:
+            raise ValueError(f"truncation order {order} exceeds the budget of {MAX_SERIES_ORDER}")
         exps = list(self._terms)
         terms = [-c if k % 2 else c for k, c in self._terms.items()]
         coeffs = []
@@ -308,53 +320,103 @@ def render_laurent(p: LaurentPoly) -> str:
                        for k, c in reversed(p.items()))
 
 
-_TERM_RE = re.compile(
-    r"""^\s*
-        (?P<coeff>-?\d+(?:/\d+)?)?          # optional rational coefficient
-        (?P<star>\s*\*\s*)?                 # optional *
-        (?P<a>A(?:\^(?P<exp>-?\d+))?)?      # optional A power
-        \s*$""",
-    re.VERBOSE,
-)
+def _check_power(n: int, exps) -> None:
+    """Refuse base ^ n over budget, given the A-exponents of base's coefficients."""
+    if abs(n) > MAX_EXPONENT:
+        raise ValueError(f"exponent {n} exceeds the budget of {MAX_EXPONENT}")
+    span = max(exps, default=0) - min(exps, default=0)
+    if abs(n) * span > MAX_EXPONENT:
+        raise ValueError(f"exponent {n} times coefficient span {span} "
+                         f"exceeds the budget of {MAX_EXPONENT}")
+
+
+def _parse_expression(text: str, cls: type, atoms: dict, power):
+    """Read text in the one grammar of the exact values skeinlab prints:
+
+        sum     = ["+" | "-"] product {("+" | "-") product}
+        product = power {"*" power}
+        power   = atom ["^" ["-"] integer]
+        atom    = integer | integer "/" integer | name | "(" sum ")"
+
+    A number is a constant of `cls` and a name one of `atoms`; `*` multiplies
+    left to right, so it may be noncommutative, and `power(base, n)` applies
+    the caller's power rule and budgets.
+    """
+    toks = re.findall(r"[0-9]+(?:/[0-9]+)?|\S", text)
+    for tok in toks:
+        if not (tok[0] in "0123456789" or tok in atoms or tok in "+-*^()"):
+            raise ValueError(f"unexpected character {tok!r} in expression")
+    toks = [""] + toks[::-1]        # a stack read from the end, "" marks the end of text
+
+    def take() -> str:
+        if not toks[-1]:
+            raise ValueError("unexpected end of expression")
+        return toks.pop()
+
+    def parse_sum():
+        total = cls()
+        op = take() if toks[-1] in ("+", "-") else "+"
+        while True:
+            term = parse_product()
+            total = total - term if op == "-" else total + term
+            if toks[-1] not in ("+", "-"):
+                return total
+            op = take()
+
+    def parse_product():
+        total = parse_power()
+        while toks[-1] == "*":
+            take()
+            total = total * parse_power()
+        return total
+
+    def parse_power():
+        base = parse_atom()
+        if toks[-1] != "^":
+            return base
+        take()
+        sign = take() if toks[-1] == "-" else ""
+        tok = take()
+        if not tok.isdigit():
+            raise ValueError("exponent must be an integer")
+        return power(base, int(sign + tok))
+
+    def parse_atom():
+        tok = take()
+        if tok[0] in "0123456789":
+            num, _, den = tok.partition("/")
+            if den and not int(den):
+                raise ValueError(f"zero denominator in {tok!r}")
+            return cls._constant(Fraction(int(num), int(den)) if den else int(num))
+        if tok in atoms:
+            return atoms[tok]
+        if tok != "(":
+            raise ValueError(f"unexpected token {tok!r}")
+        inner = parse_sum()
+        if toks[-1] != ")":
+            raise ValueError("unbalanced parenthesis")
+        take()
+        return inner
+
+    try:
+        result = parse_sum()
+    except RecursionError:
+        raise ValueError("expression nests too deeply") from None
+    if toks[-1]:
+        raise ValueError(f"trailing input near {toks[-1]!r}")
+    return result
+
+
+def _laurent_power(base: LaurentPoly, n: int) -> LaurentPoly:
+    """base ^ n: at any n for a unit monomial +-A^k, else within the budgets."""
+    if len(base._terms) != 1 or abs(next(iter(base._terms.values()))) != 1:
+        _check_power(n, base._terms)
+    return base ** n
 
 
 def parse_laurent(text: str) -> LaurentPoly:
-    """Parse the rendering produced by render_laurent (and obvious variants)."""
-    s = text.strip()
-    if not s:
-        raise ValueError("empty Laurent polynomial text")
-    if s == "0":
-        return LaurentPoly.zero()
-    # Cut into signed terms.  A leading sign is optional.
-    chunks = re.split(r"(?<![\^/*])\s*([+-])\s*", " " + s)
-    # re.split with a captured group yields [head, sep, term, sep, term, ...]
-    head = chunks[0].strip()
-    terms: list[tuple[int, str]] = []
-    if head:
-        terms.append((1, head))
-    for i in range(1, len(chunks) - 1, 2):
-        sign = 1 if chunks[i] == "+" else -1
-        terms.append((sign, chunks[i + 1].strip()))
-    out = LaurentPoly.zero()
-    for sign, body in terms:
-        m = _TERM_RE.match(body)
-        if not m or (m.group("coeff") is None and m.group("a") is None):
-            raise ValueError(f"cannot parse term {body!r} in {text!r}")
-        coeff_s = m.group("coeff")
-        if coeff_s is None:
-            coeff: Scalar = 1
-        elif "/" in coeff_s:
-            coeff = Fraction(coeff_s)
-        else:
-            coeff = int(coeff_s)
-        if m.group("a") is None:
-            exp = 0
-        elif m.group("exp") is None:
-            exp = 1
-        else:
-            exp = int(m.group("exp"))
-        out = out + LaurentPoly.term(sign * coeff, exp)
-    return out
+    """Parse Laurent text in A, such as render_laurent's `A^3 - 1/2*A^-1`."""
+    return _parse_expression(text, LaurentPoly, {"A": LaurentPoly.a_power(1)}, _laurent_power)
 
 
 class HSeries:

@@ -27,8 +27,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .poly import (LaurentPoly, Scalar, SparseSum, join_signed, numeric_term, power_text,
-                   render_laurent, scaled)
+from .poly import (MAX_EXPONENT, LaurentPoly, Scalar, SparseSum, _check_power, _parse_expression,
+                   join_signed, numeric_term, power_text, render_laurent, scaled)
 
 Monomial = tuple[int, int, int]
 # Normal-form terms with coefficients as bare exponent maps {k: c} of
@@ -43,16 +43,12 @@ _AM2 = {-2: 1}
 _AM1_A3 = {-1: 1, 3: -1}
 _A_AM3 = {1: 1, -3: -1}
 
-# Budgets that make oversized input fail fast with a ValueError.  The cost of
-# a product that must reorder letters grows like the sixth to ninth power of
-# its total degree (one core of a 2-vCPU VM, Python 3.11: y^40*x 1 s,
+# A budget that makes oversized input fail fast with a ValueError.  The cost
+# of a product that must reorder letters grows like the sixth to ninth power
+# of its total degree (one core of a 2-vCPU VM, Python 3.11: y^40*x 1 s,
 # y^15*x^15 10 s), so it stops above degree MAX_DEGREE; a product already in
-# normal form is one monomial at any degree.  Parsed exponents stop at
-# MAX_EXPONENT, and so does a parsed power's exponent times the span of
-# A-exponents in its base's coefficients, which bounds the coefficients of
-# powers such as (1 + A)^n and of nested powers such as ((1 + A)^n)^m.
+# normal form is one monomial at any degree.
 MAX_DEGREE = 24
-MAX_EXPONENT = 1000
 
 # m * g in normal form, for a normal-form monomial m and a generator g,
 # filled on demand.  An entry's monomials have degree at most deg(m) + 1, so
@@ -307,122 +303,23 @@ def poisson_bracket(p, q) -> CommPoly:
 # expression parsing (CLI surface)
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.toks: list[tuple[str, str]] = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.toks.append(("num", text[i:j]))
-                i = j
-            elif ch in "xyzA":
-                self.toks.append(("name", ch))
-                i += 1
-            elif ch in "+-*^()":
-                self.toks.append((ch, ch))
-                i += 1
-            else:
-                raise ValueError(f"unexpected character {ch!r} in expression")
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
-
-    def take(self) -> tuple[str, str]:
-        if self.pos >= len(self.toks):
-            raise ValueError("unexpected end of expression")
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-
 def parse_skein(text: str) -> TorusSkeinElement:
-    """Parse expressions like `2*x^2*y - A^2*z + (x - y)*z`.
+    """Parse expressions like `2*x^2*y - 1/2*A^2*z + (x - y)*z`.
 
-    `*` is the noncommutative skein product, applied left to right; `A^k`
-    (integer k, possibly negative) injects coefficient monomials.
+    `*` is the noncommutative skein product, applied left to right; numbers
+    are integers or p/q, and `A^k` (integer k, possibly negative) injects
+    coefficient monomials.
     """
-    toks = _Tokens(text)
-    try:
-        result = _parse_sum(toks)
-    except RecursionError:
-        raise ValueError("expression nests too deeply") from None
-    if toks.peek() is not None:
-        raise ValueError(f"trailing input near {toks.take()[1]!r}")
-    return result
+    atoms = {"x": TorusSkeinElement.x(), "y": TorusSkeinElement.y(), "z": TorusSkeinElement.z(),
+             "A": TorusSkeinElement.monomial(0, 0, 0, LaurentPoly.a_power(1))}
+    return _parse_expression(text, TorusSkeinElement, atoms, _skein_power)
 
 
-def _parse_sum(toks: _Tokens) -> TorusSkeinElement:
-    negate = False
-    if toks.peek() in ("+", "-"):
-        negate = toks.take()[0] == "-"
-    total = _parse_product(toks)
-    if negate:
-        total = -total
-    while toks.peek() in ("+", "-"):
-        op = toks.take()[0]
-        term = _parse_product(toks)
-        total = total - term if op == "-" else total + term
-    return total
-
-
-def _parse_product(toks: _Tokens) -> TorusSkeinElement:
-    total = _parse_power(toks)
-    while toks.peek() == "*":
-        toks.take()
-        total = total * _parse_power(toks)
-    return total
-
-
-def _parse_power(toks: _Tokens) -> TorusSkeinElement:
-    base = _parse_atom(toks)
-    if toks.peek() != "^":
-        return base
-    toks.take()
-    sign = 1
-    if toks.peek() == "-":
-        toks.take()
-        sign = -1
-    kind, text = toks.take()
-    if kind != "num":
-        raise ValueError("exponent must be an integer")
-    n = sign * int(text)
-    if abs(n) > MAX_EXPONENT:
-        raise ValueError(f"exponent {n} exceeds the budget of {MAX_EXPONENT}")
-    exps = [k for poly in base._terms.values() for k in poly._terms]
-    span = max(exps, default=0) - min(exps, default=0)
-    if abs(n) * span > MAX_EXPONENT:
-        raise ValueError(f"exponent {n} times coefficient span {span} "
-                         f"exceeds the budget of {MAX_EXPONENT}")
+def _skein_power(base: TorusSkeinElement, n: int) -> TorusSkeinElement:
+    """base ^ n within the budgets; n < 0 only for a coefficient monomial."""
+    _check_power(n, [k for poly in base._terms.values() for k in poly._terms])
     if n >= 0:
         return base ** n
-    if len(base._terms) == 1 and (0, 0, 0) in base._terms:
+    if base._terms.keys() == {(0, 0, 0)}:
         return TorusSkeinElement({(0, 0, 0): base._terms[(0, 0, 0)] ** n})
     raise ValueError("negative exponents only apply to coefficient monomials")
-
-
-def _parse_atom(toks: _Tokens) -> TorusSkeinElement:
-    kind, text = toks.take() if toks.peek() is not None else (None, "")
-    if kind == "num":
-        return TorusSkeinElement({(0, 0, 0): int(text)})
-    if kind == "name":
-        if text == "x":
-            return TorusSkeinElement.x()
-        if text == "y":
-            return TorusSkeinElement.y()
-        if text == "z":
-            return TorusSkeinElement.z()
-        return TorusSkeinElement({(0, 0, 0): LaurentPoly.a_power(1)})
-    if kind == "(":
-        inner = _parse_sum(toks)
-        if toks.peek() != ")":
-            raise ValueError("unbalanced parenthesis")
-        toks.take()
-        return inner
-    raise ValueError(f"unexpected token {text!r}")

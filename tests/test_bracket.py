@@ -24,6 +24,7 @@ from skeinlab.diagram import (
     random_move,
 )
 from skeinlab.bracket import (
+    MAX_FREE_LOOPS,
     bracket,
     bracket_series,
     bracket_statesum,
@@ -224,6 +225,16 @@ class TestEvaluators:
             reference_sweep_order(d)
         assert sweep_order(d) == d.crossing_ids()
         assert bracket(d) == bracket_tl_sweep(d, 64)
+
+    def test_free_loops_stop_at_their_budget(self):
+        hopf = bracket(parse_braid([1, 1], 2))
+        d = parse_braid([1, 1], MAX_FREE_LOOPS + 2)
+        assert bracket_statesum(d) == bracket_tl_sweep(d) == hopf * DELTA ** MAX_FREE_LOOPS
+        for d in (parse_braid([1, 1], 3_000_000), LinkDiagram(d.crossings, 10 ** 9)):
+            message = f"^{d.free_loops} free loops exceeds the budget of {MAX_FREE_LOOPS}$"
+            for method in ("auto", "sweep", "statesum"):
+                with pytest.raises(ValueError, match=message):
+                    bracket(d, method=method)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

@@ -121,6 +121,33 @@ class TestBracketCommand:
                      "--method", "statesum"]) == 2
         assert "30 crossings exceeds the state-sum cap of 24" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, message", [
+        (["--braid=1,1", "--strands", "3000000"],
+         "2999998 free loops exceeds the budget of 1000"),
+        (["--json", "FILE"], "1000000000 free loops exceeds the budget of 1000"),
+        (["--braid=1,1,1", "--strands", "2", "--order", "99999"],
+         "truncation order 99999 exceeds the budget of 1000"),
+        (["--braid=1,1,1", "--strands", "2", "--order", "3000"],
+         "truncation order 3000 exceeds the budget of 1000"),
+    ])
+    def test_oversized_input_is_a_usage_error(self, args, message, tmp_path, capsys):
+        path = tmp_path / "loops.json"
+        path.write_text(json.dumps({"crossings": [], "free_loops": 10 ** 9}))
+        assert main(["bracket", *(str(path) if a == "FILE" else a for a in args)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_a_billion_strands_fit_in_a_small_address_space(self):
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        proc = subprocess.run([sys.executable, "-m", "skeinlab.cli", "bracket", "--braid=1,1",
+                               "--strands", "1000000000"], capture_output=True, text=True,
+                              timeout=120, preexec_fn=limit)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: 999999998 free loops exceeds the budget of 1000\n"
+
     def test_braid_may_start_with_a_negative_letter(self, capsys):
         assert main(["bracket", "--braid", "-1,2", "--strands", "3"]) == 0
         assert capsys.readouterr().out.strip() == str(bracket(parse_braid([-1, 2], 3)))
@@ -137,9 +164,19 @@ class TestSkeinCommand:
         assert main(["skein", "--expr", "x", "--poisson", "y"]) == 0
         assert capsys.readouterr().out.strip() == "-1/2*x*y - z"
 
+    def test_poisson_output_is_valid_input(self, capsys):
+        assert main(["skein", "--expr", "-1/2*x*y - z", "--poisson", "z"]) == 0
+        assert capsys.readouterr().out.strip() == "1/2*x^2 - 1/2*y^2"
+
     def test_specialize(self, capsys):
         assert main(["skein", "--expr", "y*x", "--specialize", "-1"]) == 0
         assert capsys.readouterr().out.strip() == "x*y"
+
+    def test_specialize_reads_fractions_exactly(self, capsys):
+        assert main(["skein", "--expr", "A*x", "--specialize", "1/3"]) == 0
+        assert capsys.readouterr().out.strip() == "1/3*x"
+        assert main(["skein", "--expr", "A*x", "--specialize", "1/0"]) == 2
+        assert capsys.readouterr().err == "error: zero denominator in '1/0'\n"
 
     def test_parse_error(self, capsys):
         assert main(["skein", "--expr", "x *"]) == 2
@@ -199,6 +236,13 @@ class TestCharCommand:
         got = complex(capsys.readouterr().out.strip())
         x, y, z = character_point(rep)
         assert abs(got - (x * y - z)) < 1e-9
+
+    def test_phi_reads_poisson_output(self, rep_file, capsys):
+        rep, path = rep_file
+        assert main(["char", "--rep", path, "--phi", "-1/2*x*y - z"]) == 0
+        got = complex(capsys.readouterr().out.strip())
+        x, y, z = character_point(rep)
+        assert abs(got - (-x * y / 2 - z)) < 1e-9
 
     def test_deep_nesting_is_a_usage_error(self, rep_file, capsys):
         _, path = rep_file

@@ -110,6 +110,7 @@ class TestParsing:
         assert d.crossing_count == 1
         assert d.free_loops == 1
         assert d.component_count() == 2
+        assert parse_braid([1, -2], 10 ** 12).free_loops == 10 ** 12 - 3
 
     def test_pd_text(self):
         d = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")

@@ -1,11 +1,15 @@
 """Exact Laurent arithmetic and the h-expansion at A = -exp(h/4)."""
 
+import re
 from fractions import Fraction
 from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
+from skeinlab import poly
+from skeinlab.bracket import bracket
+from skeinlab.diagram import parse_braid
 from skeinlab.poly import (
     HSeries,
     LOOP_VALUE,
@@ -94,6 +98,99 @@ class TestRendering:
     def test_round_trip(self, p):
         assert parse_laurent(render_laurent(p)) == p
 
+    def test_powers_of_unit_monomials_have_no_budget(self):
+        assert parse_laurent("A^-5000 - (-A^2)^3000") == LaurentPoly({-5000: 1, 6000: -1})
+
+    def test_other_powers_keep_the_skein_budgets(self):
+        budget = poly.MAX_EXPONENT
+        assert parse_laurent("(1 + A)^2 - 1/2*A*(2 - A)") == LaurentPoly({2: Fraction(3, 2),
+                                                                           1: 1, 0: 1})
+        assert parse_laurent(f"(1 + A)^{budget}").coeff(1) == budget
+        for bad, message in ((f"(1 + A)^{budget + 1}", f"exponent {budget + 1} "),
+                             ("(1 + A^2)^501", "exponent 501 times coefficient span 2 "),
+                             (f"2^{budget + 1}", f"exponent {budget + 1} ")):
+            with pytest.raises(ValueError, match=f"^{message}.*budget of {budget}$"):
+                parse_laurent(bad)
+
+    def test_malformed_text_is_refused(self):
+        for bad, message in (("2A^3", "trailing input near 'A'"), ("", "unexpected end"),
+                             ("x", "unexpected character 'x'"), ("1/0*A", "zero denominator"),
+                             ("A^1/2", "exponent must be an integer"),
+                             ("(A + 1", "unbalanced parenthesis"),
+                             ("(" * 400 + "A" + ")" * 400, "^expression nests too deeply$")):
+            with pytest.raises(ValueError, match=message):
+                parse_laurent(bad)
+
+
+_TERM_RE = re.compile(
+    r"""^\s*
+        (?P<coeff>-?\d+(?:/\d+)?)?          # optional rational coefficient
+        (?P<star>\s*\*\s*)?                 # optional *
+        (?P<a>A(?:\^(?P<exp>-?\d+))?)?      # optional A power
+        \s*$""",
+    re.VERBOSE,
+)
+
+
+def reference_parse_laurent(text: str) -> LaurentPoly:
+    """The regex term splitter that read Laurent text before the shared grammar."""
+    s = text.strip()
+    if not s:
+        raise ValueError("empty Laurent polynomial text")
+    if s == "0":
+        return LaurentPoly.zero()
+    chunks = re.split(r"(?<![\^/*])\s*([+-])\s*", " " + s)
+    head = chunks[0].strip()
+    terms: list[tuple[int, str]] = []
+    if head:
+        terms.append((1, head))
+    for i in range(1, len(chunks) - 1, 2):
+        sign = 1 if chunks[i] == "+" else -1
+        terms.append((sign, chunks[i + 1].strip()))
+    out = LaurentPoly.zero()
+    for sign, body in terms:
+        m = _TERM_RE.match(body)
+        if not m or (m.group("coeff") is None and m.group("a") is None):
+            raise ValueError(f"cannot parse term {body!r} in {text!r}")
+        coeff_s = m.group("coeff")
+        if coeff_s is None:
+            coeff = 1
+        elif "/" in coeff_s:
+            coeff = Fraction(coeff_s)
+        else:
+            coeff = int(coeff_s)
+        if m.group("a") is None:
+            exp = 0
+        elif m.group("exp") is None:
+            exp = 1
+        else:
+            exp = int(m.group("exp"))
+        out = out + LaurentPoly.term(sign * coeff, exp)
+    return out
+
+
+wide_polys = st.dictionaries(
+    st.integers(min_value=-2000, max_value=2000),
+    st.one_of(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+              st.fractions(min_value=-50, max_value=50, max_denominator=99)),
+    max_size=8,
+).map(LaurentPoly)
+
+
+class TestParseOracle:
+    """parse_laurent against the regex reader it replaced, on rendered text."""
+
+    @given(wide_polys)
+    def test_parse_matches_reference_and_value(self, p):
+        text = render_laurent(p)
+        assert parse_laurent(text) == reference_parse_laurent(text) == p
+
+    def test_long_torus_closure(self):
+        p = bracket(parse_braid([1] * 400, 2))
+        text = render_laurent(p)
+        assert "A^-1200" in text
+        assert parse_laurent(text) == reference_parse_laurent(text) == p
+
 
 class TestEvaluation:
     def test_eval_at_minus_one(self):
@@ -164,6 +261,13 @@ class TestHSeries:
         order = 4
         assert (p * q).to_h_series(order) == p.to_h_series(order) * q.to_h_series(order)
         assert (p + q).to_h_series(order) == p.to_h_series(order) + q.to_h_series(order)
+
+    def test_order_stops_at_its_budget(self):
+        budget = poly.MAX_SERIES_ORDER
+        s = LOOP_VALUE.to_h_series(budget)
+        assert s.order == budget and s.coeff(2) == Fraction(-1, 4)
+        with pytest.raises(ValueError, match=f"^truncation order {budget + 1} exceeds the budget"):
+            LOOP_VALUE.to_h_series(budget + 1)
 
     def test_constant_term_is_evaluation_at_minus_one(self):
         p = LaurentPoly({5: 2, -3: 7, 0: -1})

@@ -404,7 +404,7 @@ class TestParsingAndRendering:
             {(0, 0, 1): lp({-1: -3})})
 
     def test_parse_rejects_garbage(self):
-        for bad in ("", "x +", "w", "x*)", "A^"):
+        for bad in ("", "x +", "w", "x*)", "A^", "2x", "x/2", "1/0", "x^-1", "2^-1"):
             with pytest.raises(ValueError):
                 parse_skein(bad)
 
@@ -413,6 +413,20 @@ class TestParsingAndRendering:
         for _ in range(25):
             p = random_element(rng)
             assert parse_skein(render_skein(p)) == p
+
+    @given(elements)
+    def test_round_trip_with_fraction_coefficients(self, p):
+        assert parse_skein(render_skein(p)) == p
+
+    @given(st.dictionaries(st.sampled_from(monomials(3)),
+                           st.fractions(min_value=-9, max_value=9, max_denominator=7),
+                           max_size=4).map(CommPoly))
+    def test_exact_classical_values_read_back(self, c):
+        assert parse_skein(str(c)) == lift(c)
+
+    def test_poisson_brackets_read_back(self):
+        assert str(poisson_bracket(parse_skein(str(poisson_bracket(X, Y))), Z)) == \
+            "1/2*x^2 - 1/2*y^2"
 
     def test_comm_poly_str(self):
         assert str(poisson_bracket(X, Y)) == "-1/2*x*y - z"
