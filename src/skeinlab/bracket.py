@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from operator import add
+from typing import Hashable, Iterator, Mapping, Sequence, TypeVar
 
 from .diagram import LinkDiagram, _find, _union, smoothing_weld_positions
 from .poly import LOOP_VALUE, LaurentPoly
@@ -25,6 +26,7 @@ from .poly import LOOP_VALUE, LaurentPoly
 MAX_CROSSINGS = 24  # default budget of the state sum, which visits 2^n states
 MAX_WIDTH = 12      # default budget of the sweep's frontier of open strand-ends
 MAX_FREE_LOOPS = 1000  # budget of a diagram's crossingless circles, each a factor of delta
+Item = TypeVar("Item")
 
 
 def bracket_statesum(d: LinkDiagram, max_crossings: int = MAX_CROSSINGS) -> LaurentPoly:
@@ -116,61 +118,73 @@ def _peak_width(d: LinkDiagram, order: list[int]) -> int:
     return peak
 
 
-def sweep_order(d: LinkDiagram, max_width: int = MAX_WIDTH) -> list[int]:
-    """Greedy crossing order keeping the frontier of open strand-ends narrow.
+def narrow_order(ends: Mapping[Item, Sequence[Hashable]]) -> Iterator[tuple[Item, int]]:
+    """Greedy order of items that keeps the frontier of open labels narrow.
 
-    Each step places the crossing whose placement changes the frontier width
-    the least, ties going to the smaller crossing id.  The changes sit in a
-    heap with lazy invalidation; placing a crossing changes only the changes
-    of the crossings sharing one of its labels.  When the greedy order
-    exceeds `max_width`, the crossing-id order is tried before giving up
-    (for a braid closure that is the word order, of width at most twice the
-    strand count).
+    `ends` maps each item id to its labels; every label belongs to two
+    item slots, and is open from the placement of its first item to that
+    of its second.  Each step places the item whose placement changes the
+    frontier width the least, ties going to the smaller id, and yields it
+    with the width after it.  The changes sit in a heap with lazy
+    invalidation; placing an item changes only the changes of the items
+    sharing one of its labels.
     """
-    cids = d.crossing_ids()
-    holders: dict[int, list[int]] = {}
-    for cid in cids:
-        for label in set(d.crossing(cid).ends):
-            holders.setdefault(label, []).append(cid)
-    seen: dict[int, int] = {}
+    holders: dict[Hashable, list[Item]] = {}
+    for item, labels in ends.items():
+        for label in set(labels):
+            holders.setdefault(label, []).append(item)
+    seen: dict[Hashable, int] = {}
 
-    def width_change(cid: int) -> int:
-        ends = d.crossing(cid).ends
+    def width_change(item: Item) -> int:
+        labels = ends[item]
         change = 0
-        for label in set(ends):
+        for label in set(labels):
             prior = seen.get(label, 0)
             if prior == 1:
                 change -= 1
-            elif prior == 0 and ends.count(label) == 1:
+            elif prior == 0 and labels.count(label) == 1:
                 change += 1
         return change
 
-    pending = {cid: width_change(cid) for cid in cids}
-    heap = [(change, cid) for cid, change in pending.items()]
+    pending = {item: width_change(item) for item in ends}
+    heap = [(change, item) for item, change in pending.items()]
     heapq.heapify(heap)
     width = 0
-    order: list[int] = []
     while heap:
-        change, cid = heapq.heappop(heap)
-        if pending.get(cid) != change:
+        change, item = heapq.heappop(heap)
+        if pending.get(item) != change:
             continue                    # placed already, or a stale entry
-        del pending[cid]
+        del pending[item]
         width += change
-        if width > max_width:
-            if _peak_width(d, cids) <= max_width:
-                return cids
-            raise ValueError(f"frontier width {width} exceeds cap {max_width}")
-        order.append(cid)
-        ends = d.crossing(cid).ends
-        for label in ends:
+        yield item, width
+        labels = ends[item]
+        for label in labels:
             seen[label] = seen.get(label, 0) + 1
-        for label in set(ends):
+        for label in set(labels):
             for other in holders[label]:
                 if other in pending:
                     change = width_change(other)
                     if change != pending[other]:
                         pending[other] = change
                         heapq.heappush(heap, (change, other))
+
+
+def sweep_order(d: LinkDiagram, max_width: int = MAX_WIDTH) -> list[int]:
+    """Greedy crossing order keeping the frontier of open strand-ends narrow.
+
+    The order is `narrow_order` over the crossings' strand-end labels.
+    When it exceeds `max_width`, the crossing-id order is tried before
+    giving up (for a braid closure that is the word order, of width at most
+    twice the strand count).
+    """
+    cids = d.crossing_ids()
+    order: list[int] = []
+    for cid, width in narrow_order({cid: d.crossing(cid).ends for cid in cids}):
+        if width > max_width:
+            if _peak_width(d, cids) <= max_width:
+                return cids
+            raise ValueError(f"frontier width {width} exceeds cap {max_width}")
+        order.append(cid)
     return order
 
 

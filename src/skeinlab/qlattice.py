@@ -28,12 +28,16 @@ minus sign per loop.  At t = 1 everything collapses to the classical
 theory, and the Kauffman bracket skein relation holds among the three
 resolutions of any crossing.
 
-Observables are evaluated in the fundamental representation: `wilson_qlink`
-maps each edge word to its 2x2 matrix once and applies the antipode as a
-linear map on matrices, and the vertex-splitting check contracts operators
-on (C^2)^(x 3n) instead of expanding the split words.  The symbolic expansions
-(`decorated_words`, `nabla_vertex`) stay public; the tests evaluate them as
-the independent oracle for the numeric results.
+Observables are evaluated in the fundamental representation.  `wilson_qlink`
+maps each edge word to the four entries of its 2x2 matrix once.  The R-matrix
+legs and their antipodes are matrix units, which cut the loops into segments,
+so a Wilson value is a sum over 2-valued indices of products of segment
+entries; it is contracted crossing by crossing in a greedy order that keeps
+few segments open, within the width budget `MAX_QLINK_WIDTH`.  The
+vertex-splitting check contracts operators on (C^2)^(x 3n) instead of
+expanding the split words.  The symbolic expansions (`decorated_words`,
+`nabla_vertex`) stay public; the tests evaluate them as the independent
+oracle for the numeric results.
 """
 
 from __future__ import annotations
@@ -44,15 +48,19 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .bracket import narrow_order
 from .lattice import CiliatedGraph, EdgeEnd, Step
 from .poly import SparseSum, join_signed, numeric_term
 
 Word = tuple[str, ...]
 _LETTERS = ("E", "F", "K", "Ki")
 _CANCEL = {("K", "Ki"), ("Ki", "K")}
-# wilson_qlink stacks 5^c R-states of 2x2 complex matrices for c crossings:
-# 25 MB at c = 8, 15.6 GB at c = 12.
-MAX_QLINK_CROSSINGS = 8
+Entries = tuple  # a 2x2 matrix as its entries (m00, m01, m10, m11)
+# wilson_qlink keys its contraction states by the 2-valued indices of the
+# segments open between placed and unplaced crossings; this budget on their
+# number caps the states at 2^16 and is checked from the order before any
+# state is built.
+MAX_QLINK_WIDTH = 16
 
 
 def _reduce(letters: Iterable[str]) -> Word:
@@ -180,8 +188,8 @@ def uq_coproduct_n(w: UqWord, n: int) -> list[tuple[complex, tuple[Word, ...]]]:
 # fundamental representation and R-matrix
 
 
-def uq_fundamental(w: UqWord, t: complex) -> np.ndarray:
-    """Image of a word combination in the fundamental representation at t."""
+def _entries(w: UqWord, t: complex) -> Entries:
+    """rho(w) at t as its entries (m00, m01, m10, m11)."""
     if t == 0:
         raise ValueError("t must be nonzero")
     t = complex(t)
@@ -202,33 +210,29 @@ def uq_fundamental(w: UqWord, t: complex) -> np.ndarray:
         m01 += b
         m10 += c
         m11 += d
+    return m00, m01, m10, m11
+
+
+def uq_fundamental(w: UqWord, t: complex) -> np.ndarray:
+    """Image of a word combination in the fundamental representation at t."""
+    m00, m01, m10, m11 = _entries(w, t)
     return np.array([[m00, m01], [m10, m11]], dtype=complex)
 
 
-def _antipode_matrix(m: np.ndarray, t: complex) -> np.ndarray:
-    """rho(S(x)) from m = rho(x), on the last two axes of a stack of matrices.
-
-    rho(S(x)) = M rho(x)^T M^-1 with M = [[0, -t^2], [1, 0]], that is
-    [[a, b], [c, d]] -> [[d, -t^2 b], [-c / t^2, a]]; it agrees with the
-    antipode's letter images on K, Ki, E and F and reverses products.
-    """
-    t2 = complex(t) ** 2
-    out = np.empty(np.shape(m), dtype=complex)
-    out[..., 0, 0] = m[..., 1, 1]
-    out[..., 0, 1] = -t2 * m[..., 0, 1]
-    out[..., 1, 0] = -m[..., 1, 0] / t2
-    out[..., 1, 1] = m[..., 0, 0]
-    return out
-
-
 def uq_trace(w: UqWord, t: complex) -> complex:
-    return complex(np.trace(uq_fundamental(w, t)))
+    m00, _, _, m11 = _entries(w, t)
+    return m00 + m11
 
 
-def charmed_k_matrix(t: complex) -> np.ndarray:
-    if t == 0:
-        raise ValueError("t must be nonzero")
-    return np.array([[t * t, 0], [0, 1 / (t * t)]], dtype=complex)
+def _mul(x: Entries, y: Entries) -> Entries:
+    a, b, c, d = x
+    e, f, g, h = y
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def _product(ms: Sequence[Entries]) -> Entries:
+    """Product of a sequence of 2x2 entry tuples; the identity when empty."""
+    return functools.reduce(_mul, ms) if ms else (1, 0, 0, 1)
 
 
 def r_matrix_terms(t: complex) -> list[tuple[UqWord, UqWord]]:
@@ -257,24 +261,27 @@ def r_matrix_terms(t: complex) -> list[tuple[UqWord, UqWord]]:
     ]
 
 
-def _r_matrix_legs(t: complex) -> tuple[np.ndarray, np.ndarray]:
-    """The R-matrix as five pure tensors of matrix units, stacked as legs.
+def _r_matrix_legs(t: complex) -> list[tuple[int, int, int, int, complex]]:
+    """The R-matrix as five pure tensors c E_ij (x) E_kl of matrix units.
 
     R = t E00(x)E00 + t^-1 E00(x)E11 + (t - t^-3) E01(x)E10 + t^-1 E11(x)E00
     + t E11(x)E11 holds at every nonzero t, so unlike the word legs of
     `r_matrix_terms` no coefficient grows like 1/(t^4 - 1) near t^4 = 1.
+    Each leg is listed as (i, j, k, l, c).
     """
     if t == 0:
         raise ValueError("t must be nonzero")
     t = complex(t)
-    e00, e01, e10, e11 = np.eye(4, dtype=complex).reshape(4, 2, 2)
-    alphas = np.array([t * e00, e00 / t, (t - t ** -3) * e01, e11 / t, t * e11])
-    return alphas, np.array([e00, e11, e10, e00, e11])
+    return [(0, 0, 0, 0, t), (0, 0, 1, 1, 1 / t), (0, 1, 1, 0, t - t ** -3),
+            (1, 1, 0, 0, 1 / t), (1, 1, 1, 1, t)]
 
 
 def r_matrix(t: complex) -> np.ndarray:
     """The 4x4 R-matrix, summed from the matrix-unit legs."""
-    return sum(np.kron(a, b) for a, b in zip(*_r_matrix_legs(t)))
+    r = np.zeros((4, 4), dtype=complex)
+    for i, j, k, l, c in _r_matrix_legs(t):
+        r[2 * i + k, 2 * j + l] += c
+    return r
 
 
 def yang_baxter_residual(t: complex) -> float:
@@ -418,46 +425,157 @@ def decorated_words(graph: CiliatedGraph, qlink: QLink, conn: QConnection,
     return out
 
 
+class _Insertion(NamedTuple):
+    """A matrix-unit factor of crossing x's leg `slot` inside a decorated edge:
+    c E_pq in the crossing's R-state r, with units[r] = (p, q, c)."""
+    x: int
+    slot: int
+    units: list[tuple[int, int, complex]]
+
+
 def wilson_qlink(graph: CiliatedGraph, qlink: QLink, conn: QConnection,
                  t: complex) -> complex:
     """Quantum Wilson observable of a q-link.
 
     Sums the traces of the decorated loop products over all R-states, with a
     factor of -1 per loop and a counit factor for every unused edge.  The
-    decorations of `decorated_words` are applied to the edge matrices in the
-    fundamental representation: crossing i's R-matrix legs are stacked along
-    axis i, so one broadcast product per loop covers every R-state.
+    decorations of `decorated_words` act on the edge matrices as entry
+    tuples.  An R-leg is a matrix unit, and the antipode sends c E_pq to a
+    multiple of E_(1-q)(1-p), so each crossing inserts two matrix units into
+    the loops.  They cut the loops into segments, the edge products between
+    insertions, and a trace becomes a sum over 2-valued indices of products
+    of segment entries, contracted by `_contract`.
     """
     crossings, cilium_edges, against = _decorations(graph, qlink)
-    if len(crossings) > MAX_QLINK_CROSSINGS:
-        raise ValueError(f"{len(crossings)} crossings exceeds the q-link budget of {MAX_QLINK_CROSSINGS}")
-    k = charmed_k_matrix(t)
-    dec = {e: uq_fundamental(_as_uq(conn[e]), t) for e in qlink.used_edges()}
-    if crossings:
-        alphas, betas = _r_matrix_legs(t)
-        n = len(crossings)
-        for i, (c0, c1, c0_over) in enumerate(crossings):
-            shape = [1] * n + [2, 2]
-            shape[i] = len(alphas)
-            d0, d1 = (alphas, betas) if c0_over else (betas, _antipode_matrix(alphas, t))
-            for (e, side), deco in ((c0, d0), (c1, d1)):
-                deco = deco.reshape(shape)
-                dec[e] = deco @ dec[e] if side == 0 else dec[e] @ _antipode_matrix(deco, t)
+    if t == 0:
+        raise ValueError("t must be nonzero")
+    t = complex(t)
+    ti = 1 / t
+    t2, ti2 = t * t, ti * ti
+    k = (t2, 0, 0, ti2)
+    scale = (1, -t2, -ti2, 1)       # S(E_pq) = scale[2p + q] E_(1-q)(1-p)
+
+    def s_units(units):
+        return [(1 - q, 1 - p, c * scale[2 * p + q]) for p, q, c in units]
+
+    def antipode(f):
+        if type(f) is _Insertion:
+            return _Insertion(f.x, f.slot, s_units(f.units))
+        a, b, c, d = f
+        return d, -t2 * b, -ti2 * c, a
+
+    # each edge's decorated word as a list of entry tuples and insertions
+    factors = {e: [_entries(_as_uq(conn[e]), t)] for e in qlink.used_edges()}
+    legs = _r_matrix_legs(t) if crossings else []
+    alpha = [(i, j, 1) for i, j, _, _, _ in legs]
+    beta = [(i, j, 1) for _, _, i, j, _ in legs]
+    for x, (c0, c1, c0_over) in enumerate(crossings):
+        d0, d1 = (alpha, beta) if c0_over else (beta, s_units(alpha))
+        for slot, ((e, side), units) in enumerate(((c0, d0), (c1, d1))):
+            f = _Insertion(x, slot, units)
+            if side == 0:
+                factors[e].insert(0, f)
+            else:
+                factors[e].append(antipode(f))
     for e in against:
-        dec[e] = _antipode_matrix(dec[e] @ k, t)
+        factors[e] = [antipode(f) for f in reversed(factors[e] + [k])]
     for e in cilium_edges:
-        dec[e] = dec[e] @ k
-    states = 1
+        factors[e].append(k)
+
+    # Cut the loops.  Segment n runs from one insertion c E_pq to the next,
+    # c' E_p'q', and enters the trace as its entry [q, p'].  labels[x] holds
+    # the segments (into slot 0, out of slot 0, into slot 1, out of slot 1).
+    segments: list[Entries] = []
+    labels = [[0] * 4 for _ in crossings]
+    units = [[[], []] for _ in crossings]
+    value = 1
     for loop in qlink.loops:
-        prod = dec[loop[0][0]]
-        for e, _ in loop[1:]:
-            prod = prod @ dec[e]
-        states = states * np.trace(prod, axis1=-2, axis2=-1)
-    total = complex(np.sum(states))
-    unused = set(graph.edges) - set(qlink.used_edges())
-    for e in unused:
+        flat = [f for e, _ in loop for f in factors[e]]
+        cuts = [i for i, f in enumerate(flat) if type(f) is _Insertion]
+        if not cuts:
+            m = _product(flat)
+            value = value * (m[0] + m[3])
+            continue
+        inserted: list[_Insertion] = []
+        runs: list[list[Entries]] = []
+        for f in flat[cuts[0]:] + flat[:cuts[0]]:
+            if type(f) is _Insertion:
+                inserted.append(f)
+                runs.append([])
+            else:
+                runs[-1].append(f)
+        base = len(segments)
+        segments += [_product(run) for run in runs]
+        for n, f in enumerate(inserted):
+            labels[f.x][2 * f.slot:2 * f.slot + 2] = [base + (n - 1) % len(inserted), base + n]
+            units[f.x][f.slot] = f.units
+    if crossings:
+        value = value * _contract(labels, units, [leg[4] for leg in legs], segments)
+    total = complex(value)
+    for e in set(graph.edges) - set(qlink.used_edges()):
         total *= uq_counit(_as_uq(conn[e]))
     return (-1) ** len(qlink.loops) * total
+
+
+def _contract(labels: list[list[int]], units: list[list[list[tuple[int, int, complex]]]],
+              coeffs: list[complex], segments: list[Entries]):
+    """Sum over R-states and segment indices of the products of entries.
+
+    In R-state r, crossing x has the coefficient coeffs[r] and in its slot s
+    the matrix unit c E_pq with units[x][s][r] = (p, q, c); labels[x] lists
+    the segments into slot 0, out of slot 0, into slot 1 and out of slot 1.
+    Crossings are placed in the greedy order of `bracket.narrow_order`, and
+    a state is keyed by the indices of the segments open between placed and
+    unplaced crossings, so the work follows the width of that frontier
+    rather than 5^crossings.
+    """
+    order = [0]                     # a lone crossing closes every segment it opens
+    if len(labels) > 1:
+        order = []
+        for x, width in narrow_order({x: tuple(ls) for x, ls in enumerate(labels)}):
+            if width > MAX_QLINK_WIDTH:
+                raise ValueError(f"q-link contraction width {width} exceeds the budget "
+                                 f"of {MAX_QLINK_WIDTH}")
+            order.append(x)
+
+    frontier: list[int] = []
+    states: dict[tuple[int, ...], object] = {(): 1}
+    for x in order:
+        ls = labels[x]
+        where = {label: n for n, label in enumerate(frontier)}
+        closing, opened, internal = [], [], []
+        for j, label in enumerate(ls):
+            n = where.get(label)
+            if n is not None:
+                # entry [row, column]: an in-end (even j) holds the column index
+                a, b = (2, 1) if j % 2 == 0 else (1, 2)
+                closing.append((n, j, segments[label], a, b))
+            elif ls.count(label) == 1:
+                opened.append(j)
+            elif j % 2:
+                internal.append((segments[label], j, 0 if ls[0] == label else 2))
+        # per R-state: weight with the segments inside this crossing, the
+        # indices of its four slots and those of the segments it opens
+        steps = []
+        for coeff, (p0, q0, c0), (p1, q1, c1) in zip(coeffs, *units[x]):
+            idx = (p0, q0, p1, q1)
+            w = coeff * c0 * c1
+            for seg, j_out, j_in in internal:
+                w = w * seg[2 * idx[j_out] + idx[j_in]]
+            if w:
+                steps.append((w, idx, tuple([idx[j] for j in opened])))
+        survivors = [n for n, label in enumerate(frontier) if label not in ls]
+        new: dict[tuple[int, ...], object] = {}
+        for key, value in states.items():
+            kept = tuple(key[n] for n in survivors)
+            for w, idx, born in steps:
+                v = value * w
+                for n, j, seg, a, b in closing:
+                    v = v * seg[a * key[n] + b * idx[j]]
+                new[kept + born] = new.get(kept + born, 0) + v
+        states = {key: v for key, v in new.items() if v}
+        frontier = [frontier[n] for n in survivors] + [ls[j] for j in opened]
+    return states.get((), 0)
 
 
 def skein_residual(graph: CiliatedGraph, d: QLink, d_a: QLink, d_b: QLink,

@@ -353,12 +353,21 @@ class TestQLatticeCommand:
             err = capsys.readouterr().err
             assert "t must be nonzero" in err and "Traceback" not in err
 
-    def test_crossing_budget_is_a_usage_error(self, bowtie_files, monkeypatch, capsys):
-        monkeypatch.setattr(qlattice, "MAX_QLINK_CROSSINGS", 0)
-        gp, (dp, _, _) = bowtie_files
-        assert main(["qlattice", "--graph", gp, "--qlink", dp]) == 2
+    def test_crossing_budget_is_a_usage_error(self, bowtie_files, tmp_path, monkeypatch,
+                                              capsys):
+        from test_qlattice import triangle_chain
+        g, loop = triangle_chain(2)
+        gp, qp = tmp_path / "chain.json", tmp_path / "chain_link.json"
+        gp.write_text(json.dumps(graph_to_json(g)))
+        qp.write_text(json.dumps(qlink_to_json(
+            qlattice.QLink([loop], [("x1", "+"), ("x2", "+")]))))
+        monkeypatch.setattr(qlattice, "MAX_QLINK_WIDTH", 0)
+        assert main(["qlattice", "--graph", str(gp), "--qlink", str(qp)]) == 2
         err = capsys.readouterr().err
-        assert err == "error: 1 crossings exceeds the q-link budget of 0\n"
+        assert err == "error: q-link contraction width 2 exceeds the budget of 0\n"
+        bowtie, (dp, ap, _) = bowtie_files
+        assert main(["qlattice", "--graph", bowtie, "--qlink", ap, "--t", "1"]) == 0
+        assert abs(complex(capsys.readouterr().out.strip()) + 2) < 1e-12
 
 
 class TestVerifyCommand:

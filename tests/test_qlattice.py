@@ -27,11 +27,10 @@ from skeinlab.qlattice import (
     W_K,
     W_KI,
     W_ONE,
-    _antipode_matrix,
+    _decorations,
     _iterate_probes,
     _r_matrix_legs,
     bowtie_qlinks,
-    charmed_k_matrix,
     classical_to_quantum,
     decorated_words,
     fundamental_tangle,
@@ -92,6 +91,58 @@ def symbolic_wilson(graph, qlink, conn, t) -> complex:
     for e in set(graph.edges) - set(qlink.used_edges()):
         total *= uq_counit(conn[e])
     return complex((-1) ** len(qlink.loops) * total)
+
+
+def _antipode_matrix(m: np.ndarray, t: complex) -> np.ndarray:
+    """rho(S(x)) from m = rho(x), on the last two axes of a stack of matrices.
+
+    rho(S(x)) = M rho(x)^T M^-1 with M = [[0, -t^2], [1, 0]], that is
+    [[a, b], [c, d]] -> [[d, -t^2 b], [-c / t^2, a]]; it agrees with the
+    antipode's letter images on K, Ki, E and F and reverses products.
+    """
+    t2 = complex(t) ** 2
+    out = np.empty(np.shape(m), dtype=complex)
+    out[..., 0, 0] = m[..., 1, 1]
+    out[..., 0, 1] = -t2 * m[..., 0, 1]
+    out[..., 1, 0] = -m[..., 1, 0] / t2
+    out[..., 1, 1] = m[..., 0, 0]
+    return out
+
+
+def broadcast_wilson(graph, qlink, conn, t) -> complex:
+    """Reference for wilson_qlink that enumerates every R-state: crossing i's
+    matrix-unit legs are stacked along axis i of the decorated edge matrices,
+    so one broadcast product per loop covers all 5^c R-states."""
+    crossings, cilium_edges, against = _decorations(graph, qlink)
+    k = uq_fundamental(W_CHARM, t)
+    dec = {e: uq_fundamental(conn[e], t) for e in qlink.used_edges()}
+    if crossings:
+        unit = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)     # unit[i, j] = E_ij
+        legs = _r_matrix_legs(t)
+        alphas = np.array([c * unit[i, j] for i, j, _, _, c in legs])
+        betas = np.array([unit[i, j] for _, _, i, j, _ in legs])
+        n = len(crossings)
+        for i, (c0, c1, c0_over) in enumerate(crossings):
+            shape = [1] * n + [2, 2]
+            shape[i] = len(alphas)
+            d0, d1 = (alphas, betas) if c0_over else (betas, _antipode_matrix(alphas, t))
+            for (e, side), deco in ((c0, d0), (c1, d1)):
+                deco = deco.reshape(shape)
+                dec[e] = deco @ dec[e] if side == 0 else dec[e] @ _antipode_matrix(deco, t)
+    for e in against:
+        dec[e] = _antipode_matrix(dec[e] @ k, t)
+    for e in cilium_edges:
+        dec[e] = dec[e] @ k
+    states = 1
+    for loop in qlink.loops:
+        prod = dec[loop[0][0]]
+        for e, _ in loop[1:]:
+            prod = prod @ dec[e]
+        states = states * np.trace(prod, axis1=-2, axis2=-1)
+    total = complex(np.sum(states))
+    for e in set(graph.edges) - set(qlink.used_edges()):
+        total *= uq_counit(conn[e])
+    return (-1) ** len(qlink.loops) * total
 
 
 def collapse_tensors(terms) -> dict:
@@ -233,7 +284,7 @@ class TestWordAlgebra:
     def test_charmed_element(self):
         assert W_CHARM == UqWord.from_word(("K", "K"))
         for t in GENERIC_T:
-            m = charmed_k_matrix(t)
+            m = uq_fundamental(W_CHARM, t)
             assert np.allclose(m, np.diag([t ** 2, t ** -2]))
             assert abs(uq_trace(W_CHARM, t) - (t ** 2 + t ** -2)) < 1e-12
 
@@ -374,8 +425,9 @@ class TestRMatrix:
     def test_matrix_unit_legs_sum_to_r_matrix(self):
         # the matrix legs (Wilson values) against the word legs (coassociativity)
         for t in GENERIC_T:
-            alphas, betas = _r_matrix_legs(t)
-            got = sum(np.kron(a, b) for a, b in zip(alphas, betas))
+            unit = np.eye(4).reshape(2, 2, 2, 2)       # unit[i, j] = E_ij
+            got = sum(c * np.kron(unit[i, j], unit[k, l])
+                      for i, j, k, l, c in _r_matrix_legs(t))
             want = sum(np.kron(uq_fundamental(a, t), uq_fundamental(b, t))
                        for a, b in r_matrix_terms(t))
             assert np.allclose(got, want, atol=1e-12)
@@ -561,13 +613,19 @@ class TestWilsonObservable:
         assert abs(got - 3 * (-2)) < 1e-10
 
     def test_crossing_budget(self, monkeypatch):
+        # The chain's two crossings keep two segments open between them; a
+        # single crossing closes all of its segments itself.
+        g, loop = triangle_chain(2)
+        chain = QLink([loop], [("x1", "+"), ("x2", "-")])
+        monkeypatch.setattr(qlattice, "MAX_QLINK_WIDTH", 0)
+        with pytest.raises(ValueError, match="^q-link contraction width 2 exceeds the budget of 0$"):
+            wilson_qlink(g, chain, {e: W_ONE for e in g.edges}, GENERIC_T[0])
         g = bowtie_graph()
         d, da, _ = bowtie_qlinks()
         conn = {e: W_ONE for e in g.edges}
-        monkeypatch.setattr(qlattice, "MAX_QLINK_CROSSINGS", 0)
-        with pytest.raises(ValueError, match="1 crossings exceeds the q-link budget of 0"):
-            wilson_qlink(g, d, conn, GENERIC_T[0])
         assert abs(wilson_qlink(g, da, conn, 1.0) + 2) < 1e-12
+        t = GENERIC_T[0]
+        assert abs(wilson_qlink(g, d, conn, t) + (t ** 3 - t ** -1 + 2 * t ** -5)) < 1e-10
 
 
 class TestStructuralWords:
@@ -789,3 +847,75 @@ class TestMultiCrossingLinks:
                 for conn in (unit, flat):
                     for t in GENERIC_T[:2]:
                         assert abs(skein_residual(g, d, d_a, d_b, conn, t)) < 1e-8
+
+
+class TestContractionAgainstBroadcast:
+    """wilson_qlink against the broadcast over all 5^c R-states."""
+
+    def test_bowtie_links(self):
+        g = bowtie_graph()
+        rng = np.random.default_rng(86)
+        words = random.Random(86)
+        for t in GENERIC_T + (1, 1 + 1e-8):
+            conns = [classical_to_quantum({e: random_sl2(rng) for e in g.edges}),
+                     {e: random_word(words) for e in g.edges}]
+            for conn in conns:
+                for link in bowtie_qlinks():
+                    assert rel_close(wilson_qlink(g, link, conn, t),
+                                     broadcast_wilson(g, link, conn, t), 1e-12), (t, link.loops)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_triangle_chains(self, k):
+        rng = random.Random(87 + k)
+        g, loop = triangle_chain(k)
+        if k <= 4:
+            patterns = list(itertools.product("+-", repeat=k))
+        else:
+            patterns = [[rng.choice("+-") for _ in range(k)] for _ in range(3)]
+        ts = GENERIC_T + (1, 1 + 1e-8)
+        for n, signs in enumerate(patterns):
+            # the unit keeps the weight-zero part, and so the value, nonzero
+            conn = {e: W_ONE + random_word(rng) + random_word(rng) for e in g.edges}
+            link = QLink([loop], [(f"x{i + 1}", s) for i, s in enumerate(signs)])
+            t = ts[n % len(ts)]
+            want = broadcast_wilson(g, link, conn, t)
+            assert want != 0
+            assert rel_close(wilson_qlink(g, link, conn, t), want, 1e-12), signs
+
+    def test_two_loops_crossing_twice(self):
+        # loop A runs 1 then 2, loop B 3 then 4, between u and v; the cilial
+        # orders alternate A and B ends, so both vertices are crossings
+        g = CiliatedGraph(
+            ["u", "v"], {1: ("u", "v"), 2: ("v", "u"), 3: ("u", "v"), 4: ("v", "u")},
+            {"u": [(2, 1), (4, 1), (1, 0), (3, 0)], "v": [(1, 1), (3, 1), (2, 0), (4, 0)]})
+        rng = random.Random(89)
+        for n, signs in enumerate(itertools.product("+-", repeat=2)):
+            link = QLink([[(1, 1), (2, 1)], [(3, 1), (4, 1)]], list(zip("uv", signs)))
+            conn = {e: W_ONE + random_word(rng) + random_word(rng) for e in g.edges}
+            t = GENERIC_T[n]
+            want = broadcast_wilson(g, link, conn, t)
+            assert rel_close(symbolic_wilson(g, link, conn, t), want, 1e-10)
+            assert rel_close(wilson_qlink(g, link, conn, t), want, 1e-12), signs
+
+    def test_twelve_crossings(self):
+        # The broadcast would stack 5^12 R-states, 15.6 GB; the contraction
+        # keeps two segments open along the chain.
+        g, loop = triangle_chain(12)
+        rng = np.random.default_rng(88)
+        gauge = {v: random_sl2(rng) for v in g.vertices}
+        classical = gauge_act(g, gauge, trivial_connection(g))
+        flat = classical_to_quantum(classical)
+        # unlike "+-" * 6, whose crossings cancel in pairs, W(d) is not -2 here
+        signs = "-++-+++--+++"
+        d = QLink([loop], [(f"x{i + 1}", s) for i, s in enumerate(signs)])
+        for vertex in ("x1", "x6", "x12"):
+            d_a, d_b = resolutions(g, d, vertex)
+            if dict(d.crossings)[vertex] == "-":
+                d_a, d_b = d_b, d_a
+            for t in GENERIC_T[:2]:
+                assert abs(skein_residual(g, d, d_a, d_b, flat, t)) < 1e-8, (vertex, t)
+        # at t = 1 the R-matrix is the identity: the classical -tr of the holonomy
+        assert abs(wilson_qlink(g, d, flat, 1) - wilson_loop(g, classical, loop)) < 1e-10
+        generic = {e: random_sl2(rng) for e in g.edges}
+        assert abs(wilson_qlink(g, d, classical_to_quantum(generic), 1)
+                   - wilson_loop(g, generic, loop)) < 1e-10
