@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from operator import add
-from typing import Hashable, Iterator, Mapping, Sequence, TypeVar
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .diagram import LinkDiagram, _find, _union, smoothing_weld_positions
 from .poly import LOOP_VALUE, LaurentPoly
@@ -104,20 +104,6 @@ def bracket_statesum(d: LinkDiagram, max_crossings: int = MAX_CROSSINGS) -> Laur
     return result * LOOP_VALUE ** d.free_loops if d.free_loops else result
 
 
-def _peak_width(d: LinkDiagram, order: list[int]) -> int:
-    """Largest number of strand-ends left open while placing `order`."""
-    open_ends: set[int] = set()
-    peak = 0
-    for cid in order:
-        for label in d.crossing(cid).ends:
-            if label in open_ends:
-                open_ends.remove(label)
-            else:
-                open_ends.add(label)
-        peak = max(peak, len(open_ends))
-    return peak
-
-
 def narrow_order(ends: Mapping[Item, Sequence[Hashable]]) -> Iterator[tuple[Item, int]]:
     """Greedy order of items that keeps the frontier of open labels narrow.
 
@@ -169,6 +155,39 @@ def narrow_order(ends: Mapping[Item, Sequence[Hashable]]) -> Iterator[tuple[Item
                         heapq.heappush(heap, (change, other))
 
 
+def frontier_walk(ends: Mapping[Item, Sequence[Hashable]], order: Iterable[Item]
+                  ) -> Iterator[tuple[list[tuple[int, int]], list[int], list[int], list[int]]]:
+    """Walk the frontier, the labels met once so far, along `order`.
+
+    `ends` is as for `narrow_order`.  Per item this yields `(closing, paired,
+    opened, survivors)`: the (position, frontier index) pairs of the labels
+    met again; per position, the other position of a label the item holds
+    twice, else -1; the positions of the labels opened; and the frontier
+    indices that stay open.  The next frontier is the survivors followed by
+    the opened labels.
+    """
+    frontier: list[Hashable] = []
+    for item in order:
+        labels = ends[item]
+        where = {label: i for i, label in enumerate(frontier)}
+        closing = []
+        paired = [-1] * len(labels)
+        first: dict[Hashable, int] = {}     # labels new here, to their first position
+        for p, label in enumerate(labels):
+            i = where.get(label)
+            if i is not None:
+                closing.append((p, i))
+            elif label in first:
+                q = first.pop(label)
+                paired[p], paired[q] = q, p
+            else:
+                first[label] = p
+        opened = list(first.values())
+        survivors = [i for i, label in enumerate(frontier) if label not in labels]
+        yield closing, paired, opened, survivors
+        frontier = [frontier[i] for i in survivors] + [labels[p] for p in opened]
+
+
 def sweep_order(d: LinkDiagram, max_width: int = MAX_WIDTH) -> list[int]:
     """Greedy crossing order keeping the frontier of open strand-ends narrow.
 
@@ -178,10 +197,11 @@ def sweep_order(d: LinkDiagram, max_width: int = MAX_WIDTH) -> list[int]:
     twice the strand count).
     """
     cids = d.crossing_ids()
+    ends = {cid: d.crossing(cid).ends for cid in cids}
     order: list[int] = []
-    for cid, width in narrow_order({cid: d.crossing(cid).ends for cid in cids}):
+    for cid, width in narrow_order(ends):
         if width > max_width:
-            if _peak_width(d, cids) <= max_width:
+            if max(len(s) + len(o) for _, _, o, s in frontier_walk(ends, cids)) <= max_width:
                 return cids
             raise ValueError(f"frontier width {width} exceeds cap {max_width}")
         order.append(cid)
@@ -191,58 +211,36 @@ def sweep_order(d: LinkDiagram, max_width: int = MAX_WIDTH) -> list[int]:
 def _sweep_steps(d: LinkDiagram, order: list[int]) -> list[tuple]:
     """What each crossing of the sweep needs that does not depend on the state.
 
-    The frontier (labels seen once so far) depends only on the order, so a
-    state is a tuple `match` with match[i] the frontier index of the end
-    paired with frontier end i.  Each step is a tuple of:
-
-    - `closing`: pairs (position, frontier index) of the frontier ends that
-      meet this crossing; `local_pos[i]` is the position of frontier end i
-      in the crossing, or -1;
-    - `survivors`: the frontier indices that stay open, in order; the new
-      frontier is these followed by the crossing's new labels, `renumber`
-      maps old indices to new ones (-1 for the ends that close) and `pad`
-      holds a placeholder per new label;
-    - `slot0`: for each position, the other position of a label used twice
-      here, else -1; `open0`: the new frontier index of each new label's
-      position, else -1;
-    - `welds`: per smoothing, the position each position is welded to and
-      the smoothing's power of A.
+    A state is a tuple `match` with match[i] the frontier index of the end
+    paired with frontier end i.  Besides `closing`, `survivors` and `slot0`
+    (the `paired` of `frontier_walk`), each step holds `local_pos[i]`, the
+    position of frontier end i in the crossing or -1; `renumber`, the new
+    frontier index of each old one (-1 for the ends that close); `pad`, a
+    placeholder per opened label; `open0`, the new frontier index of each
+    opened position, else -1; and `welds`, per smoothing, the position each
+    position is welded to and the smoothing's power of A.
     """
-    frontier: list[int] = []
     steps = []
-    for cid in order:
+    walk = frontier_walk({cid: d.crossing(cid).ends for cid in order}, order)
+    for cid, (closing, slot0, opened, survivors) in zip(order, walk):
         x = d.crossing(cid)
-        ends = x.ends
-        where = {label: i for i, label in enumerate(frontier)}
-        local_pos = [-1] * len(frontier)
-        closing = []
-        slot0 = [-1] * 4
-        open0 = [-1] * 4
-        born = []
-        for p, label in enumerate(ends):
-            i = where.get(label)
-            if i is not None:
-                local_pos[i] = p
-                closing.append((p, i))
-            elif ends.count(label) == 2:
-                slot0[p] = next(q for q in range(4) if q != p and ends[q] == label)
-            else:
-                born.append(p)
-        survivors = [i for i in range(len(frontier)) if local_pos[i] < 0]
-        renumber = [-1] * len(frontier)
+        local_pos = [-1] * (len(survivors) + len(closing))
+        for p, i in closing:
+            local_pos[i] = p
+        renumber = [-1] * len(local_pos)
         for k, i in enumerate(survivors):
             renumber[i] = k
-        for k, p in enumerate(born):
-            open0[p] = len(survivors) + k
+        open0 = [-1] * 4
+        for k, p in enumerate(opened, len(survivors)):
+            open0[p] = k
         welds = []
         for kind, shift in (("A", 1), ("B", -1)):
             (i, j), (k, l) = smoothing_weld_positions(x, kind)
             weld = [0] * 4
             weld[i], weld[j], weld[k], weld[l] = j, i, l, k
             welds.append((tuple(weld), shift))
-        steps.append((closing, local_pos, survivors, renumber, [-1] * len(born),
+        steps.append((closing, local_pos, survivors, renumber, [-1] * len(opened),
                       tuple(slot0), tuple(open0), welds))
-        frontier = [frontier[i] for i in survivors] + [ends[p] for p in born]
     return steps
 
 

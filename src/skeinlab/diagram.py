@@ -138,33 +138,34 @@ class LinkDiagram:
         return len(roots) + self._free_loops
 
     def face_orbits(self) -> list[list[Dart]]:
-        """Faces of the rotation system, each a cyclic list of darts.
-
-        From dart d, the face continues along d's arc to the far end and
-        turns once clockwise there; orbits of that step are the faces, each
-        traversed with its interior on the left.
-        """
+        """Faces of the rotation system, each a cyclic list of darts."""
         arcs = self.arcs()
         seen: set[Dart] = set()
         orbits: list[list[Dart]] = []
         for cid in sorted(self._crossings):
             for pos in range(4):
-                start = (cid, pos)
-                if start in seen:
-                    continue
-                orbit = []
-                d = start
-                while d not in seen:
-                    seen.add(d)
-                    orbit.append(d)
-                    far = self.arc_partner(d, arcs)
-                    d = (far[0], (far[1] - 1) % 4)
-                orbits.append(orbit)
+                if (cid, pos) not in seen:
+                    orbit = self._face_from((cid, pos), arcs)
+                    seen.update(orbit)
+                    orbits.append(orbit)
         return orbits
 
-    def _face_of(self, dart: Dart) -> list[Dart] | None:
-        """The face orbit through a dart, None for a dart not in the map."""
-        return next((o for o in self.face_orbits() if dart in o), None)
+    def _face_from(self, dart: Dart, arcs: dict[int, tuple[Dart, Dart]]) -> list[Dart] | None:
+        """The face orbit that starts at a dart, None for a dart not in the map.
+
+        From dart d, the face continues along d's arc to the far end and
+        turns once clockwise there; the face lies on the left of its walk.
+        """
+        cid, pos = dart
+        if cid not in self._crossings or pos not in range(4):
+            return None
+        orbit = [dart]
+        while True:
+            far = self.arc_partner(orbit[-1], arcs)
+            d = (far[0], (far[1] - 1) % 4)
+            if d == dart:
+                return orbit
+            orbit.append(d)
 
     def is_planar(self) -> bool:
         """Every connected piece of the map must have genus zero.
@@ -300,14 +301,14 @@ class LinkDiagram:
         return self._fused({cid}, [((cid, 0), (cid, 2)), ((cid, 1), (cid, 3))])
 
     def _r2_insert(self, d1: Dart, d2: Dart, finger_over: bool) -> "LinkDiagram":
-        orbit = self._face_of(d1)
+        arcs = self.arcs()
+        orbit = self._face_from(d1, arcs)
         if orbit is None or d2 not in orbit:
             raise ValueError("R2 site darts must lie on a common face")
         u = self.label_at(d1)
         v = self.label_at(d2)
         if u == v:
             raise ValueError("R2 site needs two distinct arcs")
-        arcs = self.arcs()
         a1 = self.arc_partner(d1, arcs)
         a2 = self.arc_partner(d2, arcs)
         m, u2, vm, v2 = self._fresh_labels(4)
@@ -336,13 +337,10 @@ class LinkDiagram:
         return self._fused({c1, c2}, welds)
 
     def _r3(self, d_p: Dart) -> "LinkDiagram":
-        if d_p not in self.r3_sites():
+        face = self._face_from(d_p, self.arcs())
+        if face is None or not self._slides(face):
             raise ValueError(f"dart {d_p!r} does not name a strand R3 can slide")
-        orbit = self._face_of(d_p)
-        i = orbit.index(d_p)
-        p, a_p = d_p
-        q, a_q = orbit[(i + 1) % 3]
-        r, a_r = orbit[(i + 2) % 3]
+        (p, a_p), (q, a_q), (r, a_r) = face
         xp, xq, xr = self._crossings[p], self._crossings[q], self._crossings[r]
         over_first = 0 if xp.is_over(a_p) else 1  # the moving strand's side at p and q
         ext2_p = xp.ends[(a_p + 2) % 4]
@@ -390,16 +388,18 @@ class LinkDiagram:
                     sites.append((c1, c2))
         return sites
 
+    def _slides(self, face: list[Dart]) -> bool:
+        """Whether R3 can slide the strand of face[0] across the opposite
+        crossing: the face is a triangle of three crossings, and that strand
+        is over at both of its crossings or under at both."""
+        if len(face) != 3 or len({d[0] for d in face}) != 3:
+            return False
+        (p, a_p), (q, a_q), _ = face
+        return self._crossings[p].is_over(a_p) == self._crossings[q].is_over((a_q + 1) % 4)
+
     def r3_sites(self) -> list[Dart]:
-        sites = []
-        for o in self.face_orbits():
-            if len(o) != 3 or len({d[0] for d in o}) != 3:
-                continue
-            for i, d in enumerate(o):
-                d_q = o[(i + 1) % 3]
-                if self._crossings[d[0]].is_over(d[1]) == self._crossings[d_q[0]].is_over((d_q[1] + 1) % 4):
-                    sites.append(d)
-        return sites
+        return [o[i] for o in self.face_orbits() for i in range(len(o))
+                if self._slides(o[i:] + o[:i])]
 
     # ------------------------------------------------------------------
     # comparison and presentation

@@ -48,20 +48,20 @@ class CiliatedGraph:
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
             raise ValueError("duplicate vertices")
-        seen: set[EdgeEnd] = set()
+        # each edge-end's index in the cilial order at its vertex
+        self._position: dict[EdgeEnd, int] = {}
         for v, ends in self.ciliation.items():
             if v not in vset:
                 raise ValueError(f"ciliation at unknown vertex {v!r}")
-            for e, end in ends:
+            for i, (e, end) in enumerate(ends):
                 if e not in self.edges or end not in (0, 1):
                     raise ValueError(f"bad edge-end ({e}, {end})")
                 if self.edges[e][end] != v:
                     raise ValueError(f"edge-end ({e}, {end}) listed at wrong vertex {v!r}")
-                if (e, end) in seen:
+                if (e, end) in self._position:
                     raise ValueError(f"edge-end ({e}, {end}) listed twice")
-                seen.add((e, end))
-        expected = {(e, end) for e in self.edges for end in (0, 1)}
-        if seen != expected:
+                self._position[e, end] = i
+        if len(self._position) != 2 * len(self.edges):
             raise ValueError("ciliation must list every edge-end exactly once")
         for face in self.faces:
             self._check_path(face, closed=True)
@@ -88,7 +88,10 @@ class CiliatedGraph:
         return self.edges[end[0]][end[1]]
 
     def cilial_position(self, vertex: object, end: EdgeEnd) -> int:
-        return self.ciliation[vertex].index(end)
+        i = self._position.get(end)
+        if i is None or self.edges[end[0]][end[1]] != vertex:
+            raise ValueError(f"edge-end {end} is not at vertex {vertex!r}")
+        return i
 
 
 def holonomy(graph: CiliatedGraph, conn: Connection, path: Sequence[Step]) -> np.ndarray:

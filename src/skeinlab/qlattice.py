@@ -38,6 +38,11 @@ vertex-splitting check contracts operators on (C^2)^(x 3n) instead of
 expanding the split words.  The symbolic expansions (`decorated_words`,
 `nabla_vertex`) stay public; the tests evaluate them as the independent
 oracle for the numeric results.
+
+The public functions that evaluate at t check it once with `_check_t`, and
+the private helpers take the checked value.  A t that is 0, not finite, or
+so large or small that t^4 or t^-4 overflows raises `ValueError`, where the
+R-matrix coefficients would turn into nan or a division by zero.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .bracket import narrow_order
+from .bracket import frontier_walk, narrow_order
 from .lattice import CiliatedGraph, EdgeEnd, Step
 from .poly import SparseSum, join_signed, numeric_term
 
@@ -188,11 +193,19 @@ def uq_coproduct_n(w: UqWord, n: int) -> list[tuple[complex, tuple[Word, ...]]]:
 # fundamental representation and R-matrix
 
 
-def _entries(w: UqWord, t: complex) -> Entries:
-    """rho(w) at t as its entries (m00, m01, m10, m11)."""
+def _check_t(t) -> complex:
+    """t as a complex number, refused when 0 or when its modulus is not in
+    (1e-77, 1e77), so that t^4 and t^-4 are finite; nan and inf are refused."""
+    t = complex(t)
     if t == 0:
         raise ValueError("t must be nonzero")
-    t = complex(t)
+    if not 1e-77 < abs(t) < 1e77:
+        raise ValueError(f"t = {t} is out of range: t^4 and t^-4 must be finite")
+    return t
+
+
+def _entries(w: UqWord, t: complex) -> Entries:
+    """rho(w) at a checked t as its entries (m00, m01, m10, m11)."""
     ti = 1 / t
     m00 = m01 = m10 = m11 = 0j
     for word, coeff in w._terms.items():
@@ -215,12 +228,12 @@ def _entries(w: UqWord, t: complex) -> Entries:
 
 def uq_fundamental(w: UqWord, t: complex) -> np.ndarray:
     """Image of a word combination in the fundamental representation at t."""
-    m00, m01, m10, m11 = _entries(w, t)
+    m00, m01, m10, m11 = _entries(w, _check_t(t))
     return np.array([[m00, m01], [m10, m11]], dtype=complex)
 
 
 def uq_trace(w: UqWord, t: complex) -> complex:
-    m00, _, _, m11 = _entries(w, t)
+    m00, _, _, m11 = _entries(w, _check_t(t))
     return m00 + m11
 
 
@@ -243,9 +256,7 @@ def r_matrix_terms(t: complex) -> list[tuple[UqWord, UqWord]]:
     coefficients blow up but the matrix itself degenerates to a single
     group-like tensor: t*(1(x)1) at t = +-1 and -t*(K(x)K) at t = +-i.
     """
-    if t == 0:
-        raise ValueError("t must be nonzero")
-    t = complex(t)
+    t = _check_t(t)
     if abs(t ** 4 - 1) < 1e-12:
         if abs(t * t - 1) < 1e-12:
             return [(W_ONE * t, W_ONE)]
@@ -267,11 +278,8 @@ def _r_matrix_legs(t: complex) -> list[tuple[int, int, int, int, complex]]:
     R = t E00(x)E00 + t^-1 E00(x)E11 + (t - t^-3) E01(x)E10 + t^-1 E11(x)E00
     + t E11(x)E11 holds at every nonzero t, so unlike the word legs of
     `r_matrix_terms` no coefficient grows like 1/(t^4 - 1) near t^4 = 1.
-    Each leg is listed as (i, j, k, l, c).
+    Each leg is listed as (i, j, k, l, c), at a checked t.
     """
-    if t == 0:
-        raise ValueError("t must be nonzero")
-    t = complex(t)
     return [(0, 0, 0, 0, t), (0, 0, 1, 1, 1 / t), (0, 1, 1, 0, t - t ** -3),
             (1, 1, 0, 0, 1 / t), (1, 1, 1, 1, t)]
 
@@ -279,7 +287,7 @@ def _r_matrix_legs(t: complex) -> list[tuple[int, int, int, int, complex]]:
 def r_matrix(t: complex) -> np.ndarray:
     """The 4x4 R-matrix, summed from the matrix-unit legs."""
     r = np.zeros((4, 4), dtype=complex)
-    for i, j, k, l, c in _r_matrix_legs(t):
+    for i, j, k, l, c in _r_matrix_legs(_check_t(t)):
         r[2 * i + k, 2 * j + l] += c
     return r
 
@@ -361,7 +369,8 @@ def _decorations(graph: CiliatedGraph, qlink: QLink
             arrival, departure = (e, (1 + d) // 2), (e_next, (1 - d_next) // 2)
             v = graph.end_vertex(arrival)
             passages.setdefault(v, []).append((arrival, departure))
-            if graph.cilial_position(v, arrival) > graph.cilial_position(v, departure):
+            # _check_path has put both ends at v
+            if graph._position[arrival] > graph._position[departure]:
                 cilium_edges.append(e)
             if d == -1:
                 against.append(e)
@@ -447,9 +456,7 @@ def wilson_qlink(graph: CiliatedGraph, qlink: QLink, conn: QConnection,
     of segment entries, contracted by `_contract`.
     """
     crossings, cilium_edges, against = _decorations(graph, qlink)
-    if t == 0:
-        raise ValueError("t must be nonzero")
-    t = complex(t)
+    t = _check_t(t)
     ti = 1 / t
     t2, ti2 = t * t, ti * ti
     k = (t2, 0, 0, ti2)
@@ -524,36 +531,27 @@ def _contract(labels: list[list[int]], units: list[list[list[tuple[int, int, com
     In R-state r, crossing x has the coefficient coeffs[r] and in its slot s
     the matrix unit c E_pq with units[x][s][r] = (p, q, c); labels[x] lists
     the segments into slot 0, out of slot 0, into slot 1 and out of slot 1.
-    Crossings are placed in the greedy order of `bracket.narrow_order`, and
-    a state is keyed by the indices of the segments open between placed and
-    unplaced crossings, so the work follows the width of that frontier
-    rather than 5^crossings.
+    Crossings are placed in the greedy order of `bracket.narrow_order` and
+    walked by `bracket.frontier_walk`; a state is keyed by the indices of
+    the segments open between placed and unplaced crossings, so the work
+    follows the width of that frontier rather than 5^crossings.
     """
+    ends = dict(enumerate(labels))
     order = [0]                     # a lone crossing closes every segment it opens
     if len(labels) > 1:
         order = []
-        for x, width in narrow_order({x: tuple(ls) for x, ls in enumerate(labels)}):
+        for x, width in narrow_order(ends):
             if width > MAX_QLINK_WIDTH:
                 raise ValueError(f"q-link contraction width {width} exceeds the budget "
                                  f"of {MAX_QLINK_WIDTH}")
             order.append(x)
 
-    frontier: list[int] = []
     states: dict[tuple[int, ...], object] = {(): 1}
-    for x in order:
-        ls = labels[x]
-        where = {label: n for n, label in enumerate(frontier)}
-        closing, opened, internal = [], [], []
-        for j, label in enumerate(ls):
-            n = where.get(label)
-            if n is not None:
-                # entry [row, column]: an in-end (even j) holds the column index
-                a, b = (2, 1) if j % 2 == 0 else (1, 2)
-                closing.append((n, j, segments[label], a, b))
-            elif ls.count(label) == 1:
-                opened.append(j)
-            elif j % 2:
-                internal.append((segments[label], j, 0 if ls[0] == label else 2))
+    for x, (met, paired, opened, survivors) in zip(order, frontier_walk(ends, order)):
+        ls = ends[x]
+        # entry [row, column]: an in-end (even j) holds the column index
+        closing = [(n, j, segments[ls[j]], 2 - j % 2, 1 + j % 2) for j, n in met]
+        internal = [(segments[ls[j]], j, paired[j]) for j in (1, 3) if paired[j] >= 0]
         # per R-state: weight with the segments inside this crossing, the
         # indices of its four slots and those of the segments it opens
         steps = []
@@ -564,7 +562,6 @@ def _contract(labels: list[list[int]], units: list[list[list[tuple[int, int, com
                 w = w * seg[2 * idx[j_out] + idx[j_in]]
             if w:
                 steps.append((w, idx, tuple([idx[j] for j in opened])))
-        survivors = [n for n, label in enumerate(frontier) if label not in ls]
         new: dict[tuple[int, ...], object] = {}
         for key, value in states.items():
             kept = tuple(key[n] for n in survivors)
@@ -574,7 +571,6 @@ def _contract(labels: list[list[int]], units: list[list[list[tuple[int, int, com
                     v = v * seg[a * key[n] + b * idx[j]]
                 new[kept + born] = new.get(kept + born, 0) + v
         states = {key: v for key, v in new.items() if v}
-        frontier = [frontier[n] for n in survivors] + [ls[j] for j in opened]
     return states.get((), 0)
 
 

@@ -29,6 +29,8 @@ from skeinlab.bracket import (
     bracket_series,
     bracket_statesum,
     bracket_tl_sweep,
+    frontier_walk,
+    narrow_order,
     sweep_order,
 )
 from skeinlab.poly import LOOP_VALUE, LaurentPoly
@@ -95,6 +97,18 @@ def braid_words(draw, max_strands=5, max_length=60):
     strands = draw(st.integers(2, max_strands))
     letters = st.integers(1, strands - 1).flatmap(lambda i: st.sampled_from((i, -i)))
     return strands, draw(st.lists(letters, max_size=max_length))
+
+
+@st.composite
+def label_layouts(draw):
+    """Items holding labels, each label in exactly two slots (possibly of one
+    item), and an order of the items."""
+    n_labels = draw(st.integers(0, 10))
+    slots = draw(st.permutations([label for label in range(n_labels) for _ in range(2)]))
+    cuts = draw(st.lists(st.integers(0, len(slots)), max_size=6))
+    bounds = [0, *sorted(cuts), len(slots)]
+    ends = {item: tuple(slots[a:b]) for item, (a, b) in enumerate(zip(bounds, bounds[1:]))}
+    return ends, draw(st.permutations(list(ends)))
 
 
 # 39 letters on 5 strands whose greedy order peaks at width 14 while the
@@ -266,6 +280,36 @@ class TestSweepOrder:
         assert sweep_order(d, 10) == d.crossing_ids()
         with pytest.raises(ValueError):
             sweep_order(d, 9)
+
+
+class TestFrontierWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(label_layouts())
+    def test_frontier_is_the_labels_seen_once(self, layout):
+        ends, order = layout
+        steps = list(frontier_walk(ends, order))
+        assert len(steps) == len(order)
+        frontier: list[int] = []
+        seen: list[int] = []
+        for item, (closing, paired, opened, survivors) in zip(order, steps):
+            labels = ends[item]
+            assert all(frontier[i] == labels[p] for p, i in closing)
+            assert [q >= 0 for q in paired] == [labels.count(label) == 2 for label in labels]
+            assert all(q == -1 or (q != p and labels[q] == labels[p])
+                       for p, q in enumerate(paired))
+            frontier = [frontier[i] for i in survivors] + [labels[p] for p in opened]
+            seen += labels
+            counts = Counter(seen)
+            assert frontier == [label for label in dict.fromkeys(seen) if counts[label] == 1]
+        assert frontier == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(label_layouts())
+    def test_widths_along_the_greedy_order(self, layout):
+        ends, _ = layout
+        placed = list(narrow_order(ends))
+        walk = frontier_walk(ends, [item for item, _ in placed])
+        assert [len(s) + len(o) for _, _, o, s in walk] == [width for _, width in placed]
 
 
 class TestSeries:

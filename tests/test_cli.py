@@ -353,6 +353,16 @@ class TestQLatticeCommand:
             err = capsys.readouterr().err
             assert "t must be nonzero" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("t", ["nan", "inf", "1e300", "1e-300"])
+    def test_unusable_t_is_a_usage_error(self, bowtie_files, capsys, t):
+        gp, (dp, ap, bp) = bowtie_files
+        for extra in ([], ["--residual", ap, bp]):
+            assert main(["qlattice", "--graph", gp, "--qlink", dp, "--t", t, *extra]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "Traceback" not in err
+
     def test_crossing_budget_is_a_usage_error(self, bowtie_files, tmp_path, monkeypatch,
                                               capsys):
         from test_qlattice import triangle_chain

@@ -66,6 +66,19 @@ class TestGraphs:
         for g in (bouquet(1), bouquet(3), triangle_graph(), bowtie_graph()):
             assert set(g.ciliation) == set(g.vertices)
 
+    def test_cilial_position_is_the_index_in_the_cilial_order(self):
+        for g in (bouquet(1), bouquet(3), punctured_torus_graph(), triangle_graph(),
+                  bowtie_graph()):
+            for v, ends in g.ciliation.items():
+                for end in ends:
+                    assert g.cilial_position(v, end) == ends.index(end)
+                    for w in g.vertices:
+                        if w != v:
+                            with pytest.raises(ValueError):
+                                g.cilial_position(w, end)
+            with pytest.raises(ValueError):
+                g.cilial_position(g.vertices[0], (max(g.edges) + 1, 0))
+
     def test_every_edge_end_listed_once(self):
         with pytest.raises(ValueError):
             CiliatedGraph(["u", "v"], {1: ("u", "v")}, {"u": [(1, 0)], "v": []})

@@ -438,6 +438,27 @@ class TestRMatrix:
             t = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))
             assert yang_baxter_residual(t) < 1e-10
 
+    @pytest.mark.parametrize("t", [0, float("nan"), float("inf"), complex(0, -float("inf")),
+                                   1e300, 1e-300, -1e-300j])
+    def test_unusable_t_is_refused(self, t):
+        # t = 0, a t that is not finite, and a t whose t^4 or t^-4 is not
+        # finite are refused by every public function that evaluates at t
+        g = bowtie_graph()
+        d, d_a, d_b = bowtie_qlinks()
+        conn = {e: W_ONE for e in g.edges}
+        message = "^t must be nonzero$" if t == 0 else "t\\^4 and t\\^-4 must be finite$"
+        for call in (lambda: uq_fundamental(W_K, t), lambda: uq_trace(W_K, t),
+                     lambda: r_matrix_terms(t), lambda: r_matrix(t),
+                     lambda: wilson_qlink(g, d, conn, t),
+                     lambda: skein_residual(g, d, d_a, d_b, conn, t)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_extreme_usable_t(self):
+        for t in (1e70, 1e-70, -1e-70j):
+            assert np.isfinite(r_matrix(t)).all()
+            assert np.isfinite(uq_fundamental(W_K * W_K, t)).all()
+
     def test_degenerate_t_values(self):
         # At t^4 = 1 the generic coefficients blow up; the scalar and
         # charmed substitutes still satisfy the braid relation.
