@@ -208,42 +208,6 @@ def sweep_order(d: LinkDiagram, max_width: int = MAX_WIDTH) -> list[int]:
     return order
 
 
-def _sweep_steps(d: LinkDiagram, order: list[int]) -> list[tuple]:
-    """What each crossing of the sweep needs that does not depend on the state.
-
-    A state is a tuple `match` with match[i] the frontier index of the end
-    paired with frontier end i.  Besides `closing`, `survivors` and `slot0`
-    (the `paired` of `frontier_walk`), each step holds `local_pos[i]`, the
-    position of frontier end i in the crossing or -1; `renumber`, the new
-    frontier index of each old one (-1 for the ends that close); `pad`, a
-    placeholder per opened label; `open0`, the new frontier index of each
-    opened position, else -1; and `welds`, per smoothing, the position each
-    position is welded to and the smoothing's power of A.
-    """
-    steps = []
-    walk = frontier_walk({cid: d.crossing(cid).ends for cid in order}, order)
-    for cid, (closing, slot0, opened, survivors) in zip(order, walk):
-        x = d.crossing(cid)
-        local_pos = [-1] * (len(survivors) + len(closing))
-        for p, i in closing:
-            local_pos[i] = p
-        renumber = [-1] * len(local_pos)
-        for k, i in enumerate(survivors):
-            renumber[i] = k
-        open0 = [-1] * 4
-        for k, p in enumerate(opened, len(survivors)):
-            open0[p] = k
-        welds = []
-        for kind, shift in (("A", 1), ("B", -1)):
-            (i, j), (k, l) = smoothing_weld_positions(x, kind)
-            weld = [0] * 4
-            weld[i], weld[j], weld[k], weld[l] = j, i, l, k
-            welds.append((tuple(weld), shift))
-        steps.append((closing, local_pos, survivors, renumber, [-1] * len(opened),
-                      tuple(slot0), tuple(open0), welds))
-    return steps
-
-
 def _route(slot: tuple[int, ...], weld: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Join a crossing's positions through its smoothing and the outside.
 
@@ -300,10 +264,33 @@ def bracket_tl_sweep(d: LinkDiagram, max_width: int = MAX_WIDTH) -> LaurentPoly:
     order = sweep_order(d, max_width)
     routes: dict[tuple, tuple] = {}
     states: dict[tuple[int, ...], Table] = {(): (0, [1])}
-    for closing, local_pos, survivors, renumber, pad, slot0, open0, welds in _sweep_steps(d, order):
+    walk = frontier_walk({cid: d.crossing(cid).ends for cid in order}, order)
+    for cid, (closing, paired, opened, survivors) in zip(order, walk):
+        # A state is a tuple `match`, match[i] the frontier index of the end
+        # paired with frontier end i.  local_pos[i] is the position of
+        # frontier end i in the crossing, or -1; renumber[i] its new frontier
+        # index, or -1 if it closes; open0[p] the new frontier index of an
+        # opened position p, else -1; welds, per smoothing, the position each
+        # position is welded to and the smoothing's power of A.
+        local_pos = [-1] * (len(survivors) + len(closing))
+        for p, i in closing:
+            local_pos[i] = p
+        renumber = [-1] * len(local_pos)
+        for k, i in enumerate(survivors):
+            renumber[i] = k
+        open0 = [-1] * 4
+        for k, p in enumerate(opened, len(survivors)):
+            open0[p] = k
+        pad = [-1] * len(opened)
+        welds = []
+        for kind, shift in (("A", 1), ("B", -1)):
+            (i, j), (k, l) = smoothing_weld_positions(d.crossing(cid), kind)
+            weld = [0] * 4
+            weld[i], weld[j], weld[k], weld[l] = j, i, l, k
+            welds.append((tuple(weld), shift))
         new_states: dict[tuple[int, ...], Table] = {}
         for match, table in states.items():
-            slot = list(slot0)
+            slot = list(paired)
             far = list(open0)
             for p, i in closing:
                 j = match[i]

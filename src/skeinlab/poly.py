@@ -10,6 +10,7 @@ deformation expansion around the classical point A = -1.
 
 from __future__ import annotations
 
+import cmath
 import re
 from fractions import Fraction
 from math import factorial
@@ -243,7 +244,12 @@ class LaurentPoly(SparseSum):
         return SparseSum.__pow__(self, n)
 
     def eval_at(self, a: complex) -> complex:
-        """Numeric evaluation at a nonzero complex value of A."""
+        """Numeric evaluation at a nonzero value of A.
+
+        Int and Fraction values are evaluated exactly.  Any other value is
+        refused with `ValueError` when it is nan or infinite, when one of its
+        powers overflows or divides by zero, or when the sum is not finite.
+        """
         if a == 0:
             raise ValueError("Laurent polynomials cannot be evaluated at A = 0")
         if isinstance(a, (int, Fraction)):
@@ -251,7 +257,15 @@ class LaurentPoly(SparseSum):
             for k, c in self._terms.items():
                 total += c * (Fraction(a) ** k)
             return _norm_scalar(Fraction(total))
-        return sum(c * a ** k for k, c in self._terms.items())
+        if not cmath.isfinite(a):
+            raise ValueError(f"A = {a} is not finite")
+        try:
+            value = sum(c * a ** k for k, c in self._terms.items())
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError(f"A = {a} is out of range: a power of it is not finite") from None
+        if not cmath.isfinite(value):
+            raise ValueError(f"A = {a} is out of range: the value is not finite")
+        return value
 
     def to_h_series(self, order: int) -> "HSeries":
         """Expand under the substitution A = -exp(h/4), truncated at h^order.

@@ -318,6 +318,12 @@ def parse_skein(text: str) -> TorusSkeinElement:
 def _skein_power(base: TorusSkeinElement, n: int) -> TorusSkeinElement:
     """base ^ n within the budgets; n < 0 only for a coefficient monomial."""
     _check_power(n, [k for poly in base._terms.values() for k in poly._terms])
+    # The budget of one product, applied to the power at once: every term of
+    # base^n has degree at least n times the least degree of base's monomials,
+    # and some ordered pair of them moves a letter when two of x, y, z occur.
+    degree = n * min(map(sum, base._terms), default=0)
+    if degree > MAX_DEGREE and sum(any(m[i] for m in base._terms) for i in range(3)) > 1:
+        raise ValueError(f"skein product of degree {degree} exceeds the budget of {MAX_DEGREE}")
     if n >= 0:
         return base ** n
     if base._terms.keys() == {(0, 0, 0)}:

@@ -156,8 +156,12 @@ class TestOracles:
 
     def test_random_maps_match_smoothing_oracle(self):
         # arbitrary 4-valent maps, most of them not planar: the evaluators
-        # must count loops without relying on planarity
+        # must count loops without relying on planarity.  A copy of each map
+        # with sparse crossing ids, some negative, and 0-2 free loops runs the
+        # greedy order's smallest-id tie-break and the check of the crossing-id
+        # order on ids other than 0..n-1.
         rng = random.Random(41)
+        relabel = random.Random(42)
         for _ in range(60):
             n = rng.randint(1, 6)
             labels = [l for l in range(2 * n) for _ in range(2)]
@@ -167,6 +171,14 @@ class TestOracles:
             expected = smoothing_oracle(d)
             assert bracket_statesum(d) == expected
             assert bracket_tl_sweep(d, 64) == expected
+            ids = relabel.sample(range(-5 * n, 5 * n), n)
+            sparse = LinkDiagram({cid: d.crossing(i) for i, cid in enumerate(ids)},
+                                 relabel.randint(0, 2))
+            expected = smoothing_oracle(sparse)
+            assert expected == smoothing_oracle(d) * DELTA ** sparse.free_loops
+            assert bracket_tl_sweep(sparse, 64) == expected
+            assert bracket(sparse) == expected
+            assert bracket(sparse, max_width=3) == expected
 
 
 class TestAlgebraicStructure:

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from skeinlab.bracket import bracket
 from skeinlab.characters import character_point, random_rep, trace_word
-from skeinlab import checks, qlattice
+from skeinlab import checks, qlattice, torus_skein
 from skeinlab.cli import main
 from skeinlab.diagram import corpus, parse_braid
 from skeinlab.formats import (
@@ -204,6 +204,34 @@ class TestSkeinCommand:
     def test_oversized_input_is_a_usage_error(self, expr, message, capsys):
         assert main(["skein", "--expr", expr]) == 2
         assert capsys.readouterr().err.strip() == f"error: {message}"
+
+    @pytest.mark.parametrize("expr, value", [
+        ("x*A^-3", "inf"), ("x*A^-3", "nan"), ("x*A^-3", "1e300"), ("x*A^-3", "1e-300"),
+        ("x*A^-3", "1e-120"), ("x*A", "inf"), ("x*A^2", "1e200"),
+    ])
+    def test_unusable_specialization_is_a_usage_error(self, expr, value, capsys):
+        assert main(["skein", "--expr", expr, "--specialize", value]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("expr, degree", [
+        ("(x+y)^1000", 1000), ("(x+y)^25", 25), ("(x*y*z)^9", 27),
+    ])
+    def test_power_over_the_degree_budget_is_refused_before_any_product(
+            self, expr, degree, monkeypatch, capsys):
+        base_product = torus_skein._monomial_product
+
+        def base_products_only(m1, m2):
+            # x*y*z takes two products of degree at most 3; the power takes none
+            assert sum(m1) + sum(m2) <= 3, f"product {m1} * {m2} of the power was computed"
+            return base_product(m1, m2)
+        monkeypatch.setattr(torus_skein, "_monomial_product", base_products_only)
+        assert main(["skein", "--expr", expr]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: skein product of degree {degree} exceeds the budget of 24\n"
 
     def test_power_at_the_span_budget(self, capsys):
         assert main(["skein", "--expr", "(1 + A)^1000"]) == 0

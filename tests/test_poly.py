@@ -205,6 +205,23 @@ class TestEvaluation:
         v = LaurentPoly({-2: 1}).eval_at(2)
         assert v == Fraction(1, 4)
 
+    @pytest.mark.parametrize("k, a", [
+        (-3, complex("inf")), (-3, complex("nan")), (-3, 1e300 + 0j), (-3, 1e-300 + 0j),
+        (-3, 1e-120 + 0j), (1, complex("inf")), (2, 1e200 + 0j), (1, complex(0, float("nan"))),
+        (-3, float("inf")), (-3, float("nan")), (-3, 1e-300), (2, 1e200),
+    ])
+    def test_eval_refuses_values_it_cannot_evaluate(self, k, a):
+        with pytest.raises(ValueError, match=r"^A = .* (is not finite|is out of range)"):
+            LaurentPoly.a_power(k).eval_at(a)
+
+    def test_eval_keeps_finite_floats_and_exact_large_values(self):
+        assert LaurentPoly.a_power(-3).eval_at(1e100) == pytest.approx(1e-300)
+        assert LaurentPoly.a_power(2).eval_at(0.5j) == -0.25
+        assert LaurentPoly.a_power(-3).eval_at(10 ** 300) == Fraction(1, 10 ** 900)
+        assert LaurentPoly.a_power(2).eval_at(Fraction(1, 10 ** 200)) == Fraction(1, 10 ** 400)
+        with pytest.raises(ValueError, match="^Laurent polynomials cannot be evaluated at A = 0$"):
+            LaurentPoly.a_power(1).eval_at(0.0)
+
     @given(polys, polys)
     def test_eval_is_a_ring_map(self, p, q):
         a = 1j

@@ -386,6 +386,22 @@ class TestBudgets:
         assert (TorusSkeinElement.monomial(n, n, 0) * TorusSkeinElement.monomial(0, n, n)
                 == TorusSkeinElement.monomial(n, 2 * n, n))
 
+    def test_powers_under_the_degree_budget_or_without_reordering_evaluate(self):
+        assert parse_skein("(x^13 + z)^2") == (X ** 13 + Z) * (X ** 13 + Z)
+        assert parse_skein("(x + x^2)^20") == (X + X ** 2) ** 20
+        assert parse_skein("(x + 1)^30").coeff((30, 0, 0)) == 1
+
+    def test_power_at_the_degree_budget(self, monkeypatch):
+        from skeinlab import torus_skein
+        monkeypatch.setattr(torus_skein, "MAX_DEGREE", 4)
+        assert parse_skein("(x+y)^4") == (X + Y) * (X + Y) * (X + Y) * (X + Y)
+
+        def no_product(m1, m2):
+            raise AssertionError(f"product {m1} * {m2} was computed")
+        monkeypatch.setattr(torus_skein, "_monomial_product", no_product)
+        with pytest.raises(ValueError, match="^skein product of degree 5 exceeds the budget of 4$"):
+            parse_skein("(x+y)^5")
+
     def test_parsed_exponents_stop_at_their_budget(self):
         assert parse_skein(f"x^{MAX_EXPONENT}") == TorusSkeinElement.monomial(MAX_EXPONENT, 0, 0)
         for bad in (f"x^{MAX_EXPONENT + 1}", f"(1 + A)^{MAX_EXPONENT + 1}",
