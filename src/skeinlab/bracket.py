@@ -26,6 +26,7 @@ from .poly import LOOP_VALUE, LaurentPoly
 MAX_CROSSINGS = 24  # default budget of the state sum, which visits 2^n states
 MAX_WIDTH = 12      # default budget of the sweep's frontier of open strand-ends
 MAX_FREE_LOOPS = 1000  # budget of a diagram's crossingless circles, each a factor of delta
+MAX_SWEEP_CROSSINGS = 500  # budget of the sweep, whose coefficient tables grow with n
 Item = TypeVar("Item")
 
 
@@ -261,6 +262,9 @@ def bracket_tl_sweep(d: LinkDiagram, max_width: int = MAX_WIDTH) -> LaurentPoly:
     """
     if d.free_loops > MAX_FREE_LOOPS:
         raise ValueError(f"{d.free_loops} free loops exceeds the budget of {MAX_FREE_LOOPS}")
+    if d.crossing_count > MAX_SWEEP_CROSSINGS:
+        raise ValueError(f"{d.crossing_count} crossings exceeds the sweep budget of "
+                         f"{MAX_SWEEP_CROSSINGS}")
     order = sweep_order(d, max_width)
     routes: dict[tuple, tuple] = {}
     states: dict[tuple[int, ...], Table] = {(): (0, [1])}
@@ -329,16 +333,17 @@ def bracket_tl_sweep(d: LinkDiagram, max_width: int = MAX_WIDTH) -> LaurentPoly:
 
 def bracket(d: LinkDiagram, method: str = "auto", max_crossings: int = MAX_CROSSINGS,
             max_width: int = MAX_WIDTH) -> LaurentPoly:
-    """Evaluate the bracket, preferring the sweep when the frontier stays narrow."""
+    """Evaluate the bracket, preferring the sweep; auto falls back to the state
+    sum when the frontier is too wide, but not past the sweep's crossing budget."""
     if method == "statesum":
         return bracket_statesum(d, max_crossings)
-    if method == "sweep":
-        return bracket_tl_sweep(d, max_width)
-    if method == "auto":
+    if method == "auto" and d.crossing_count <= MAX_SWEEP_CROSSINGS:
         try:
             return bracket_tl_sweep(d, max_width)
         except ValueError:
             return bracket_statesum(d, max_crossings)
+    if method in ("auto", "sweep"):
+        return bracket_tl_sweep(d, max_width)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -296,7 +296,7 @@ class LinkDiagram:
         return [p for p in range(4) if x.ends[p] == x.ends[(p + 1) % 4]]
 
     def _r1_delete(self, cid: int) -> "LinkDiagram":
-        if cid not in self.r1_delete_sites():
+        if cid not in self._crossings or not self.kink_positions(cid):
             raise ValueError(f"no kink at crossing {cid!r}")
         return self._fused({cid}, [((cid, 0), (cid, 2)), ((cid, 1), (cid, 3))])
 
@@ -330,8 +330,9 @@ class LinkDiagram:
         return LinkDiagram(table, self._free_loops)
 
     def _r2_delete(self, c1: int, c2: int) -> "LinkDiagram":
-        sites = self.r2_delete_sites()
-        if (c1, c2) not in sites and (c2, c1) not in sites:
+        arcs = self.arcs()
+        faces = [self._face_from((c1, pos), arcs) for pos in range(4)]
+        if not any(face and self._reduces(face) and face[1][0] == c2 for face in faces):
             raise ValueError(f"crossings {c1!r}, {c2!r} do not bound a reducible bigon")
         welds = [((c, 0), (c, 2)) for c in (c1, c2)] + [((c, 1), (c, 3)) for c in (c1, c2)]
         return self._fused({c1, c2}, welds)
@@ -380,13 +381,16 @@ class LinkDiagram:
         """Crossing pairs bounding a bigon whose one strand is over at both."""
         sites = []
         for o in self.face_orbits():
-            if len(o) != 2 or o[0][0] == o[1][0]:
-                continue
-            (c1, a1), (c2, a2) = o
-            if self._crossings[c1].is_over(a1) == self._crossings[c2].is_over((a2 + 1) % 4):
-                if (c1, c2) not in sites:
-                    sites.append((c1, c2))
+            if self._reduces(o) and (o[0][0], o[1][0]) not in sites:
+                sites.append((o[0][0], o[1][0]))
         return sites
+
+    def _reduces(self, face: list[Dart]) -> bool:
+        """Whether a face is a bigon of two crossings with one strand over at both."""
+        if len(face) != 2 or face[0][0] == face[1][0]:
+            return False
+        (c1, a1), (c2, a2) = face
+        return self._crossings[c1].is_over(a1) == self._crossings[c2].is_over((a2 + 1) % 4)
 
     def _slides(self, face: list[Dart]) -> bool:
         """Whether R3 can slide the strand of face[0] across the opposite

@@ -29,11 +29,11 @@ theory, and the Kauffman bracket skein relation holds among the three
 resolutions of any crossing.
 
 Observables are evaluated in the fundamental representation.  `wilson_qlink`
-maps each edge word to the four entries of its 2x2 matrix once.  The R-matrix
-legs and their antipodes are matrix units, which cut the loops into segments,
-so a Wilson value is a sum over 2-valued indices of products of segment
-entries; it is contracted crossing by crossing in a greedy order that keeps
-few segments open, within the width budget `MAX_QLINK_WIDTH`.  The
+maps the factors `_decorations` lists for each edge to 2x2 entry tuples.  The
+R-legs and their antipodes are matrix units, which cut the loops into
+segments, so a Wilson value is a sum over 2-valued indices of products of
+segment entries, contracted crossing by crossing in a greedy order that
+keeps few segments open, within the width budget `MAX_QLINK_WIDTH`.  The
 vertex-splitting check contracts operators on (C^2)^(x 3n) instead of
 expanding the split words.  The symbolic expansions (`decorated_words`,
 `nabla_vertex`) stay public; the tests evaluate them as the independent
@@ -61,6 +61,7 @@ Word = tuple[str, ...]
 _LETTERS = ("E", "F", "K", "Ki")
 _CANCEL = {("K", "Ki"), ("Ki", "K")}
 Entries = tuple  # a 2x2 matrix as its entries (m00, m01, m10, m11)
+Item = tuple[object, int]  # a factor of a decorated edge word and its number of antipodes
 # wilson_qlink keys its contraction states by the 2-valued indices of the
 # segments open between placed and unplaced crossings; this budget on their
 # number caps the states at 2^16 and is checked from the order before any
@@ -346,11 +347,17 @@ def _as_uq(value) -> UqWord:
     raise TypeError(f"expected UqWord, got {type(value).__name__}")
 
 
-def _decorations(graph: CiliatedGraph, qlink: QLink
-                 ) -> tuple[list[tuple[EdgeEnd, EdgeEnd, bool]], list[int], list[int]]:
-    """Validate a q-link and locate the decorations of its Wilson observable:
-    per crossing (cilially first end, second end, first end on the over
-    strand?), the edges gaining a k at a cilium, the edges run backwards.
+def _decorations(graph: CiliatedGraph, qlink: QLink) -> dict[int, list[Item]]:
+    """Validate a q-link and list each used edge's decorated word, in
+    traversal order, as items (w, n): the factor w with n antipodes applied.
+    w is the edge id (its connection word), "k" (the charmed element) or
+    (x, s, leg), slot s of crossing x holding the leg "alpha" or "beta" of a
+    pure tensor alpha (x) beta of the R-matrix.  Slot 0 is at the crossing's
+    cilially first end, where the over strand takes alpha (slot 1 beta) and
+    the under strand beta (slot 1 S(alpha)).  A slot multiplies the edge
+    word on the left at the edge's source and by its antipode on the right
+    at its target; an edge run backwards becomes S(. k), and a passage
+    across a cilium appends k.
 
     One walk over the steps records each passage through a vertex: the end
     a step arrives by and the end the next step leaves by.  A passage
@@ -363,7 +370,7 @@ def _decorations(graph: CiliatedGraph, qlink: QLink
     if len(used) != len(set(used)):
         raise ValueError("an edge is traversed more than once")
     passages: dict[object, list[tuple[EdgeEnd, EdgeEnd]]] = {}
-    cilium_edges, against = [], []
+    cilium_edges = set()
     for loop in qlink.loops:
         for (e, d), (e_next, d_next) in zip(loop, loop[1:] + loop[:1]):
             arrival, departure = (e, (1 + d) // 2), (e_next, (1 - d_next) // 2)
@@ -371,9 +378,7 @@ def _decorations(graph: CiliatedGraph, qlink: QLink
             passages.setdefault(v, []).append((arrival, departure))
             # _check_path has put both ends at v
             if graph._position[arrival] > graph._position[departure]:
-                cilium_edges.append(e)
-            if d == -1:
-                against.append(e)
+                cilium_edges.add(e)
     if any(len(ps) > 2 for ps in passages.values()):
         raise ValueError("a vertex is visited more than twice")
 
@@ -394,11 +399,26 @@ def _decorations(graph: CiliatedGraph, qlink: QLink
         raise ValueError(
             "crossing signs must be given exactly at transverse double points; "
             f"expected {sorted(map(str, transverse))}, got {sorted(map(str, listed))}")
-    crossings = []
-    for v, sign in qlink.crossings:
+    slots: dict[EdgeEnd, Item] = {}
+    for x, (v, sign) in enumerate(qlink.crossings):
         c0, c1, c0_first = transverse[v]
-        crossings.append((c0, c1, c0_first == (sign == "+")))
-    return crossings, cilium_edges, against
+        if c0_first == (sign == "+"):   # over at the first end: alpha there, beta at the second
+            slots[c0], slots[c1] = ((x, 0, "alpha"), 0), ((x, 1, "beta"), 0)
+        else:                           # under: beta there, S(alpha) at the second
+            slots[c0], slots[c1] = ((x, 0, "beta"), 0), ((x, 1, "alpha"), 1)
+    words = {}
+    for loop in qlink.loops:
+        for e, d in loop:
+            items = [slots[e, 0], (e, 0)] if (e, 0) in slots else [(e, 0)]
+            if (e, 1) in slots:         # a slot at a target end gains an antipode
+                w, n = slots[e, 1]
+                items.append((w, n + 1))
+            if d == -1:
+                items = [(w, n + 1) for w, n in reversed(items + [("k", 0)])]
+            if e in cilium_edges:
+                items.append(("k", 0))
+            words[e] = items
+    return words
 
 
 def decorated_words(graph: CiliatedGraph, qlink: QLink, conn: QConnection,
@@ -407,39 +427,27 @@ def decorated_words(graph: CiliatedGraph, qlink: QLink, conn: QConnection,
 
     This exposes the structural content of the Wilson observable: each state
     picks one pure tensor alpha (x) beta of the R-matrix at every crossing,
-    decorates edge words (alpha and beta at the crossing ends, S(. k) on
-    edges against orientation, k per cilium crossed), and multiplies along
-    each loop in traversal order.
+    reads each edge's decorated word from the items of `_decorations` with
+    the state's legs in the slots, and multiplies the edges along each loop
+    in traversal order.
     """
-    crossings, cilium_edges, against = _decorations(graph, qlink)
+    words = _decorations(graph, qlink)
     rterms = r_matrix_terms(t)
+    values = {}                 # S^n of each factor, once; per R-term in a slot
+    for w, n in {item for items in words.values() for item in items}:
+        fs = ([pair[w[2] == "beta"] for pair in rterms] if type(w) is tuple
+              else [W_CHARM if w == "k" else _as_uq(conn[w])])
+        for _ in range(n):
+            fs = [uq_antipode(f) for f in fs]
+        values[w, n] = fs
     out = []
-    for combo in itertools.product(rterms, repeat=len(crossings)):
-        dec = {e: _as_uq(conn[e]) for loop in qlink.loops for e, _ in loop}
-        for (c0, c1, c0_over), (alpha, beta) in zip(crossings, combo):
-            d0, d1 = (alpha, beta) if c0_over else (beta, uq_antipode(alpha))
-            for (e, side), deco in ((c0, d0), (c1, d1)):
-                dec[e] = deco * dec[e] if side == 0 else dec[e] * uq_antipode(deco)
-        for e in against:
-            dec[e] = uq_antipode(dec[e] * W_CHARM)
-        for e in cilium_edges:
-            dec[e] = dec[e] * W_CHARM
-        products = []
-        for loop in qlink.loops:
-            word = W_ONE
-            for e, _ in loop:
-                word = word * dec[e]
-            products.append(word)
-        out.append(products)
+    for combo in itertools.product(range(len(rterms)), repeat=len(qlink.crossings)):
+        dec = {e: functools.reduce(UqWord.__mul__, [
+            values[w, n][combo[w[0]] if type(w) is tuple else 0]
+            for w, n in items]) for e, items in words.items()}
+        out.append([functools.reduce(UqWord.__mul__, [dec[e] for e, _ in loop])
+                    for loop in qlink.loops])
     return out
-
-
-class _Insertion(NamedTuple):
-    """A matrix-unit factor of crossing x's leg `slot` inside a decorated edge:
-    c E_pq in the crossing's R-state r, with units[r] = (p, q, c)."""
-    x: int
-    slot: int
-    units: list[tuple[int, int, complex]]
 
 
 def wilson_qlink(graph: CiliatedGraph, qlink: QLink, conn: QConnection,
@@ -448,78 +456,59 @@ def wilson_qlink(graph: CiliatedGraph, qlink: QLink, conn: QConnection,
 
     Sums the traces of the decorated loop products over all R-states, with a
     factor of -1 per loop and a counit factor for every unused edge.  The
-    decorations of `decorated_words` act on the edge matrices as entry
-    tuples.  An R-leg is a matrix unit, and the antipode sends c E_pq to a
-    multiple of E_(1-q)(1-p), so each crossing inserts two matrix units into
-    the loops.  They cut the loops into segments, the edge products between
-    insertions, and a trace becomes a sum over 2-valued indices of products
-    of segment entries, contracted by `_contract`.
+    items of `_decorations` map to the edge matrices and k as entry tuples,
+    and the R-legs to matrix units: the antipode sends c E_pq to a multiple
+    of E_(1-q)(1-p), so each crossing puts two matrix units into the loops.
+    They cut the loops into segments, the products between slot items, and
+    a trace becomes a sum over 2-valued indices of products of segment
+    entries, contracted by `_contract`.
     """
-    crossings, cilium_edges, against = _decorations(graph, qlink)
+    words = _decorations(graph, qlink)
     t = _check_t(t)
-    ti = 1 / t
-    t2, ti2 = t * t, ti * ti
-    k = (t2, 0, 0, ti2)
+    t2, ti2 = t * t, 1 / (t * t)
     scale = (1, -t2, -ti2, 1)       # S(E_pq) = scale[2p + q] E_(1-q)(1-p)
+    legs = _r_matrix_legs(t) if qlink.crossings else []
+    units = {"alpha": [(i, j, 1) for i, j, _, _, _ in legs],
+             "beta": [(i, j, 1) for _, _, i, j, _ in legs]}
 
-    def s_units(units):
-        return [(1 - q, 1 - p, c * scale[2 * p + q]) for p, q, c in units]
-
-    def antipode(f):
-        if type(f) is _Insertion:
-            return _Insertion(f.x, f.slot, s_units(f.units))
-        a, b, c, d = f
-        return d, -t2 * b, -ti2 * c, a
-
-    # each edge's decorated word as a list of entry tuples and insertions
-    factors = {e: [_entries(_as_uq(conn[e]), t)] for e in qlink.used_edges()}
-    legs = _r_matrix_legs(t) if crossings else []
-    alpha = [(i, j, 1) for i, j, _, _, _ in legs]
-    beta = [(i, j, 1) for _, _, i, j, _ in legs]
-    for x, (c0, c1, c0_over) in enumerate(crossings):
-        d0, d1 = (alpha, beta) if c0_over else (beta, s_units(alpha))
-        for slot, ((e, side), units) in enumerate(((c0, d0), (c1, d1))):
-            f = _Insertion(x, slot, units)
-            if side == 0:
-                factors[e].insert(0, f)
-            else:
-                factors[e].append(antipode(f))
-    for e in against:
-        factors[e] = [antipode(f) for f in reversed(factors[e] + [k])]
-    for e in cilium_edges:
-        factors[e].append(k)
-
-    # Cut the loops.  Segment n runs from one insertion c E_pq to the next,
+    # Cut the loops.  Segment i runs from one slot's c E_pq to the next,
     # c' E_p'q', and enters the trace as its entry [q, p'].  labels[x] holds
     # the segments (into slot 0, out of slot 0, into slot 1, out of slot 1).
     segments: list[Entries] = []
-    labels = [[0] * 4 for _ in crossings]
-    units = [[[], []] for _ in crossings]
+    labels = [[0] * 4 for _ in qlink.crossings]
+    slot_units = [[[], []] for _ in qlink.crossings]
     value = 1
     for loop in qlink.loops:
-        flat = [f for e, _ in loop for f in factors[e]]
-        cuts = [i for i, f in enumerate(flat) if type(f) is _Insertion]
-        if not cuts:
-            m = _product(flat)
+        slotted: list[Item] = []
+        runs: list[list[Entries]] = [[]]
+        for e, _ in loop:
+            for w, n in words[e]:
+                if type(w) is tuple:
+                    slotted.append((w, n))
+                    runs.append([])
+                    continue
+                m = (t2, 0, 0, ti2) if w == "k" else _entries(_as_uq(conn[w]), t)
+                for _ in range(n):
+                    a, b, c, d = m
+                    m = d, -t2 * b, -ti2 * c, a
+                runs[-1].append(m)
+        if not slotted:
+            m = _product(runs[0])
             value = value * (m[0] + m[3])
             continue
-        inserted: list[_Insertion] = []
-        runs: list[list[Entries]] = []
-        for f in flat[cuts[0]:] + flat[:cuts[0]]:
-            if type(f) is _Insertion:
-                inserted.append(f)
-                runs.append([])
-            else:
-                runs[-1].append(f)
+        runs[-1] += runs[0]         # the last segment closes the loop
         base = len(segments)
-        segments += [_product(run) for run in runs]
-        for n, f in enumerate(inserted):
-            labels[f.x][2 * f.slot:2 * f.slot + 2] = [base + (n - 1) % len(inserted), base + n]
-            units[f.x][f.slot] = f.units
-    if crossings:
-        value = value * _contract(labels, units, [leg[4] for leg in legs], segments)
+        segments += [_product(run) for run in runs[1:]]
+        for i, ((x, s, leg), n) in enumerate(slotted):
+            labels[x][2 * s:2 * s + 2] = [base + (i - 1) % len(slotted), base + i]
+            f = units[leg]
+            for _ in range(n):
+                f = [(1 - q, 1 - p, c * scale[2 * p + q]) for p, q, c in f]
+            slot_units[x][s] = f
+    if qlink.crossings:
+        value = value * _contract(labels, slot_units, [leg[4] for leg in legs], segments)
     total = complex(value)
-    for e in set(graph.edges) - set(qlink.used_edges()):
+    for e in set(graph.edges) - set(words):
         total *= uq_counit(_as_uq(conn[e]))
     return (-1) ** len(qlink.loops) * total
 

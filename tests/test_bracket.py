@@ -25,6 +25,7 @@ from skeinlab.diagram import (
 )
 from skeinlab.bracket import (
     MAX_FREE_LOOPS,
+    MAX_SWEEP_CROSSINGS,
     bracket,
     bracket_series,
     bracket_statesum,
@@ -261,6 +262,21 @@ class TestEvaluators:
             for method in ("auto", "sweep", "statesum"):
                 with pytest.raises(ValueError, match=message):
                     bracket(d, method=method)
+
+    def test_sweep_stops_at_its_crossing_budget(self):
+        # The sweep's coefficient tables grow with the crossing count.  Past
+        # the budget every sweeping method refuses the diagram, and auto does
+        # not hand it to the 2^n state sum even under a raised state-sum cap.
+        n = MAX_SWEEP_CROSSINGS
+        torus = A ** n * (A ** 4 + 1 + A_INV ** 4) + LaurentPoly.term(-1, -3) ** n
+        assert bracket(parse_braid([1] * n, 2)) == torus
+        family = bracket(parse_braid([1, -2, 3, -4] * 100, 5))
+        mirror = bracket(parse_braid([-1, 2, -3, 4] * 100, 5))
+        assert mirror == LaurentPoly({-k: c for k, c in family.items()})
+        message = f"^{n + 1} crossings exceeds the sweep budget of {n}$"
+        for method in ("auto", "sweep"):
+            with pytest.raises(ValueError, match=message):
+                bracket(parse_braid([1] * (n + 1), 2), method=method, max_crossings=10 ** 6)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,14 @@
 """Command-line interface: outputs, exit codes, file handling."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -147,6 +149,21 @@ class TestBracketCommand:
                               timeout=120, preexec_fn=limit)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "error: 999999998 free loops exceeds the budget of 1000\n"
+
+    def test_braid_over_the_sweep_budget_is_refused_before_any_work(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the crossings were ordered or handed to the state sum")
+
+        sweep = importlib.import_module("skeinlab.bracket")   # skeinlab.bracket is the function
+        monkeypatch.setattr(sweep, "sweep_order", refuse)
+        monkeypatch.setattr(sweep, "bracket_statesum", refuse)
+        word = ",".join(["1"] * 10_000)
+        start = time.perf_counter()
+        assert main(["bracket", f"--braid={word}", "--strands", "2",
+                     "--max-crossings", "100000"]) == 2
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: 10000 crossings exceeds the sweep budget of 500\n")
 
     def test_braid_may_start_with_a_negative_letter(self, capsys):
         assert main(["bracket", "--braid", "-1,2", "--strands", "3"]) == 0

@@ -110,34 +110,32 @@ def _antipode_matrix(m: np.ndarray, t: complex) -> np.ndarray:
 
 
 def broadcast_wilson(graph, qlink, conn, t) -> complex:
-    """Reference for wilson_qlink that enumerates every R-state: crossing i's
-    matrix-unit legs are stacked along axis i of the decorated edge matrices,
+    """Reference for wilson_qlink that enumerates every R-state: crossing x's
+    matrix-unit legs are stacked along axis x of the decorated edge matrices,
     so one broadcast product per loop covers all 5^c R-states."""
-    crossings, cilium_edges, against = _decorations(graph, qlink)
-    k = uq_fundamental(W_CHARM, t)
-    dec = {e: uq_fundamental(conn[e], t) for e in qlink.used_edges()}
-    if crossings:
-        unit = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)     # unit[i, j] = E_ij
-        legs = _r_matrix_legs(t)
-        alphas = np.array([c * unit[i, j] for i, j, _, _, c in legs])
-        betas = np.array([unit[i, j] for _, _, i, j, _ in legs])
-        n = len(crossings)
-        for i, (c0, c1, c0_over) in enumerate(crossings):
-            shape = [1] * n + [2, 2]
-            shape[i] = len(alphas)
-            d0, d1 = (alphas, betas) if c0_over else (betas, _antipode_matrix(alphas, t))
-            for (e, side), deco in ((c0, d0), (c1, d1)):
-                deco = deco.reshape(shape)
-                dec[e] = deco @ dec[e] if side == 0 else dec[e] @ _antipode_matrix(deco, t)
-    for e in against:
-        dec[e] = _antipode_matrix(dec[e] @ k, t)
-    for e in cilium_edges:
-        dec[e] = dec[e] @ k
+    words = _decorations(graph, qlink)
+    unit = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)     # unit[i, j] = E_ij
+    legs = _r_matrix_legs(t)
+    stacks = {"alpha": np.array([c * unit[i, j] for i, j, _, _, c in legs]),
+              "beta": np.array([unit[i, j] for _, _, i, j, _ in legs])}
+
+    def factor(w, n):
+        if type(w) is tuple:
+            x, _, leg = w
+            shape = [1] * len(qlink.crossings) + [2, 2]
+            shape[x] = len(legs)
+            m = stacks[leg].reshape(shape)
+        else:
+            m = uq_fundamental(W_CHARM if w == "k" else conn[w], t)
+        for _ in range(n):
+            m = _antipode_matrix(m, t)
+        return m
+
+    dec = {e: functools.reduce(np.matmul, [factor(w, n) for w, n in items])
+           for e, items in words.items()}
     states = 1
     for loop in qlink.loops:
-        prod = dec[loop[0][0]]
-        for e, _ in loop[1:]:
-            prod = prod @ dec[e]
+        prod = functools.reduce(np.matmul, [dec[e] for e, _ in loop])
         states = states * np.trace(prod, axis1=-2, axis2=-1)
     total = complex(np.sum(states))
     for e in set(graph.edges) - set(qlink.used_edges()):
@@ -668,6 +666,27 @@ class TestStructuralWords:
                         * (x[4] * k) * (uq_antipode(x[5] * k) * k)
                         * (x[6] * k))
             assert prods[0].diff_norm(expected) < 1e-9
+
+    def test_decoration_items_by_hand(self):
+        # Slot 0 sits at a crossing's cilially first end, where the over strand
+        # takes alpha (beta at slot 1) and the under strand beta (S(alpha) at
+        # slot 1).  A slot at an edge's target gains an antipode, an edge run
+        # backwards reads S(. k), and a passage across a cilium appends k.
+        g = bowtie_graph()
+        d, _, _ = bowtie_qlinks()
+        assert _decorations(g, d) == {
+            1: [((0, 1, "beta"), 0), (1, 0)], 2: [(2, 0)], 3: [(3, 0), ((0, 0, "alpha"), 1)],
+            4: [(4, 0), ("k", 0)], 5: [("k", 1), (5, 1), ("k", 0)], 6: [(6, 0), ("k", 0)]}
+        assert _decorations(g, QLink(d.loops, [("v3", "-")])) == {
+            1: [((0, 1, "alpha"), 1), (1, 0)], 2: [(2, 0)], 3: [(3, 0), ((0, 0, "beta"), 1)],
+            4: [(4, 0), ("k", 0)], 5: [("k", 1), (5, 1), ("k", 0)], 6: [(6, 0), ("k", 0)]}
+        # x1 is over (slot 0 at edge 3's target), x2 under (slot 0 at edge
+        # 4's target); the second passages through x2 and x1 cross the cilium
+        g, loop = triangle_chain(2)
+        assert _decorations(g, QLink([loop], [("x1", "+"), ("x2", "-")])) == {
+            1: [((0, 1, "beta"), 0), (1, 0)], 2: [(2, 0)], 3: [(3, 0), ((0, 0, "alpha"), 1)],
+            4: [(4, 0), ((1, 0, "beta"), 1)], 5: [(5, 0)], 6: [(6, 0)], 7: [(7, 0), ("k", 0)],
+            8: [((1, 1, "alpha"), 1), (8, 0)], 9: [(9, 0), ("k", 0)]}
 
 
 class TestClassicalQuantumBridge:
