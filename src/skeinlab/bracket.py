@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from operator import add
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .diagram import LinkDiagram, _find, _union, smoothing_weld_positions
-from .poly import LOOP_VALUE, LaurentPoly
+from .poly import LOOP_VALUE, LaurentPoly, _pack, _unpack
 
 MAX_CROSSINGS = 24  # default budget of the state sum, which visits 2^n states
 MAX_WIDTH = 12      # default budget of the sweep's frontier of open strand-ends
@@ -230,28 +229,30 @@ def _route(slot: tuple[int, ...], weld: tuple[int, ...]) -> tuple[tuple[tuple[in
     return tuple(tuple(e) for e in ends.values() if e), sum(1 for e in ends.values() if not e)
 
 
-# A coefficient table (low, coeffs) stands for the sum of coeffs[k] * A^(low + 2k):
+# A coefficient table (low, packed, bound) stands for the sum of c_k * A^(low + 2k):
 # all exponents of one sweep state share a parity, so the table is dense in
-# steps of A^2 and shifting it by a power of A only moves `low`.
-Table = tuple[int, list[int]]
+# steps of A^2 and shifting it by a power of A only moves `low`.  `packed` is
+# the sum of c_k * 2^(width*k) and `bound` is at least max |c_k|.  Packing
+# evaluates the polynomial in X = A^2 at X = 2^width, a ring homomorphism, so
+# sums of tables shifted by slots, and products with X*delta = -X^2 - 1, are
+# exact on `packed` at any width.  Only decoding needs the width, and it is
+# unique while bound < 2^(width-1): sums add bounds, delta doubles them, and
+# `poly._unpack` refuses a bound that does not fit.
+_SLOT_BITS = 64     # the width a sweep starts at, a multiple of 8
+_HEADROOM = 64      # bits a widened slot leaves free for the coefficients to grow
 
 
-def _times_loop(table: Table) -> Table:
-    """Multiply a table by delta = -A^2 - A^-2."""
-    low, coeffs = table
-    return low - 2, [-a - b for a, b in zip(coeffs + [0, 0], [0, 0] + coeffs)]
-
-
-def _add_tables(t1: Table, t2: Table) -> Table:
-    """Sum of two tables, in a new list (tables share their lists freely)."""
-    if t2[0] < t1[0]:
-        t1, t2 = t2, t1
-    (low, c1), (low2, c2) = t1, t2
-    off = (low2 - low) >> 1
-    end = off + len(c2)
-    out = c1 + [0] * (end - len(c1)) if end > len(c1) else c1[:]
-    out[off:end] = map(add, out[off:end], c2)
-    return low, out
+def _rebaseline(states: dict, width: int) -> tuple[int, dict]:
+    """Bound each table by its largest coefficient, and repack all of them at
+    a wider slot when the next steps could outgrow the width."""
+    tables = {key: (low, _unpack(packed, width, bound))
+              for key, (low, packed, bound) in states.items()}
+    tops = {key: max(map(abs, coeffs)) for key, (_, coeffs) in tables.items()}
+    need = (8 * sum(tops.values())).bit_length() + 1
+    if need + _HEADROOM // 2 > width:
+        width = need + _HEADROOM + 7 & -8
+        states = {key: (low, _pack(coeffs, width), 0) for key, (low, coeffs) in tables.items()}
+    return width, {key: (low, packed, tops[key]) for key, (low, packed, _) in states.items()}
 
 
 def bracket_tl_sweep(d: LinkDiagram, max_width: int = MAX_WIDTH) -> LaurentPoly:
@@ -267,9 +268,13 @@ def bracket_tl_sweep(d: LinkDiagram, max_width: int = MAX_WIDTH) -> LaurentPoly:
                          f"{MAX_SWEEP_CROSSINGS}")
     order = sweep_order(d, max_width)
     routes: dict[tuple, tuple] = {}
-    states: dict[tuple[int, ...], Table] = {(): (0, [1])}
+    states: dict[tuple[int, ...], tuple[int, int, int]] = {(): (0, 1, 1)}
+    width = _SLOT_BITS
     walk = frontier_walk({cid: d.crossing(cid).ends for cid in order}, order)
     for cid, (closing, paired, opened, survivors) in zip(order, walk):
+        # a new table sums at most two terms per state, each times delta^2 at most
+        if 8 * sum(bound for _, _, bound in states.values()) >> (width - 1):
+            width, states = _rebaseline(states, width)
         # A state is a tuple `match`, match[i] the frontier index of the end
         # paired with frontier end i.  local_pos[i] is the position of
         # frontier end i in the crossing, or -1; renumber[i] its new frontier
@@ -292,7 +297,7 @@ def bracket_tl_sweep(d: LinkDiagram, max_width: int = MAX_WIDTH) -> LaurentPoly:
             weld = [0] * 4
             weld[i], weld[j], weld[k], weld[l] = j, i, l, k
             welds.append((tuple(weld), shift))
-        new_states: dict[tuple[int, ...], Table] = {}
+        new_states: dict[tuple[int, ...], tuple[int, int, int]] = {}
         for match, table in states.items():
             slot = list(paired)
             far = list(open0)
@@ -319,15 +324,19 @@ def bracket_tl_sweep(d: LinkDiagram, max_width: int = MAX_WIDTH) -> LaurentPoly:
                     new_match[v] = u
                 key = tuple(new_match)
                 while len(scaled) <= closures:
-                    scaled.append(_times_loop(scaled[-1]))
-                low, coeffs = scaled[closures]
-                term = (low + shift, coeffs)
-                bucket = new_states.get(key)
-                new_states[key] = term if bucket is None else _add_tables(bucket, term)
-        states = {k: v for k, v in new_states.items() if any(v[1])}
+                    low, packed, bound = scaled[-1]
+                    scaled.append((low - 2, -(packed + (packed << 2 * width)), 2 * bound))
+                low, packed, bound = scaled[closures]
+                low += shift
+                low2, packed2, bound2 = new_states.get(key, (low, 0, 0))
+                if low2 < low:
+                    low, low2, packed, packed2 = low2, low, packed2, packed
+                new_states[key] = (low, packed + (packed2 << (width * (low2 - low) >> 1)),
+                                   bound + bound2)
+        states = {k: v for k, v in new_states.items() if v[1]}
 
-    low, coeffs = states.get((), (0, []))
-    result = LaurentPoly({low + 2 * k: c for k, c in enumerate(coeffs) if c})
+    low, packed, bound = states.get((), (0, 0, 0))
+    result = LaurentPoly({low + 2 * k: c for k, c in enumerate(_unpack(packed, width, bound)) if c})
     return result * LOOP_VALUE ** d.free_loops if d.free_loops else result
 
 

@@ -36,6 +36,35 @@ def _norm_scalar(c: Scalar) -> Scalar:
     return c
 
 
+def _pack(coeffs: list[int], width: int) -> int:
+    """Kronecker substitution: the sum of coeffs[k] * 2^(width*k), for integers
+    of magnitude below 2^(width-1) in slots of `width` bits, a multiple of 8."""
+    half, size = 1 << (width - 1), width >> 3
+    if max(map(abs, coeffs), default=0) >= half:
+        raise ValueError(f"a coefficient does not fit a signed slot of {width} bits")
+    digits = b"".join((c + half).to_bytes(size, "little") for c in coeffs)
+    return int.from_bytes(digits, "little") - _halves(len(coeffs), width)
+
+
+def _unpack(packed: int, width: int, bound: int) -> list[int]:
+    """The slots of `packed`, lowest first and zero-padded, given a bound on
+    their magnitudes.  Each is read as the digit c + 2^(width-1), which is
+    unique only while bound < 2^(width-1), so any other bound is refused."""
+    half, size = 1 << (width - 1), width >> 3
+    if bound >= half:
+        raise ValueError(f"coefficient bound of {bound.bit_length()} bits does not fit "
+                         f"a signed slot of {width} bits")
+    slots = packed.bit_length() // width + 1
+    data = (packed + _halves(slots, width)).to_bytes(slots * size, "little")
+    return [int.from_bytes(data[i:i + size], "little") - half
+            for i in range(0, len(data), size)]
+
+
+def _halves(slots: int, width: int) -> int:
+    """The packed value of `slots` slots that each hold 2^(width-1)."""
+    return int.from_bytes((bytes((width >> 3) - 1) + b"\x80") * slots, "little")
+
+
 class SparseSum:
     """Sparse linear combination: a map from keys to nonzero coefficients.
 
@@ -334,17 +363,21 @@ def render_laurent(p: LaurentPoly) -> str:
                        for k, c in reversed(p.items()))
 
 
+def _span(exps) -> int:
+    return max(exps, default=0) - min(exps, default=0)
+
+
 def _check_power(n: int, exps) -> None:
     """Refuse base ^ n over budget, given the A-exponents of base's coefficients."""
     if abs(n) > MAX_EXPONENT:
         raise ValueError(f"exponent {n} exceeds the budget of {MAX_EXPONENT}")
-    span = max(exps, default=0) - min(exps, default=0)
+    span = _span(exps)
     if abs(n) * span > MAX_EXPONENT:
         raise ValueError(f"exponent {n} times coefficient span {span} "
                          f"exceeds the budget of {MAX_EXPONENT}")
 
 
-def _parse_expression(text: str, cls: type, atoms: dict, power):
+def _parse_expression(text: str, cls: type, atoms: dict, power, exps):
     """Read text in the one grammar of the exact values skeinlab prints:
 
         sum     = ["+" | "-"] product {("+" | "-") product}
@@ -354,7 +387,11 @@ def _parse_expression(text: str, cls: type, atoms: dict, power):
 
     A number is a constant of `cls` and a name one of `atoms`; `*` multiplies
     left to right, so it may be noncommutative, and `power(base, n)` applies
-    the caller's power rule and budgets.
+    the caller's power rule and budgets.  `exps(value)` lists the A-exponents
+    of a value's coefficients.  A factor is refused, before it is computed,
+    when its span of exponents and that of the product before it are both
+    nonzero and sum past MAX_EXPONENT; a number, `A^k` or a monomial always
+    passes, so printed values read back.
     """
     toks = re.findall(r"[0-9]+(?:/[0-9]+)?|\S", text)
     for tok in toks:
@@ -378,22 +415,26 @@ def _parse_expression(text: str, cls: type, atoms: dict, power):
             op = take()
 
     def parse_product():
-        total = parse_power()
+        total = parse_power(0)
         while toks[-1] == "*":
             take()
-            total = total * parse_power()
+            total = total * parse_power(_span(exps(total)))
         return total
 
-    def parse_power():
-        base = parse_atom()
-        if toks[-1] != "^":
-            return base
-        take()
-        sign = take() if toks[-1] == "-" else ""
-        tok = take()
-        if not tok.isdigit():
-            raise ValueError("exponent must be an integer")
-        return power(base, int(sign + tok))
+    def parse_power(used: int):
+        base, n = parse_atom(), None
+        if toks[-1] == "^":
+            take()
+            sign = take() if toks[-1] == "-" else ""
+            tok = take()
+            if not tok.isdigit():
+                raise ValueError("exponent must be an integer")
+            n = int(sign + tok)
+        span = _span(exps(base)) * (1 if n is None else abs(n))
+        if used and span and used + span > MAX_EXPONENT:
+            raise ValueError(f"product of coefficient spans {used} and {span} "
+                             f"exceeds the budget of {MAX_EXPONENT}")
+        return base if n is None else power(base, n)
 
     def parse_atom():
         tok = take()
@@ -430,7 +471,8 @@ def _laurent_power(base: LaurentPoly, n: int) -> LaurentPoly:
 
 def parse_laurent(text: str) -> LaurentPoly:
     """Parse Laurent text in A, such as render_laurent's `A^3 - 1/2*A^-1`."""
-    return _parse_expression(text, LaurentPoly, {"A": LaurentPoly.a_power(1)}, _laurent_power)
+    return _parse_expression(text, LaurentPoly, {"A": LaurentPoly.a_power(1)}, _laurent_power,
+                             lambda p: p._terms)
 
 
 class HSeries:

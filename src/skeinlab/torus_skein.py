@@ -312,12 +312,16 @@ def parse_skein(text: str) -> TorusSkeinElement:
     """
     atoms = {"x": TorusSkeinElement.x(), "y": TorusSkeinElement.y(), "z": TorusSkeinElement.z(),
              "A": TorusSkeinElement.monomial(0, 0, 0, LaurentPoly.a_power(1))}
-    return _parse_expression(text, TorusSkeinElement, atoms, _skein_power)
+    return _parse_expression(text, TorusSkeinElement, atoms, _skein_power, _coefficient_exps)
+
+
+def _coefficient_exps(e: TorusSkeinElement) -> list[int]:
+    return [k for poly in e._terms.values() for k in poly._terms]
 
 
 def _skein_power(base: TorusSkeinElement, n: int) -> TorusSkeinElement:
     """base ^ n within the budgets; n < 0 only for a coefficient monomial."""
-    _check_power(n, [k for poly in base._terms.values() for k in poly._terms])
+    _check_power(n, _coefficient_exps(base))
     # The budget of one product, applied to the power at once: every term of
     # base^n has degree at least n times the least degree of base's monomials,
     # and some ordered pair of them moves a letter when two of x, y, z occur.

@@ -8,9 +8,11 @@ resolves one crossing at a time through the smoothing maps of the diagram
 layer, never touching the evaluator's own state walk.
 """
 
+import importlib
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,10 +24,12 @@ from skeinlab.diagram import (
     parse_braid,
     random_braid_diagram,
     random_move,
+    smoothing_weld_positions,
 )
 from skeinlab.bracket import (
     MAX_FREE_LOOPS,
     MAX_SWEEP_CROSSINGS,
+    _route,
     bracket,
     bracket_series,
     bracket_statesum,
@@ -34,7 +38,7 @@ from skeinlab.bracket import (
     narrow_order,
     sweep_order,
 )
-from skeinlab.poly import LOOP_VALUE, LaurentPoly
+from skeinlab.poly import LOOP_VALUE, LaurentPoly, _pack, _unpack
 
 A = LaurentPoly.a_power(1)
 A_INV = LaurentPoly.a_power(-1)
@@ -61,6 +65,67 @@ def smoothing_oracle(d: LinkDiagram) -> LaurentPoly:
     cid = d.crossing_ids()[0]
     return (A * smoothing_oracle(d.smoothed(cid, "A"))
             + A_INV * smoothing_oracle(d.smoothed(cid, "B")))
+
+
+def list_table_sweep(d: LinkDiagram) -> LaurentPoly:
+    """Reference for bracket_tl_sweep's packed coefficient tables: the same
+    frontier states, each valued by a list table (low, coeffs) standing for
+    the sum of coeffs[k] * A^(low + 2k), with every coefficient its own int."""
+
+    def times_loop(table):
+        low, coeffs = table
+        return low - 2, [-a - b for a, b in zip(coeffs + [0, 0], [0, 0] + coeffs)]
+
+    def add_tables(t1, t2):
+        if t2[0] < t1[0]:
+            t1, t2 = t2, t1
+        (low, c1), (low2, c2) = t1, t2
+        off = (low2 - low) >> 1
+        end = off + len(c2)
+        out = c1 + [0] * (end - len(c1)) if end > len(c1) else c1[:]
+        out[off:end] = map(add, out[off:end], c2)
+        return low, out
+
+    order = sweep_order(d, 64)
+    states = {(): (0, [1])}
+    walk = frontier_walk({cid: d.crossing(cid).ends for cid in order}, order)
+    for cid, (closing, paired, opened, survivors) in zip(order, walk):
+        local_pos = [-1] * (len(survivors) + len(closing))
+        for p, i in closing:
+            local_pos[i] = p
+        renumber = [-1] * len(local_pos)
+        for k, i in enumerate(survivors):
+            renumber[i] = k
+        open0 = [-1] * 4
+        for k, p in enumerate(opened, len(survivors)):
+            open0[p] = k
+        new_states = {}
+        for match, table in states.items():
+            slot, far = list(paired), list(open0)
+            for p, i in closing:
+                q = local_pos[match[i]]
+                if q >= 0:
+                    slot[p] = q
+                else:
+                    far[p] = renumber[match[i]]
+            for kind, shift in (("A", 1), ("B", -1)):
+                (i, j), (k, l) = smoothing_weld_positions(d.crossing(cid), kind)
+                weld = [0] * 4
+                weld[i], weld[j], weld[k], weld[l] = j, i, l, k
+                chains, closures = _route(tuple(slot), tuple(weld))
+                new_match = [renumber[match[i]] for i in survivors] + [-1] * len(opened)
+                for p, q in chains:
+                    new_match[far[p]], new_match[far[q]] = far[q], far[p]
+                term = table
+                for _ in range(closures):
+                    term = times_loop(term)
+                term = (term[0] + shift, term[1])
+                key = tuple(new_match)
+                new_states[key] = add_tables(new_states[key], term) if key in new_states else term
+        states = {k: v for k, v in new_states.items() if any(v[1])}
+    low, coeffs = states.get((), (0, []))
+    return (LaurentPoly({low + 2 * k: c for k, c in enumerate(coeffs) if c})
+            * LOOP_VALUE ** d.free_loops)
 
 
 def reference_sweep_order(d: LinkDiagram, max_width: int = 12) -> list[int]:
@@ -281,6 +346,107 @@ class TestEvaluators:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             bracket(corpus()["unknot"], method="magic")
+
+
+def torus_closed_form(n: int) -> LaurentPoly:
+    """Bracket of the closure of sigma_1^n on two strands."""
+    return A ** n * (A ** 4 + 1 + A_INV ** 4) + LaurentPoly.term(-1, -3) ** n
+
+
+def split_kinks(k: int) -> LinkDiagram:
+    """The split union of k circles, each with one kink."""
+    d = kink = parse_braid([1], 2)
+    for _ in range(k - 1):
+        d = d.disjoint_union(kink)
+    return d
+
+
+def random_words(seed: int, length: int):
+    rng = random.Random(seed)
+    for strands in (3, 4, 5):
+        yield strands, [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)]
+
+
+class TestPackedTables:
+    """The sweep's packed tables against the list tables they replaced.  The
+    coefficients of these closures reach hundreds of bits, so a wrong slot
+    width or decode shows here even where the values at A = -1 and A = i,
+    which the benchmark checks, come out right."""
+
+    @pytest.mark.parametrize("k", [50, 100])
+    def test_long_family_closures(self, k):
+        d = parse_braid([1, -2, 3, -4] * k, 5)
+        value = bracket_tl_sweep(d)
+        assert value == list_table_sweep(d)
+        assert max(abs(c) for _, c in value.items()).bit_length() > 100
+        assert value.eval_at(-1) == -32
+
+    def test_torus_closure(self):
+        d = parse_braid([1] * 300, 2)
+        assert bracket_tl_sweep(d) == list_table_sweep(d) == torus_closed_form(300)
+
+    def test_random_long_words(self):
+        for strands, word in random_words(71, 200):
+            d = parse_braid(word, strands)
+            assert bracket_tl_sweep(d, 64) == list_table_sweep(d), (strands, word)
+
+    def test_growth_by_loop_closures_alone(self):
+        # the frontier of a split union of kinked circles empties after every
+        # crossing, and its coefficients, binomials of 97 bits, outgrow 64-bit slots
+        assert bracket_tl_sweep(split_kinks(100)) == (A ** 5 + A) ** 100
+
+    def test_narrow_initial_slots_widen_and_stay_exact(self, monkeypatch):
+        # 8-bit slots and 8 bits of headroom: the sweep must decode and repack
+        # its tables many times over, at ever wider slots
+        sweep = importlib.import_module("skeinlab.bracket")   # skeinlab.bracket is the function
+        monkeypatch.setattr(sweep, "_SLOT_BITS", 8)
+        monkeypatch.setattr(sweep, "_HEADROOM", 8)
+        widths = []
+        rebaseline = sweep._rebaseline
+
+        def checked_rebaseline(states, width):
+            # every bound holds: no table has a larger coefficient
+            for _, packed, bound in states.values():
+                assert max(map(abs, _unpack(packed, width, 0))) <= bound
+            return rebaseline(states, width)
+
+        def pack(coeffs, width):
+            widths.append(width)
+            return _pack(coeffs, width)
+        monkeypatch.setattr(sweep, "_rebaseline", checked_rebaseline)
+        monkeypatch.setattr(sweep, "_pack", pack)
+        d = parse_braid([1, -2, 3, -4] * 50, 5)
+        assert bracket_tl_sweep(d) == list_table_sweep(d)
+        assert len(set(widths)) >= 5 and widths == sorted(widths)
+        for strands, word in random_words(72, 120):
+            d = parse_braid(word, strands)
+            assert bracket_tl_sweep(d, 64) == list_table_sweep(d), (strands, word)
+        assert bracket_tl_sweep(parse_braid([1] * 120, 2)) == torus_closed_form(120)
+        assert bracket_tl_sweep(split_kinks(30)) == (A ** 5 + A) ** 30
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=12), st.sampled_from([8, 16, 72]))
+    def test_pack_round_trip(self, coeffs, width):
+        bound = max(map(abs, coeffs), default=0)
+        if bound >> (width - 1):
+            with pytest.raises(ValueError):
+                _pack(coeffs, width)
+            return
+        packed = _pack(coeffs, width)
+        assert packed == sum(c << (width * k) for k, c in enumerate(coeffs))
+        slots = _unpack(packed, width, bound)
+        assert slots[:len(coeffs)] == coeffs and not any(slots[len(coeffs):])
+
+    def test_a_bound_that_does_not_fit_is_refused(self):
+        packed = _pack([127, -127, 5], 8)
+        assert _unpack(packed, 8, 127) == [127, -127, 5]
+        for bound in (128, 129, 2 ** 70):
+            with pytest.raises(ValueError, match="does not fit a signed slot of 8 bits"):
+                _unpack(packed, 8, bound)
+        # 128 is the one slot 128 or the slots -128, 1: only the second reading fits
+        assert _unpack(128, 8, 127) == [-128, 1]
+        with pytest.raises(ValueError, match="does not fit a signed slot of 8 bits"):
+            _unpack(128, 8, 128)
 
 
 class TestSweepOrder:

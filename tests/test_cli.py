@@ -28,7 +28,7 @@ from skeinlab.formats import (
     rep_to_json,
 )
 from skeinlab.lattice import bowtie_graph, triangle_graph, trivial_connection
-from skeinlab.poly import LaurentPoly
+from skeinlab.poly import LaurentPoly, parse_laurent
 from skeinlab.qlattice import bowtie_qlinks, classical_to_quantum
 
 
@@ -165,6 +165,16 @@ class TestBracketCommand:
         out, err = capsys.readouterr()
         assert (out, err) == ("", "error: 10000 crossings exceeds the sweep budget of 500\n")
 
+    def test_long_brackets_read_back(self, capsys):
+        # at A = -1 a closure's bracket is (-2)^(cycles of its permutation)
+        for word, strands, classical in (([1, -2, 3, -4] * 100, 5, -32), ([1] * 500, 2, 4),
+                                         ([-1, 2] * 150, 3, -8)):
+            assert main(["bracket", f"--braid={','.join(map(str, word))}",
+                         "--strands", str(strands)]) == 0
+            value = parse_laurent(capsys.readouterr().out)
+            assert value == bracket(parse_braid(word, strands))
+            assert value.eval_at(-1) == classical
+
     def test_braid_may_start_with_a_negative_letter(self, capsys):
         assert main(["bracket", "--braid", "-1,2", "--strands", "3"]) == 0
         assert capsys.readouterr().out.strip() == str(bracket(parse_braid([-1, 2], 3)))
@@ -254,6 +264,30 @@ class TestSkeinCommand:
         assert main(["skein", "--expr", "(1 + A)^1000"]) == 0
         out = capsys.readouterr().out.strip()
         assert out.startswith("(A^1000 + 1000*A^999 + 499500*A^998") and out.endswith(" + 1)")
+
+    def test_product_of_powers_stops_at_the_span_budget(self, monkeypatch, capsys):
+        # each factor passes the power budget; their product would not, and
+        # the second power is refused before it is computed
+        powers = []
+        skein_power = torus_skein._skein_power
+        monkeypatch.setattr(torus_skein, "_skein_power",
+                            lambda base, n: powers.append(n) or skein_power(base, n))
+        six = "*".join(["(1 + A)^1000"] * 6)
+        assert main(["skein", "--expr", six]) == 2
+        assert capsys.readouterr() == (
+            "", "error: product of coefficient spans 1000 and 1000 exceeds the budget of 1000\n")
+        assert powers == [1000]
+        assert main(["skein", "--expr", "(1 + A)^500*x*(1 + A)^500"]) == 0
+        assert capsys.readouterr().out.startswith("(A^1000 + 1000*A^999 + ")
+        assert main(["skein", "--expr", "(1 + A)^500*x*(1 + A)^501"]) == 2
+        assert capsys.readouterr().err == (
+            "error: product of coefficient spans 500 and 501 exceeds the budget of 1000\n")
+        # a coefficient of span 1900 times a monomial reads back
+        assert main(["skein", "--expr", "(1 + A)^1000*x + A^-900*x"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("(A^1000 + 1000*A^999 + ") and out.endswith(" + 1 + A^-900)*x\n")
+        assert main(["skein", "--expr", out.strip()]) == 0
+        assert capsys.readouterr().out == out
 
     def test_high_powers_already_in_normal_form(self, capsys):
         assert main(["skein", "--expr", "x^1000 * y^1000 * z^1000"]) == 0

@@ -112,6 +112,26 @@ class TestRendering:
             with pytest.raises(ValueError, match=f"^{message}.*budget of {budget}$"):
                 parse_laurent(bad)
 
+    def test_products_stop_at_the_span_budget(self, monkeypatch):
+        budget = poly.MAX_EXPONENT
+        assert parse_laurent("(1 + A)^500*(1 + A)^500") == parse_laurent(f"(1 + A)^{budget}")
+        assert parse_laurent(f"(1 + A)^{budget}*A^-5000*3").coeff(-5000) == 3
+        powers = []
+        laurent_power = poly._laurent_power
+        monkeypatch.setattr(poly, "_laurent_power",
+                            lambda base, n: powers.append(n) or laurent_power(base, n))
+        # the powers computed: never the factor that crosses the budget
+        for bad, spans, computed in (
+                ("*".join([f"(1 + A)^{budget}"] * 6), (budget, budget), [budget]),
+                ("(1 + A)^500*(1 + A)^501", (500, 501), [500]),
+                ("(1 + A)^999*(1 + A^2)", (999, 2), [999, 2]),
+                ("2*(1 + A)^999*A*(A^-1 - A)^2", (999, 4), [999, -1])):
+            powers.clear()
+            with pytest.raises(ValueError, match=f"^product of coefficient spans {spans[0]} "
+                                                 f"and {spans[1]} exceeds the budget of {budget}$"):
+                parse_laurent(bad)
+            assert powers == computed, bad
+
     def test_malformed_text_is_refused(self):
         for bad, message in (("2A^3", "trailing input near 'A'"), ("", "unexpected end"),
                              ("x", "unexpected character 'x'"), ("1/0*A", "zero denominator"),
