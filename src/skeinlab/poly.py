@@ -22,7 +22,8 @@ Scalar = Union[int, Fraction]
 # Budgets that make oversized input fail fast with a ValueError.  A parsed
 # power stops at exponent MAX_EXPONENT, and so does its exponent times the
 # span of A-exponents in its base's coefficients, which bounds the
-# coefficients of powers such as (1 + A)^n and ((1 + A)^n)^m.  An h-series
+# coefficients of powers such as (1 + A)^n and ((1 + A)^n)^m; the spans of
+# all the powers in one text together stop there too.  An h-series
 # stops at order MAX_SERIES_ORDER: its h^j coefficient has about j log j
 # digits, so order n costs about n^2 (one core of a 2-vCPU VM, Python 3.11:
 # order 1000 of a 400-crossing bracket 0.3 s).
@@ -390,14 +391,17 @@ def _parse_expression(text: str, cls: type, atoms: dict, power, exps):
     the caller's power rule and budgets.  `exps(value)` lists the A-exponents
     of a value's coefficients.  A factor is refused, before it is computed,
     when its span of exponents and that of the product before it are both
-    nonzero and sum past MAX_EXPONENT; a number, `A^k` or a monomial always
-    passes, so printed values read back.
+    nonzero and sum past MAX_EXPONENT, and so is a power within its own
+    budget when its span and those of the powers computed before it in the
+    text sum past MAX_EXPONENT, so a sum of powers is bounded too.  A
+    number, `A^k` or a monomial always passes, so printed values read back.
     """
     toks = re.findall(r"[0-9]+(?:/[0-9]+)?|\S", text)
     for tok in toks:
         if not (tok[0] in "0123456789" or tok in atoms or tok in "+-*^()"):
             raise ValueError(f"unexpected character {tok!r} in expression")
     toks = [""] + toks[::-1]        # a stack read from the end, "" marks the end of text
+    spent = 0                       # the spans of the powers computed so far
 
     def take() -> str:
         if not toks[-1]:
@@ -422,6 +426,7 @@ def _parse_expression(text: str, cls: type, atoms: dict, power, exps):
         return total
 
     def parse_power(used: int):
+        nonlocal spent
         base, n = parse_atom(), None
         if toks[-1] == "^":
             take()
@@ -434,7 +439,13 @@ def _parse_expression(text: str, cls: type, atoms: dict, power, exps):
         if used and span and used + span > MAX_EXPONENT:
             raise ValueError(f"product of coefficient spans {used} and {span} "
                              f"exceeds the budget of {MAX_EXPONENT}")
-        return base if n is None else power(base, n)
+        if n is None:
+            return base
+        if span <= MAX_EXPONENT < spent + span:    # over its own budget, power refuses it
+            raise ValueError(f"powers of coefficient spans {spent} and {span} "
+                             f"exceed the budget of {MAX_EXPONENT}")
+        spent += span
+        return power(base, n)
 
     def parse_atom():
         tok = take()

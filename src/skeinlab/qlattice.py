@@ -28,16 +28,19 @@ minus sign per loop.  At t = 1 everything collapses to the classical
 theory, and the Kauffman bracket skein relation holds among the three
 resolutions of any crossing.
 
-Observables are evaluated in the fundamental representation.  `wilson_qlink`
-maps the factors `_decorations` lists for each edge to 2x2 entry tuples.  The
-R-legs and their antipodes are matrix units, which cut the loops into
-segments, so a Wilson value is a sum over 2-valued indices of products of
-segment entries, contracted crossing by crossing in a greedy order that
-keeps few segments open, within the width budget `MAX_QLINK_WIDTH`.  The
-vertex-splitting check contracts operators on (C^2)^(x 3n) instead of
-expanding the split words.  The symbolic expansions (`decorated_words`,
-`nabla_vertex`) stay public; the tests evaluate them as the independent
-oracle for the numeric results.
+Observables are evaluated in the fundamental representation.  The R-legs
+and their antipodes are matrix units, which cut the loops into segments, so
+a Wilson value is a sum over 2-valued indices of products of segment
+entries, contracted crossing by crossing in a greedy order that keeps few
+segments open, within the width budget `MAX_QLINK_WIDTH`.  What depends
+only on the graph and the q-link (validation, segments, order) is planned
+once; up to `MAX_QLINK_PLANS` plans are memoized, keyed by the graph object
+(graphs are not mutated after construction) and the q-link's loops and
+crossings, so an edited q-link is planned again.  A `wilson_qlink` call
+evaluates a plan at a connection and t.  The vertex-splitting check
+contracts operators on (C^2)^(x 3n) instead of expanding the split words;
+the symbolic expansions `decorated_words` and `nabla_vertex` are the tests'
+independent oracle for the numeric results.
 
 The public functions that evaluate at t check it once with `_check_t`, and
 the private helpers take the checked value.  A t that is 0, not finite, or
@@ -67,6 +70,8 @@ Item = tuple[object, int]  # a factor of a decorated edge word and its number of
 # number caps the states at 2^16 and is checked from the order before any
 # state is built.
 MAX_QLINK_WIDTH = 16
+# wilson_qlink keeps the plan of at most this many (graph, q-link) pairs
+MAX_QLINK_PLANS = 128
 
 
 def _reduce(letters: Iterable[str]) -> Word:
@@ -185,8 +190,7 @@ def uq_coproduct_n(w: UqWord, n: int) -> list[tuple[complex, tuple[Word, ...]]]:
             cases = _delta_n_letter(ch, n)
             partial = [tuple(_concat(acc[j], case[j]) for j in range(n))
                        for acc in partial for case in cases]
-        for words in partial:
-            out.append((c, words))
+        out += [(c, words) for words in partial]
     return out
 
 
@@ -299,11 +303,7 @@ def yang_baxter_residual(t: complex) -> float:
     eye = np.eye(2)
     r12 = np.kron(r, eye)
     r23 = np.kron(eye, r)
-    swap23 = np.zeros((8, 8))
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                swap23[a * 4 + c * 2 + b, a * 4 + b * 2 + c] = 1
+    swap23 = np.kron(eye, np.eye(4)[[0, 2, 1, 3]])
     r13 = swap23 @ r12 @ swap23
     return float(np.abs(r12 @ r13 @ r23 - r23 @ r13 @ r12).max())
 
@@ -335,7 +335,7 @@ class QLink:
         return [e for loop in self.loops for e, _ in loop]
 
     def validate(self, graph: CiliatedGraph) -> None:
-        _decorations(graph, self)
+        _plan_of(graph, self)
 
 
 QConnection = Mapping[int, UqWord]
@@ -450,105 +450,132 @@ def decorated_words(graph: CiliatedGraph, qlink: QLink, conn: QConnection,
     return out
 
 
-def wilson_qlink(graph: CiliatedGraph, qlink: QLink, conn: QConnection,
-                 t: complex) -> complex:
-    """Quantum Wilson observable of a q-link.
+def _check_width(width: int) -> None:
+    if width > MAX_QLINK_WIDTH:
+        raise ValueError(f"q-link contraction width {width} exceeds the budget of {MAX_QLINK_WIDTH}")
 
-    Sums the traces of the decorated loop products over all R-states, with a
-    factor of -1 per loop and a counit factor for every unused edge.  The
-    items of `_decorations` map to the edge matrices and k as entry tuples,
-    and the R-legs to matrix units: the antipode sends c E_pq to a multiple
-    of E_(1-q)(1-p), so each crossing puts two matrix units into the loops.
-    They cut the loops into segments, the products between slot items, and
-    a trace becomes a sum over 2-valued indices of products of segment
-    entries, contracted by `_contract`.
+
+def _plan_of(graph: CiliatedGraph, qlink: QLink) -> tuple:
+    return _plan(graph, tuple(map(tuple, qlink.loops)), tuple(qlink.crossings))
+
+
+@functools.lru_cache(maxsize=MAX_QLINK_PLANS)
+def _plan(graph: CiliatedGraph, loops: tuple, crossings: tuple) -> tuple:
+    """The plan of a q-link's Wilson value; a refused q-link is not cached.
+
+    The R-leg items of `_decorations` are slots; segment i runs from one
+    slot's c E_pq to the next, c' E_p'q', and enters the trace as its entry
+    [q, p'].  labels[x] holds the segments (into slot 0, out of slot 0, into
+    slot 1, out of slot 1) of crossing x.  Returns the distinct other items
+    (w, n); per loop without slots and per segment, its items as indices
+    into them; the (leg, n) of each crossing's two slots; per crossing in
+    `narrow_order`, its `frontier_walk` step with positions read as
+    segments; the peak width; the unused edges; and the number of loops.
     """
-    words = _decorations(graph, qlink)
-    t = _check_t(t)
-    t2, ti2 = t * t, 1 / (t * t)
-    scale = (1, -t2, -ti2, 1)       # S(E_pq) = scale[2p + q] E_(1-q)(1-p)
-    legs = _r_matrix_legs(t) if qlink.crossings else []
-    units = {"alpha": [(i, j, 1) for i, j, _, _, _ in legs],
-             "beta": [(i, j, 1) for _, _, i, j, _ in legs]}
-
-    # Cut the loops.  Segment i runs from one slot's c E_pq to the next,
-    # c' E_p'q', and enters the trace as its entry [q, p'].  labels[x] holds
-    # the segments (into slot 0, out of slot 0, into slot 1, out of slot 1).
-    segments: list[Entries] = []
-    labels = [[0] * 4 for _ in qlink.crossings]
-    slot_units = [[[], []] for _ in qlink.crossings]
-    value = 1
-    for loop in qlink.loops:
+    words = _decorations(graph, QLink(loops, crossings))
+    index: dict[Item, int] = {}     # the distinct other items, to their positions
+    closed, segments = [], []
+    labels = [[0] * 4 for _ in crossings]
+    slots = [[None, None] for _ in crossings]
+    for loop in loops:
         slotted: list[Item] = []
-        runs: list[list[Entries]] = [[]]
+        runs: list[list[int]] = [[]]
         for e, _ in loop:
             for w, n in words[e]:
                 if type(w) is tuple:
                     slotted.append((w, n))
                     runs.append([])
-                    continue
-                m = (t2, 0, 0, ti2) if w == "k" else _entries(_as_uq(conn[w]), t)
-                for _ in range(n):
-                    a, b, c, d = m
-                    m = d, -t2 * b, -ti2 * c, a
-                runs[-1].append(m)
+                else:
+                    runs[-1].append(index.setdefault((w, n), len(index)))
         if not slotted:
-            m = _product(runs[0])
-            value = value * (m[0] + m[3])
+            closed.append(runs[0])
             continue
         runs[-1] += runs[0]         # the last segment closes the loop
         base = len(segments)
-        segments += [_product(run) for run in runs[1:]]
+        segments += runs[1:]
         for i, ((x, s, leg), n) in enumerate(slotted):
             labels[x][2 * s:2 * s + 2] = [base + (i - 1) % len(slotted), base + i]
-            f = units[leg]
-            for _ in range(n):
-                f = [(1 - q, 1 - p, c * scale[2 * p + q]) for p, q, c in f]
-            slot_units[x][s] = f
-    if qlink.crossings:
-        value = value * _contract(labels, slot_units, [leg[4] for leg in legs], segments)
+            slots[x][s] = (leg, n)
+    ends = dict(enumerate(labels))
+    placed = list(narrow_order(ends))
+    order = [x for x, _ in placed]
+    peak = max([width for _, width in placed], default=0)
+    _check_width(peak)
+    walk = []
+    for x, (met, paired, opened, survivors) in zip(order, frontier_walk(ends, order)):
+        ls = ends[x]
+        # entry [row, column]: an in-end (even j) holds the column index
+        closing = [(n, j, ls[j], 2 - j % 2, 1 + j % 2) for j, n in met]
+        internal = [(ls[j], j, paired[j]) for j in (1, 3) if paired[j] >= 0]
+        walk.append((x, closing, internal, opened, survivors))
+    return (list(index), closed, segments, slots, walk, peak,
+            tuple(set(graph.edges) - set(words)), len(loops))
+
+
+def wilson_qlink(graph: CiliatedGraph, qlink: QLink, conn: QConnection,
+                 t: complex) -> complex:
+    """Quantum Wilson observable of a q-link.
+
+    Sums the traces of the decorated loop products over all R-states, with a
+    factor of -1 per loop and a counit factor for every unused edge.  Each
+    call evaluates the q-link's `_plan`: its factors become entry tuples and
+    its slots matrix units (the antipode sends c E_pq to a multiple of
+    E_(1-q)(1-p)), and `_contract` sums over the segments' indices.
+    """
+    factors, closed, segments, slots, walk, width, unused, loops = _plan_of(graph, qlink)
+    _check_width(width)
+    t = _check_t(t)
+    t2, ti2 = t * t, 1 / (t * t)
+    ms = []
+    for w, n in factors:
+        m = (t2, 0, 0, ti2) if w == "k" else _entries(_as_uq(conn[w]), t)
+        for _ in range(n):
+            a, b, c, d = m
+            m = d, -t2 * b, -ti2 * c, a
+        ms.append(m)
+    value = 1
+    for run in closed:
+        m = _product([ms[i] for i in run])
+        value = value * (m[0] + m[3])
+    if slots:
+        scale = (1, -t2, -ti2, 1)   # S(E_pq) = scale[2p + q] E_(1-q)(1-p)
+        legs = _r_matrix_legs(t)
+        units = {"alpha": [(i, j, 1) for i, j, _, _, _ in legs],
+                 "beta": [(i, j, 1) for _, _, i, j, _ in legs]}
+        slot_units = [[units[leg] for leg, _ in pair] for pair in slots]
+        for x, s in itertools.product(range(len(slots)), (0, 1)):
+            for _ in range(slots[x][s][1]):
+                slot_units[x][s] = [(1 - q, 1 - p, c * scale[2 * p + q])
+                                    for p, q, c in slot_units[x][s]]
+        segments = [_product([ms[i] for i in run]) for run in segments]
+        value = value * _contract(walk, slot_units, [leg[4] for leg in legs], segments)
     total = complex(value)
-    for e in set(graph.edges) - set(words):
+    for e in unused:
         total *= uq_counit(_as_uq(conn[e]))
-    return (-1) ** len(qlink.loops) * total
+    return (-1) ** loops * total
 
 
-def _contract(labels: list[list[int]], units: list[list[list[tuple[int, int, complex]]]],
+def _contract(walk: list[tuple], units: list[list[list[tuple[int, int, complex]]]],
               coeffs: list[complex], segments: list[Entries]):
     """Sum over R-states and segment indices of the products of entries.
 
     In R-state r, crossing x has the coefficient coeffs[r] and in its slot s
-    the matrix unit c E_pq with units[x][s][r] = (p, q, c); labels[x] lists
-    the segments into slot 0, out of slot 0, into slot 1 and out of slot 1.
-    Crossings are placed in the greedy order of `bracket.narrow_order` and
-    walked by `bracket.frontier_walk`; a state is keyed by the indices of
-    the segments open between placed and unplaced crossings, so the work
-    follows the width of that frontier rather than 5^crossings.
+    the matrix unit c E_pq with units[x][s][r] = (p, q, c).  Along the
+    plan's `walk`, a state is keyed by the indices of the segments open
+    between placed and unplaced crossings, so the work follows the width of
+    that frontier rather than 5^crossings.
     """
-    ends = dict(enumerate(labels))
-    order = [0]                     # a lone crossing closes every segment it opens
-    if len(labels) > 1:
-        order = []
-        for x, width in narrow_order(ends):
-            if width > MAX_QLINK_WIDTH:
-                raise ValueError(f"q-link contraction width {width} exceeds the budget "
-                                 f"of {MAX_QLINK_WIDTH}")
-            order.append(x)
-
     states: dict[tuple[int, ...], object] = {(): 1}
-    for x, (met, paired, opened, survivors) in zip(order, frontier_walk(ends, order)):
-        ls = ends[x]
-        # entry [row, column]: an in-end (even j) holds the column index
-        closing = [(n, j, segments[ls[j]], 2 - j % 2, 1 + j % 2) for j, n in met]
-        internal = [(segments[ls[j]], j, paired[j]) for j in (1, 3) if paired[j] >= 0]
+    for x, closing, internal, opened, survivors in walk:
+        closing = [(n, j, segments[s], a, b) for n, j, s, a, b in closing]
         # per R-state: weight with the segments inside this crossing, the
         # indices of its four slots and those of the segments it opens
         steps = []
         for coeff, (p0, q0, c0), (p1, q1, c1) in zip(coeffs, *units[x]):
             idx = (p0, q0, p1, q1)
             w = coeff * c0 * c1
-            for seg, j_out, j_in in internal:
-                w = w * seg[2 * idx[j_out] + idx[j_in]]
+            for s, j_out, j_in in internal:
+                w = w * segments[s][2 * idx[j_out] + idx[j_in]]
             if w:
                 steps.append((w, idx, tuple([idx[j] for j in opened])))
         new: dict[tuple[int, ...], object] = {}
@@ -629,12 +656,8 @@ def classical_to_quantum(conn: Mapping[int, np.ndarray]) -> dict[int, UqWord]:
     out = {}
     for e, m in conn.items():
         m = np.asarray(m, dtype=complex)
-        out[e] = (UqWord({
-            (): m[1, 1],
-            ("E", "F"): m[0, 0] - m[1, 1],
-            ("E",): m[0, 1],
-            ("F",): m[1, 0],
-        }))
+        out[e] = UqWord({(): m[1, 1], ("E", "F"): m[0, 0] - m[1, 1],
+                         ("E",): m[0, 1], ("F",): m[1, 0]})
     return out
 
 
@@ -660,10 +683,7 @@ class Tangle(NamedTuple):
 def fundamental_tangle(graph: CiliatedGraph, vertex: object) -> Tangle:
     ends = tuple(graph.ciliation[vertex])
     n = len(ends)
-    rank = {}
-    for s in range(1, 2 * n + 1):
-        i = (s + 1) // 2
-        rank[s] = i if s % 2 else n + i
+    rank = {s: (s + 1) // 2 + (0 if s % 2 else n) for s in range(1, 2 * n + 1)}
     order = list(range(1, 2 * n + 1))
     crossings = []
     changed = True
@@ -706,32 +726,13 @@ def nabla_vertex(graph: CiliatedGraph, vertex: object, inputs: Sequence[UqWord],
     states: list[dict[int, UqWord]] = [{}]
     for i, w in enumerate(inputs, start=1):
         pairs = uq_coproduct(w)
-        nxt = []
-        for state in states:
-            for left, right in pairs:
-                s2 = dict(state)
-                s2[2 * i - 1] = left
-                s2[2 * i] = right
-                nxt.append(s2)
-        states = nxt
-
+        states = [{**state, 2 * i - 1: left, 2 * i: right}
+                  for state in states for left, right in pairs]
     for _, over, under in tangle.crossings:
-        nxt = []
-        for state in states:
-            for alpha, beta in rterms:
-                s2 = dict(state)
-                s2[over] = alpha * s2[over]
-                s2[under] = beta * s2[under]
-                nxt.append(s2)
-        states = nxt
-
-    out = []
-    for state in states:
-        factors: list[UqWord | None] = [None] * (2 * n)
-        for s in range(1, 2 * n + 1):
-            factors[tangle.permutation[s - 1] - 1] = state[s]
-        out.append(tuple(factors))          # type: ignore[arg-type]
-    return out
+        states = [{**state, over: alpha * state[over], under: beta * state[under]}
+                  for state in states for alpha, beta in rterms]
+    strands = sorted(range(1, 2 * n + 1), key=lambda s: tangle.permutation[s - 1])
+    return [tuple(state[s] for s in strands) for state in states]
 
 
 def _split_matrix(w: UqWord, n: int, t: complex) -> np.ndarray:
@@ -771,7 +772,6 @@ def _iterate_probes(graph: CiliatedGraph, vertex: object, inputs: Sequence[UqWor
     r_ops: dict[tuple[int, int], np.ndarray] = {}
     values = []
     for base in (0, n):                   # positions base+1..base+n are split again
-
         def slots(strand: int) -> tuple[int, ...]:
             pos = perm[strand - 1]
             if base < pos <= base + n:

@@ -289,6 +289,25 @@ class TestSkeinCommand:
         assert main(["skein", "--expr", out.strip()]) == 0
         assert capsys.readouterr().out == out
 
+    def test_sum_of_powers_stops_at_the_span_budget(self, monkeypatch, capsys):
+        # each term passes every per-power and per-product budget; the second
+        # power is refused before it is computed
+        powers = []
+        skein_power = torus_skein._skein_power
+        monkeypatch.setattr(torus_skein, "_skein_power",
+                            lambda base, n: powers.append(n) or skein_power(base, n))
+        ten = " + ".join(["(1 + A)^1000"] * 10)
+        start = time.perf_counter()
+        assert main(["skein", "--expr", ten]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == (
+            "", "error: powers of coefficient spans 1000 and 1000 exceed the budget of 1000\n")
+        assert powers == [1000]
+        assert main(["skein", "--expr", "(1 + A)^500*x + (1 - A)^500*y"]) == 0
+        out = capsys.readouterr().out
+        assert main(["skein", "--expr", out.strip()]) == 0
+        assert capsys.readouterr().out == out
+
     def test_high_powers_already_in_normal_form(self, capsys):
         assert main(["skein", "--expr", "x^1000 * y^1000 * z^1000"]) == 0
         assert capsys.readouterr().out.strip() == "x^1000*y^1000*z^1000"

@@ -132,6 +132,28 @@ class TestRendering:
                 parse_laurent(bad)
             assert powers == computed, bad
 
+    def test_sums_of_powers_stop_at_the_span_budget(self, monkeypatch):
+        budget = poly.MAX_EXPONENT
+        half = budget // 2
+        assert (parse_laurent(f"(1 + A)^{half} - (1 - A)^{half}")
+                == LaurentPoly({0: 1, 1: 1}) ** half - LaurentPoly({0: 1, 1: -1}) ** half)
+        assert parse_laurent(f"((1 + A)^10)^{(budget - 10) // 10}").coeff(1) == budget - 10
+        powers = []
+        laurent_power = poly._laurent_power
+        monkeypatch.setattr(poly, "_laurent_power",
+                            lambda base, n: powers.append(n) or laurent_power(base, n))
+        # the powers computed: never the one that crosses the budget, and
+        # unit monomials such as A^-1 cost nothing
+        for bad, spans, computed in (
+                (" + ".join([f"(1 + A)^{budget}"] * 10), (budget, budget), [budget]),
+                (f"(1 + A)^{half} - A^-1*(1 - A)^{half + 1}", (half, half + 1), [half, -1]),
+                (f"((1 + A)^10)^{budget // 10}", (10, budget), [10])):
+            powers.clear()
+            with pytest.raises(ValueError, match=f"^powers of coefficient spans {spans[0]} "
+                                                 f"and {spans[1]} exceed the budget of {budget}$"):
+                parse_laurent(bad)
+            assert powers == computed, bad
+
     def test_malformed_text_is_refused(self):
         for bad, message in (("2A^3", "trailing input near 'A'"), ("", "unexpected end"),
                              ("x", "unexpected character 'x'"), ("1/0*A", "zero denominator"),

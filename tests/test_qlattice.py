@@ -647,6 +647,112 @@ class TestWilsonObservable:
         assert abs(wilson_qlink(g, d, conn, t) + (t ** 3 - t ** -1 + 2 * t ** -5)) < 1e-10
 
 
+@pytest.fixture
+def analyses(monkeypatch):
+    """The q-links `_decorations` analyses from now on.  Plans are keyed by
+    the graph object, so a freshly built graph starts with none cached."""
+    calls = []
+    monkeypatch.setattr(qlattice, "_decorations",
+                        lambda graph, qlink: calls.append(qlink) or _decorations(graph, qlink))
+    return calls
+
+
+class TestPlanReuse:
+    """wilson_qlink plans each (graph, q-link content) once, then only evaluates."""
+
+    def test_one_analysis_across_connections_and_t(self, analyses):
+        g = bowtie_graph()
+        d, _, _ = bowtie_qlinks()
+        rng = np.random.default_rng(90)
+        words = random.Random(90)
+        for i in range(50):
+            t = GENERIC_T[i % len(GENERIC_T)] * (1 + i / 50)
+            conn = (classical_to_quantum({e: random_sl2(rng) for e in g.edges}) if i % 2
+                    else {e: random_word(words) for e in g.edges})
+            assert rel_close(wilson_qlink(g, d, conn, t), broadcast_wilson(g, d, conn, t), 1e-12)
+        assert len(analyses) == 1
+
+    def test_one_analysis_across_a_counit_sum(self, analyses):
+        g = bowtie_graph()
+        d, _, _ = bowtie_qlinks()
+        conn = {e: W_ONE for e in g.edges}
+        t = GENERIC_T[0]
+        base = wilson_qlink(g, d, conn, t)
+        for y in (W_K, W_E, W_F):
+            total = sum(wilson_qlink(g, d, c2, t) for c2 in gauge_act_q(g, y, "v3", conn))
+            assert abs(total - uq_counit(y) * base) < 1e-8
+        assert len(analyses) == 1
+
+    def test_one_analysis_per_qlink_across_residuals(self, analyses):
+        g = bowtie_graph()
+        d, da, db = bowtie_qlinks()
+        conn = {e: W_ONE for e in g.edges}
+        for t in GENERIC_T * 3:
+            assert abs(skein_residual(g, d, da, db, conn, t)) < 1e-10
+        assert [q.loops for q in analyses] == [d.loops, da.loops, db.loops]
+
+    def test_equal_content_shares_a_plan(self, analyses):
+        g = bowtie_graph()
+        d, _, _ = bowtie_qlinks()
+        conn = {e: W_ONE for e in g.edges}
+        t = GENERIC_T[1]
+        first = wilson_qlink(g, d, conn, t)
+        hits = qlattice._plan.cache_info().hits
+        twin = QLink([list(loop) for loop in d.loops], list(d.crossings))
+        twin.validate(g)
+        assert wilson_qlink(g, twin, conn, t) == first
+        assert len(analyses) == 1
+        assert qlattice._plan.cache_info().hits == hits + 2
+
+    def test_edited_qlink_is_planned_again(self, analyses):
+        g = bowtie_graph()
+        _, da, db = bowtie_qlinks()
+        conn = {e: W_ONE + random_word(random.Random(91)) for e in g.edges}
+        t = GENERIC_T[2]
+        link = QLink(da.loops)
+        assert rel_close(wilson_qlink(g, link, conn, t), broadcast_wilson(g, da, conn, t))
+        link.loops[:] = [list(loop) for loop in db.loops]
+        want = broadcast_wilson(g, db, conn, t)
+        assert not rel_close(want, broadcast_wilson(g, da, conn, t))
+        assert rel_close(wilson_qlink(g, link, conn, t), want, 1e-12)
+        assert len(analyses) == 2
+
+
+class TestPlanBudgets:
+    def test_memo_holds_at_most_the_plan_budget(self):
+        loop = QLink([[(1, 1), (2, 1), (3, 1)]])
+        for _ in range(qlattice.MAX_QLINK_PLANS + 5):
+            g = triangle_graph()
+            assert abs(wilson_qlink(g, loop, {e: W_ONE for e in g.edges}, 1.0) + 2) < 1e-12
+        info = qlattice._plan.cache_info()
+        assert info.maxsize == qlattice.MAX_QLINK_PLANS
+        assert info.currsize == qlattice.MAX_QLINK_PLANS
+
+    @pytest.mark.parametrize("crossings", [[], [("v1", "+")]], ids=["missing", "misplaced"])
+    def test_refused_qlink_is_never_cached(self, analyses, crossings):
+        g = bowtie_graph()
+        d, _, _ = bowtie_qlinks()
+        bad = QLink(d.loops, crossings)
+        size = qlattice._plan.cache_info().currsize
+        for t in GENERIC_T:
+            with pytest.raises(ValueError, match="^crossing signs must be given exactly"):
+                wilson_qlink(g, bad, {e: W_ONE for e in g.edges}, t)
+        assert len(analyses) == len(GENERIC_T)
+        assert qlattice._plan.cache_info().currsize == size
+
+    def test_lowered_width_budget_refuses_a_cached_plan(self, analyses, monkeypatch):
+        g, loop = triangle_chain(2)
+        chain = QLink([loop], [("x1", "+"), ("x2", "-")])
+        conn = {e: W_ONE for e in g.edges}
+        wilson_qlink(g, chain, conn, GENERIC_T[0])
+        monkeypatch.setattr(qlattice, "MAX_QLINK_WIDTH", 0)
+        for t in GENERIC_T:
+            with pytest.raises(ValueError,
+                               match="^q-link contraction width 2 exceeds the budget of 0$"):
+                wilson_qlink(g, chain, conn, t)
+        assert len(analyses) == 1
+
+
 class TestStructuralWords:
     def test_bowtie_decoration_sequence(self):
         # The decorated product around the self-crossing loop must read, per
