@@ -56,6 +56,12 @@ def _unpack(packed: int, width: int, bound: int) -> list[int]:
         raise ValueError(f"coefficient bound of {bound.bit_length()} bits does not fit "
                          f"a signed slot of {width} bits")
     slots = packed.bit_length() // width + 1
+    if slots <= 16:                     # few slots: peeling them off is cheaper
+        out, mask = [], (half << 1) - 1
+        for _ in range(slots):
+            out.append(((packed := packed + half) & mask) - half)
+            packed >>= width
+        return out
     data = (packed + _halves(slots, width)).to_bytes(slots * size, "little")
     return [int.from_bytes(data[i:i + size], "little") - half
             for i in range(0, len(data), size)]

@@ -16,6 +16,14 @@ y*x = A^2*x*y + (A^-1 - A^3)*z.  A product m1 * x^a y^b z^c applies the
 table one generator at a time, so the table only grows with the degrees of
 the monomials reached.
 
+Inside a product a coefficient, scaled to integers by the lcm of the
+denominators on its side, is one piece (low, packed, bound) per residue mod 4
+of its A-exponents: the sum of c_k*A^(low + 4k), packed = sum c_k*2^(W*k) for
+slot width W, and bound >= sum |c_k|.  Packing evaluates at A^4 = 2^W, a ring
+homomorphism, so products and slot-aligned sums are exact, and bounds multiply
+and add, whatever W is.  Decoding is unique while bound < 2^(W-1); a product
+whose bounds outgrow 64-bit slots is computed again at a width they fit.
+
 Setting A = -e^{h/4} makes the commutator of any two elements divisible by
 h; the constant term of commutator/h is the Poisson bracket of the classical
 (commutative) limit.  `poisson_bracket` performs that extraction exactly,
@@ -25,74 +33,72 @@ returning a commutative polynomial with rational coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 from typing import Union
 
-from .poly import (MAX_EXPONENT, LaurentPoly, Scalar, SparseSum, _check_power, _parse_expression,
-                   join_signed, numeric_term, power_text, render_laurent, scaled)
+from .poly import (MAX_EXPONENT, LaurentPoly, SparseSum, _check_power, _parse_expression,
+                   _unpack, join_signed, numeric_term, power_text, render_laurent, scaled)
 
 Monomial = tuple[int, int, int]
-# Normal-form terms with coefficients as bare exponent maps {k: c} of
-# Laurent polynomials; the product works on these and wraps them at the end.
-Terms = dict[Monomial, dict[int, Scalar]]
+# Normal-form terms: the pieces of the coefficient of x^a y^b z^c, keyed (a, b, c, low mod 4).
+Terms = dict[tuple[int, int, int, int], tuple[int, int, int]]
 _X, _Y, _Z = 0, 1, 2
 _NAMES = ("x", "y", "z")
+_ONE = (0, 1, 1)                                # the piece 1; A^2 is (2, 1, 1)
 
-_ONE = {0: 1}
-_A2 = {2: 1}
-_AM2 = {-2: 1}
-_AM1_A3 = {-1: 1, 3: -1}
-_A_AM3 = {1: 1, -3: -1}
-
-# A budget that makes oversized input fail fast with a ValueError.  The cost
-# of a product that must reorder letters grows like the sixth to ninth power
-# of its total degree (one core of a 2-vCPU VM, Python 3.11: y^40*x 1 s,
-# y^15*x^15 10 s), so it stops above degree MAX_DEGREE; a product already in
-# normal form is one monomial at any degree.
+# Budgets that make oversized input fail fast with a ValueError.  The cost
+# of a product that must reorder letters grows like the fifth power of its
+# total degree or faster (one core of a 2-vCPU VM, Python 3.11: y^40*x 0.3 s,
+# y^15*x^15 1.4 s), so it stops above degree MAX_DEGREE; a product already in
+# normal form is one monomial at any degree.  One product also stops after its
+# own right actions multiply MAX_PRODUCT_TERMS table terms, counted in `_touched`;
+# the table fills they trigger do not count, so a warm table changes nothing.
 MAX_DEGREE = 24
+MAX_PRODUCT_TERMS = 150_000
+_touched = 0
 
-# m * g in normal form, for a normal-form monomial m and a generator g,
-# filled on demand.  An entry's monomials have degree at most deg(m) + 1, so
-# the table holds at most three entries per monomial of the degrees reached.
+# The slot width, and at it the table of m * g in normal form for a normal-form
+# monomial m and a generator g, filled on demand.  An entry's monomials have
+# degree at most deg(m) + 1: at most three entries per monomial reached.
+_slot_bits = 64
 _RIGHT_ACTION: dict[tuple[Monomial, int], Terms] = {}
 
 
-def _madd(out: Terms, terms: Terms, weight: dict[int, Scalar]) -> None:
-    """out += terms * weight, in place on out's own exponent maps."""
-    pairs = weight.items()
-    for mono, coeffs in terms.items():
-        acc = out.get(mono)
-        if acc is None:
-            acc = out[mono] = {}
-        get = acc.get
-        for k1, c1 in coeffs.items():
-            for k2, c2 in pairs:
-                k = k1 + k2
-                acc[k] = get(k, 0) + c1 * c2
-
-
-def _nonzero(terms: Terms) -> Terms:
-    out = {}
-    for mono, coeffs in terms.items():
-        coeffs = {k: c for k, c in coeffs.items() if c}
-        if coeffs:
-            out[mono] = coeffs
-    return out
+def _madd(out: Terms, terms: Terms, weights) -> None:
+    """out += terms * sum(weights): per term and weight a multiply and a shift-aligned add."""
+    get = out.get
+    for low_w, packed_w, bound_w in weights:
+        for (a, b, c, _), (low, packed, bound) in terms.items():
+            low += low_w
+            key = (a, b, c, low & 3)
+            packed *= packed_w
+            bound *= bound_w
+            prev = get(key)
+            if prev is not None:
+                low2, packed2, bound2 = prev
+                if low2 < low:
+                    low, low2, packed, packed2 = low2, low, packed2, packed
+                packed += packed2 << _slot_bits * ((low2 - low) >> 2)
+                bound += bound2
+            out[key] = (low, packed, bound)
 
 
 def _act(terms: Terms, gen: int) -> Terms:
-    """Right-multiply normal-form terms by a generator."""
+    """Right-multiply terms by a generator; packed == 0 proves a piece zero while its bound fits."""
+    global _touched
     out: Terms = {}
-    for mono, coeffs in terms.items():
-        _madd(out, _right_action(mono, gen), coeffs)
-    return _nonzero(out)
+    for (a, b, c, _), piece in terms.items():
+        _touched += len(entry := _right_action((a, b, c), gen))   # read before fills add to it
+        _madd(out, entry, (piece,))
+    return {key: piece for key, piece in out.items() if piece[1] or piece[2] >> (_slot_bits - 1)}
 
 
 def _times_z(terms: Terms, n: int = 1) -> Terms:
-    return {(a, b, c + n): p for (a, b, c), p in terms.items()}
+    return {(a, b, c + n, r): piece for (a, b, c, r), piece in terms.items()}
 
 
 def _right_action(mono: Monomial, gen: int) -> Terms:
-    """mono * gen in normal form.
+    """mono * gen in normal form, its bounds cut to L1 norms where they fit.
 
     z appends.  y moves left through z^c by z*y = A^2*y*z + (A^-1 - A^3)*x,
     and x moves left through z^c by z*x = A^-2*x*z + (A - A^-3)*y, then
@@ -104,23 +110,26 @@ def _right_action(mono: Monomial, gen: int) -> Terms:
     if cached is not None:
         return cached
     a, b, c = mono
+    width, am1_a3 = _slot_bits, (-1, 1 - (1 << _slot_bits), 2)      # A^-1 - A^3
     out: Terms = {}
     if gen == _Z or (gen == _Y and c == 0) or (gen == _X and b == c == 0):
-        out[(a + (gen == _X), b + (gen == _Y), c + (gen == _Z))] = _ONE
+        out[(a + (gen == _X), b + (gen == _Y), c + (gen == _Z), 0)] = _ONE
     elif c:
         # mono = m * z: m * z * g = lead * m * g * z + other * m * h
         m = (a, b, c - 1)
-        lead, other, h = (_A2, _AM1_A3, _X) if gen == _Y else (_AM2, _A_AM3, _Y)
-        _madd(out, _times_z(_right_action(m, gen)), lead)
-        _madd(out, _right_action(m, h), other)
-        out = _nonzero(out)
+        lead, other, h = (((2, 1, 1), am1_a3, _X) if gen == _Y else     # other: A - A^-3 for x
+                          ((-2, 1, 1), (-3, (1 << width) - 1, 2), _Y))
+        _madd(out, _times_z(_right_action(m, gen)), (lead,))
+        _madd(out, _right_action(m, h), (other,))
     else:
         # gen is x and mono = m * y: m * y * x = A^2 * m * x * y + (A^-1 - A^3) * m * z
         m = (a, b - 1, 0)
-        _madd(out, _act(_right_action(m, _X), _Y), _A2)
-        _madd(out, {(a, b - 1, 1): _ONE}, _AM1_A3)
-        out = _nonzero(out)
-    _RIGHT_ACTION[key] = out
+        _madd(out, _act(_right_action(m, _X), _Y), ((2, 1, 1),))
+        _madd(out, {(a, b - 1, 1, 0): _ONE}, (am1_a3,))
+    half = 1 << (width - 1)
+    _RIGHT_ACTION[key] = out = {
+        k: (low, packed, bound if bound >= half else sum(map(abs, _unpack(packed, width, bound))))
+        for k, (low, packed, bound) in out.items() if packed or bound >= half}
     return out
 
 
@@ -128,21 +137,70 @@ def _monomial_product(m1: Monomial, m2: Monomial) -> Terms:
     """m1 * x^a y^b z^c, one generator at a time from the left."""
     a, b, c = m2
     if not a * (m1[1] + m1[2]) + b * m1[2]:        # no letter of m2 moves
-        return {(m1[0] + a, m1[1] + b, m1[2] + c): _ONE}
+        return {(m1[0] + a, m1[1] + b, m1[2] + c, 0): _ONE}
     degree = sum(m1) + sum(m2)
     if degree > MAX_DEGREE:
         raise ValueError(f"skein product of degree {degree} exceeds the budget of {MAX_DEGREE}")
-    terms: Terms = {m1: _ONE}
+    terms: Terms = {m1 + (0,): _ONE}
     for gen in (_X,) * a + (_Y,) * b:
         terms = _act(terms, gen)
     return _times_z(terms, c)
 
 
+def _pieces(poly: LaurentPoly, scale: int) -> Terms:
+    """poly * scale as the pieces of the monomial 1."""
+    _madd(out := {}, {(0, 0, 0, 0): _ONE},
+          ((k, int(c * scale), abs(int(c * scale))) for k, c in poly._terms.items()))
+    return out
+
+
+def _accumulate(out: Terms, left: dict, right: dict, scales: tuple[int, int]) -> None:
+    """out += left * right: each pair's weight p1 * p2 by residue, times its monomial product."""
+    right = [(m2, _pieces(p2, scales[1])) for m2, p2 in right.items()]
+    for m1, p1 in left.items():
+        p1 = _pieces(p1, scales[0])
+        for m2, p2 in right:
+            if _touched > MAX_PRODUCT_TERMS:
+                raise ValueError(f"skein product exceeds the budget of {MAX_PRODUCT_TERMS} terms")
+            weight: Terms = {}
+            _madd(weight, p1, p2.values())
+            _madd(out, _monomial_product(m1, m2), weight.values())
+
+
+def _packed_product(left: dict, right: dict, commutator: bool = False) -> dict:
+    """left * right, or left * right - right * left, of {monomial: LaurentPoly} terms;
+    a wider pass has a table of its own, so the shared one keeps one width."""
+    global _touched, _slot_bits, _RIGHT_ACTION
+    dl, dr = (lcm(*(c.denominator for p in side.values() for c in p._terms.values()))
+              for side in (left, right))
+    # start wide enough for the bound of a commutator of monomials in normal form
+    top = 2 * prod(sum(int(abs(c) * d) for p in side.values() for c in p._terms.values())
+                   for side, d in ((left, dl), (right, dr)))
+    shared = _slot_bits, _RIGHT_ACTION
+    try:
+        while True:
+            width = max(shared[0], top.bit_length() + 8 & -8)
+            _slot_bits, _RIGHT_ACTION = width, shared[1] if width == shared[0] else {}
+            _touched, out = 0, {}
+            _accumulate(out, left, right, (dl, dr))
+            if commutator:
+                _accumulate(out, right, left, (-dr, dl))
+            top = max((bound for _, _, bound in out.values()), default=0)
+            if not top >> (width - 1):
+                break
+    finally:
+        _slot_bits, _RIGHT_ACTION = shared
+    den, coeffs = dl * dr, {}
+    for (a, b, c, _), (low, packed, bound) in out.items():
+        exps = coeffs.setdefault((a, b, c), {})
+        for v in _unpack(packed, width, bound):
+            if v:
+                exps[low] = v if den == 1 else Fraction(v, den)
+            low += 4
+    return {mono: LaurentPoly._wrap(exps) for mono, exps in coeffs.items() if exps}
+
+
 Coeffish = Union[int, Fraction, LaurentPoly]
-
-
-def _as_poly(c: Coeffish) -> LaurentPoly:
-    return c if isinstance(c, LaurentPoly) else LaurentPoly.term(c)
 
 
 def _monomial(mono) -> Monomial:
@@ -189,19 +247,15 @@ class TorusSkeinElement(_MonomialSum):
 
     @staticmethod
     def _check(mono, c) -> tuple[Monomial, LaurentPoly]:
-        return _monomial(mono), _as_poly(c)
+        return _monomial(mono), c if isinstance(c, LaurentPoly) else LaurentPoly.term(c)
 
     @classmethod
     def monomial(cls, a: int, b: int, c: int, coeff: Coeffish = 1) -> "TorusSkeinElement":
         return cls({(a, b, c): coeff})
 
     def _product(self, right: dict) -> "TorusSkeinElement":
-        """Each pair of monomials through the right-action table."""
-        result: Terms = {}
-        for m1, p1 in self._terms.items():
-            for m2, p2 in right.items():
-                _madd(result, _monomial_product(m1, m2), (p1 * p2)._terms)
-        return self._wrap({m: LaurentPoly._wrap(c) for m, c in result.items()})
+        """Each pair of monomials through the right-action table, on packed coefficients."""
+        return self._wrap(_packed_product(self._terms, right))
 
     # Bound here, not only inherited, so that they stay in this class's
     # __dict__, where the benchmark's tracer wraps them.
@@ -253,10 +307,7 @@ class CommPoly(_MonomialSum):
         return cls._constant(c)
 
     def evaluate(self, x, y, z):
-        total = 0
-        for (a, b, c), coeff in self._terms.items():
-            total = total + coeff * x ** a * y ** b * z ** c
-        return total
+        return sum((co * x ** a * y ** b * z ** c for (a, b, c), co in self._terms.items()), 0)
 
     def __str__(self) -> str:
         """Real coefficients print signed, complex ones in parentheses."""
@@ -269,12 +320,9 @@ def lift(p: CommPoly) -> TorusSkeinElement:
     Requires exact (integer or rational) coefficients; the choice of section
     does not affect Poisson brackets because it is unique modulo h.
     """
-    table = {}
-    for mono, c in p.items():
-        if not isinstance(c, (int, Fraction)):
-            raise TypeError("lift needs exact integer or rational coefficients")
-        table[mono] = LaurentPoly.term(c)
-    return TorusSkeinElement(table)
+    if not all(isinstance(c, (int, Fraction)) for c in p._terms.values()):
+        raise TypeError("lift needs exact integer or rational coefficients")
+    return TorusSkeinElement(p._terms)
 
 
 def poisson_bracket(p, q) -> CommPoly:
@@ -284,13 +332,9 @@ def poisson_bracket(p, q) -> CommPoly:
     first order, checks divisibility by h, and returns the h^1 coefficient.
     Inputs may be TorusSkeinElement values or exact CommPoly values (lifted).
     """
-    if isinstance(p, CommPoly):
-        p = lift(p)
-    if isinstance(q, CommPoly):
-        q = lift(q)
-    comm = p * q - q * p
+    p, q = (lift(e) if isinstance(e, CommPoly) else e for e in (p, q))
     table: dict[Monomial, Fraction] = {}
-    for mono, coeff in comm.items():
+    for mono, coeff in _packed_product(p._terms, q._terms, commutator=True).items():
         series = coeff.to_h_series(1)
         if series.constant_term() != 0:
             raise ArithmeticError(

@@ -260,6 +260,17 @@ class TestSkeinCommand:
         assert out == ""
         assert err == f"error: skein product of degree {degree} exceeds the budget of 24\n"
 
+    def test_many_terms_of_one_degree_stop_at_the_work_budget(self, capsys):
+        # every term of (z+y)^24 is of degree 24, within the degree budget; the
+        # product (z+y)^8 * (z+y)^8 of its squarings stops at the work budget
+        start = time.perf_counter()
+        assert main(["skein", "--expr", "(z+y)^24"]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == (
+            "", f"error: skein product exceeds the budget of {torus_skein.MAX_PRODUCT_TERMS} terms\n")
+        assert main(["skein", "--expr", "(z+y)^12", "--specialize", "-1"]) == 0
+        assert capsys.readouterr().out.startswith("y^12 + ")
+
     def test_power_at_the_span_budget(self, capsys):
         assert main(["skein", "--expr", "(1 + A)^1000"]) == 0
         out = capsys.readouterr().out.strip()

@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from skeinlab.qlattice import UqWord
 from skeinlab.torus_skein import (
     MAX_DEGREE,
     MAX_EXPONENT,
+    MAX_PRODUCT_TERMS,
     CommPoly,
     TorusSkeinElement,
     lift,
@@ -227,6 +229,200 @@ def closed_torus_image(elem: TorusSkeinElement) -> dict:
     return {k: c for k, c in total.items() if not c.is_zero}
 
 
+# ----------------------------------------------------------------------
+# oracle: the right-action product on exponent maps
+#
+# The same recursion as torus_skein's packed kernel, with every coefficient
+# an exponent map {k: c} of its own ints and each weight p1 * p2 multiplied
+# term by term; its table is its own, so it shares nothing with the library.
+
+_DICT_TABLE: dict = {}
+_DICT_A2, _DICT_AM2 = {2: 1}, {-2: 1}
+_DICT_AM1_A3, _DICT_A_AM3 = {-1: 1, 3: -1}, {1: 1, -3: -1}
+
+
+def _dict_madd(out: dict, terms: dict, weight: dict) -> None:
+    for mono, coeffs in terms.items():
+        acc = out.setdefault(mono, {})
+        for k1, c1 in coeffs.items():
+            for k2, c2 in weight.items():
+                acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
+
+
+def _dict_nonzero(terms: dict) -> dict:
+    out = {mono: {k: c for k, c in coeffs.items() if c} for mono, coeffs in terms.items()}
+    return {mono: coeffs for mono, coeffs in out.items() if coeffs}
+
+
+def _dict_act(terms: dict, gen: int) -> dict:
+    out: dict = {}
+    for mono, coeffs in terms.items():
+        _dict_madd(out, _dict_right_action(mono, gen), coeffs)
+    return _dict_nonzero(out)
+
+
+def _dict_times_z(terms: dict, n: int = 1) -> dict:
+    return {(a, b, c + n): p for (a, b, c), p in terms.items()}
+
+
+def _dict_right_action(mono: tuple, gen: int) -> dict:
+    key = (mono, gen)
+    if key in _DICT_TABLE:
+        return _DICT_TABLE[key]
+    a, b, c = mono
+    out: dict = {}
+    if gen == _Z or (gen == _Y and c == 0) or (gen == _X and b == c == 0):
+        out[(a + (gen == _X), b + (gen == _Y), c + (gen == _Z))] = {0: 1}
+    elif c:
+        m = (a, b, c - 1)
+        lead, other, h = ((_DICT_A2, _DICT_AM1_A3, _X) if gen == _Y
+                          else (_DICT_AM2, _DICT_A_AM3, _Y))
+        _dict_madd(out, _dict_times_z(_dict_right_action(m, gen)), lead)
+        _dict_madd(out, _dict_right_action(m, h), other)
+    else:
+        m = (a, b - 1, 0)
+        _dict_madd(out, _dict_act(_dict_right_action(m, _X), _Y), _DICT_A2)
+        _dict_madd(out, {(a, b - 1, 1): {0: 1}}, _DICT_AM1_A3)
+    _DICT_TABLE[key] = out = _dict_nonzero(out)
+    return out
+
+
+def dict_table_product(p: TorusSkeinElement, q: TorusSkeinElement) -> TorusSkeinElement:
+    """p * q with no budget, each pair of monomials through the dict table."""
+    result: dict = {}
+    for m1, p1 in p._terms.items():
+        for (a, b, c), p2 in q._terms.items():
+            terms = {m1: {0: 1}}
+            for gen in (_X,) * a + (_Y,) * b:
+                terms = _dict_act(terms, gen)
+            _dict_madd(result, _dict_times_z(terms, c), (p1 * p2)._terms)
+    return TorusSkeinElement({m: LaurentPoly(c) for m, c in result.items()})
+
+
+def commutator_bracket(p, q) -> CommPoly:
+    """The Poisson bracket read off p*q - q*p, one to_h_series(1) per coefficient."""
+    p, q = (lift(e) if isinstance(e, CommPoly) else e for e in (p, q))
+    table = {}
+    for mono, coeff in (p * q - q * p).items():
+        series = coeff.to_h_series(1)
+        assert series.constant_term() == 0
+        table[mono] = series.divide_by_h().constant_term()
+    return CommPoly(table)
+
+
+DEG3 = [m for m in monomials(3) if sum(m) == 3]
+DEG4 = [m for m in monomials(4) if sum(m) == 4]
+
+# Elements of degree <= 4 whose Fraction coefficients have denominators up to
+# 7, so that the lcm scaling of both sides of a product meets 2 * 3, 4 * 5, ...
+rational_polys = st.dictionaries(
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    min_size=1, max_size=4,
+).map(LaurentPoly)
+rational_elements = st.dictionaries(st.sampled_from(monomials(4)), rational_polys,
+                                    min_size=1, max_size=3).map(TorusSkeinElement)
+rational_comm_polys = st.dictionaries(
+    st.sampled_from(monomials(3)), st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    min_size=1, max_size=3).map(CommPoly)
+
+
+class TestPackedProducts:
+    def test_degree_three_and_four_monomials_match_the_dict_tables(self):
+        for m1, m2 in itertools.product(DEG3 + DEG4, repeat=2):
+            p, q = TorusSkeinElement.monomial(*m1), TorusSkeinElement.monomial(*m2)
+            assert p * q == dict_table_product(p, q), (m1, m2)
+
+    def test_degree_24_product_matches_the_dict_tables(self):
+        p, q = TorusSkeinElement.monomial(0, 8, 8), TorusSkeinElement.monomial(8, 0, 0)
+        got = p * q
+        assert got == dict_table_product(p, q)
+        assert len(got._terms) > 100
+
+    def test_denominators_of_both_sides_multiply(self):
+        p = TorusSkeinElement({(0, 1, 0): Fraction(1, 2), (1, 0, 1): lp({1: Fraction(2, 3)})})
+        q = TorusSkeinElement({(1, 0, 0): Fraction(1, 3), (0, 2, 0): lp({-1: Fraction(-3, 5)})})
+        assert p * q == dict_table_product(p, q)
+        sixth = Fraction(1, 6)
+        assert Fraction(1, 2) * Y * (Fraction(1, 3) * X) == TorusSkeinElement(
+            {(1, 1, 0): lp({2: sixth}), (0, 0, 1): lp({-1: sixth, 3: -sixth})})
+
+    @settings(deadline=None, max_examples=60)
+    @given(rational_elements, rational_elements)
+    def test_rational_elements_match_the_dict_tables(self, p, q):
+        assert p * q == dict_table_product(p, q)
+
+    def test_coefficients_of_hundreds_of_bits_stay_exact(self):
+        big = TorusSkeinElement({(0, 1, 0): (1 + LaurentPoly.a_power(1)) ** 300})
+        for p, q in ((big, X), (X, big), (big, X * big)):
+            assert p * q == dict_table_product(p, q)
+
+    def test_narrow_slots_widen_and_stay_exact(self, monkeypatch):
+        # 8-bit slots fit no bound past 127: products must be computed again
+        # at wider slots, with a table of their own, and still agree exactly
+        from skeinlab import torus_skein
+        monkeypatch.setattr(torus_skein, "_slot_bits", 8)
+        monkeypatch.setattr(torus_skein, "_RIGHT_ACTION", {})
+        shared = torus_skein._RIGHT_ACTION
+        widths = []
+        pieces = torus_skein._pieces
+
+        def recording_pieces(poly, scale):
+            widths.append(torus_skein._slot_bits)
+            return pieces(poly, scale)
+        monkeypatch.setattr(torus_skein, "_pieces", recording_pieces)
+        cases = [(TorusSkeinElement.monomial(0, 6, 6), TorusSkeinElement.monomial(6, 0, 0)),
+                 (TorusSkeinElement.monomial(0, 20, 0), X),
+                 (random_element(random.Random(50)), random_element(random.Random(51)))]
+        for p, q in cases:
+            assert p * q == dict_table_product(p, q)
+            assert poisson_bracket(p, q) == commutator_bracket(p, q)
+        assert 8 in widths and max(widths) > 8
+        # every pass at a wider width ran on a table of its own
+        assert torus_skein._slot_bits == 8 and torus_skein._RIGHT_ACTION is shared
+        assert all(w % 8 == 0 for w in widths)
+
+    def test_the_shared_table_survives_a_refused_wide_product(self, monkeypatch):
+        from skeinlab import torus_skein
+        monkeypatch.setattr(torus_skein, "MAX_PRODUCT_TERMS", 10)
+        shared = torus_skein._slot_bits, torus_skein._RIGHT_ACTION
+        big = TorusSkeinElement({(0, 3, 3): (1 + LaurentPoly.a_power(1)) ** 200})
+        right = X ** 3 + X ** 2
+        widths = []
+        pieces = torus_skein._pieces
+        monkeypatch.setattr(torus_skein, "_pieces", lambda poly, scale: widths.append(
+            torus_skein._slot_bits) or pieces(poly, scale))
+        with pytest.raises(ValueError, match="exceeds the budget of 10 terms"):
+            big * right
+        assert min(widths) > 200            # coefficients of 200 bits: a wide pass from the start
+        assert (torus_skein._slot_bits, torus_skein._RIGHT_ACTION) == shared
+        assert torus_skein._RIGHT_ACTION is shared[1]
+
+
+class TestPoissonOracle:
+    @settings(deadline=None, max_examples=40)
+    @given(rational_elements, rational_elements)
+    def test_matches_the_commutator_of_products(self, p, q):
+        assert poisson_bracket(p, q) == commutator_bracket(p, q)
+
+    @settings(deadline=None, max_examples=40)
+    @given(rational_comm_polys, rational_comm_polys)
+    def test_rational_classical_inputs_match(self, p, q):
+        assert poisson_bracket(p, q) == commutator_bracket(p, q)
+
+    def test_a_broken_relation_leaves_a_classical_term(self, monkeypatch):
+        # y * x = A^2*x*y + A^-1*z, the A^3 of the relation lost: its z term no
+        # longer vanishes at A = -1
+        from skeinlab import torus_skein
+        monkeypatch.setattr(torus_skein, "_RIGHT_ACTION", {})
+        y_x = torus_skein._right_action((0, 1, 0), _X)
+        broken = {k: (-1, 1, 1) if k[:3] == (0, 0, 1) else piece for k, piece in y_x.items()}
+        assert broken != y_x
+        monkeypatch.setattr(torus_skein, "_RIGHT_ACTION", {((0, 1, 0), _X): broken})
+        with pytest.raises(ArithmeticError, match="nonzero classical term"):
+            poisson_bracket(X, Y)
+
+
 class TestClosedTorusImage:
     def test_generator_relations(self):
         # A*x*y - A^-1*y*x = (A^2 - A^-2)*z holds for the images.
@@ -401,6 +597,34 @@ class TestBudgets:
         monkeypatch.setattr(torus_skein, "_monomial_product", no_product)
         with pytest.raises(ValueError, match="^skein product of degree 5 exceeds the budget of 4$"):
             parse_skein("(x+y)^5")
+
+    def test_many_terms_of_one_degree_stop_at_the_work_budget(self):
+        # every term of (z+y)^24 has degree 24, under MAX_DEGREE; the squares
+        # up to (z+y)^8 run, and (z+y)^16 stops at the work budget
+        start = time.perf_counter()
+        refusal = f"^skein product exceeds the budget of {MAX_PRODUCT_TERMS} terms$"
+        with pytest.raises(ValueError, match=refusal):
+            parse_skein("(z+y)^24")
+        assert time.perf_counter() - start < 1
+        with pytest.raises(ValueError, match="exceeds the budget"):
+            Y * parse_skein("(z+y)^8") * parse_skein("(z+y)^8")
+        assert parse_skein("(z+y)^12") == parse_skein("(z+y)^6") ** 2
+
+    def test_work_budget_counts_the_same_with_a_cold_or_warm_table(self, monkeypatch):
+        from skeinlab import torus_skein
+        monkeypatch.setattr(torus_skein, "_RIGHT_ACTION", {})
+        p, q = parse_skein("y^5*z^4 + y^4*z^4"), parse_skein("x^5 + x^4")
+        cold = (p * q, torus_skein._touched)
+        assert len(torus_skein._RIGHT_ACTION) > 50
+        assert (p * q, torus_skein._touched) == cold and cold[1] > 0
+
+    def test_work_budget_leaves_normal_form_products_alone(self, monkeypatch):
+        from skeinlab import torus_skein
+        monkeypatch.setattr(torus_skein, "MAX_PRODUCT_TERMS", 0)
+        assert parse_skein("(x + 1)^30").coeff((30, 0, 0)) == 1
+        assert (X + Y) * (Y + Z) == X * Y + X * Z + Y * Y + Y * Z
+        with pytest.raises(ValueError, match="exceeds the budget of 0 terms"):
+            (Y + Z) * (X + Y)
 
     def test_parsed_exponents_stop_at_their_budget(self):
         assert parse_skein(f"x^{MAX_EXPONENT}") == TorusSkeinElement.monomial(MAX_EXPONENT, 0, 0)
