@@ -1,12 +1,14 @@
 """Kauffman bracket evaluation for framed link diagrams.
 
 Two independent evaluators are provided.  `bracket_statesum` expands all 2^n
-smoothings and counts loops per state; it is exponential but transparent, and
-serves as the reference.  `bracket_tl_sweep` processes crossings one at a
-time, tracking a frontier of open strand-ends up to the pairing they induce
-through the processed region.  Loop closures contribute delta = -A^2 - A^-2
-factors as they happen, so the cost is governed by the frontier width rather
-than the crossing count.
+smoothings in Gray-code order; one walk along a loop decides whether switching
+a crossing merges two loops, splits one or keeps the count, by a rule that
+holds on every 4-valent map, planar or not.  It is exponential but
+transparent, and serves as the reference.  `bracket_tl_sweep` processes
+crossings one at a time, tracking a frontier of open strand-ends up to the
+pairing they induce through the processed region.  Loop closures contribute
+delta = -A^2 - A^-2 factors as they happen, so the cost is governed by the
+frontier width rather than the crossing count.
 
 Both return the bracket of the diagram itself: no writhe normalization is
 applied, so a kink scales the result by -A^{+-3} and a split unknot
@@ -16,13 +18,12 @@ multiplies it by delta.  The empty diagram evaluates to 1.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from .diagram import LinkDiagram, _find, _union, smoothing_weld_positions
+from .diagram import Crossing, LinkDiagram, _find, _union, smoothing_weld_positions
 from .poly import LOOP_VALUE, LaurentPoly, _pack, _unpack
 
-MAX_CROSSINGS = 24  # default budget of the state sum, which visits 2^n states
+MAX_CROSSINGS = 24  # default budget of the state sum, which visits 2^n states (24: about 17 s)
 MAX_WIDTH = 12      # default budget of the sweep's frontier of open strand-ends
 MAX_FREE_LOOPS = 1000  # budget of a diagram's crossingless circles, each a factor of delta
 MAX_SWEEP_CROSSINGS = 500  # budget of the sweep, whose coefficient tables grow with n
@@ -32,10 +33,22 @@ Item = TypeVar("Item")
 def bracket_statesum(d: LinkDiagram, max_crossings: int = MAX_CROSSINGS) -> LaurentPoly:
     """Sum A^(a-b) delta^loops over all 2^n smoothings.
 
-    States are visited in Gray-code order, so consecutive states differ in
-    the smoothing of one crossing: only its welds are rewritten, and the loop
-    count changes by the difference between the loops through that crossing
-    after and before the switch.
+    Dart 4i + p is position p of the i-th crossing; `alpha` pairs the two
+    darts of each arc, and a state's smoothings weld the darts of each
+    crossing in two pairs.  A loop alternates arcs and welds, and
+    nxt[t] = alpha[weld[t]] steps along it, so every loop is two cycles of
+    `nxt`, one per direction.  States are visited in Gray-code order, so
+    consecutive states differ at one crossing i, whose welds (a, b), (c, e)
+    become (b, x), (a, y) for some {x, y} = {c, e}.  One walk from a along
+    `nxt` decides the change: it returns to a without passing c or e when
+    the two welds lie on different loops, and any reconnection of two loops
+    merges them (-1).  Otherwise it first meets one of c, e, say x, and the
+    loop reads a b P x y Q: the new welds close P and Q into two loops
+    exactly when b is welded to x (+1), and into one when b is welded to y.
+    The argument uses only the cyclic order of darts along the loops, never
+    faces, so it holds on non-planar maps.  The walk steps only onto darts
+    that it then leaves through their welds, and it leaves a towards b, so
+    it never steps onto b: it stops at the first dart of crossing i it meets.
     """
     if d.free_loops > MAX_FREE_LOOPS:
         raise ValueError(f"{d.free_loops} free loops exceeds the budget of {MAX_FREE_LOOPS}")
@@ -44,61 +57,72 @@ def bracket_statesum(d: LinkDiagram, max_crossings: int = MAX_CROSSINGS) -> Laur
         raise ValueError(f"{n} crossings exceeds the state-sum cap of {max_crossings}")
     cids = d.crossing_ids()
     index = {cid: i for i, cid in enumerate(cids)}
-    m = 4 * n
-    alpha = [0] * m
+    alpha = [0] * (4 * n)
     for d1, d2 in d.arcs().values():
         i1 = 4 * index[d1[0]] + d1[1]
         i2 = 4 * index[d2[0]] + d2[1]
-        alpha[i1] = i2
-        alpha[i2] = i1
-    welds = []
-    for cid in cids:
-        x = d.crossing(cid)
-        base = 4 * index[cid]
-        per_kind = []
+        alpha[i1], alpha[i2] = i2, i1
+
+    # A tally index is stride * (number of B-smoothings) + loops, as a
+    # state has at most 2n loops.  A switch of crossing i walks from dart
+    # 4i, adds jump[p] to the index, p the position the walk stops at, and
+    # sets nxt at the crossing's darts to `new`.
+    stride = 2 * n + 1
+    nxt = [0] * (4 * n)
+    upcoming: list[tuple[list[int], list[int]]] = []   # per crossing, its next switch
+    after: list[tuple[list[int], list[int]]] = []      # and the one after that
+    for i, cid in enumerate(cids):
+        weld = []
         for kind in ("A", "B"):
-            (i, j), (k, l) = smoothing_weld_positions(x, kind)
-            per_kind.append((base + i, base + j, base + k, base + l))
-        welds.append(per_kind)
+            (p, q), (r, s) = smoothing_weld_positions(d.crossing(cid), kind)
+            pair = [0] * 4
+            pair[p], pair[q], pair[r], pair[s] = q, p, s, r
+            weld.append(pair)
+        switches = []
+        for old, new, move in ((weld[0], weld[1], stride), (weld[1], weld[0], -stride)):
+            b = old[0]
+            jump = [move + (p == new[b]) for p in range(4)]
+            jump[0] = move - 1
+            switches.append((jump, [alpha[4 * i + new[p]] for p in range(4)]))
+        upcoming.append(switches[0])                # to B
+        after.append(switches[1])                   # back to A
+        nxt[4 * i:4 * i + 4] = switches[1][1]       # the all-A state
 
-    # start from the all-A state: its loops are the classes of alpha and w
-    w = [0] * m
-    for (a, b, c, e), _ in welds:
-        w[a], w[b], w[c], w[e] = b, a, e, c
+    # the all-A state's loops are the classes of alpha and its welds
     parent: dict[int, int] = {}
-    for s in range(m):
-        _union(parent, s, alpha[s])
-        _union(parent, s, w[s])
-    loops = len({_find(parent, s) for s in range(m)})
+    for t in range(4 * n):
+        _union(parent, t, alpha[t])
+        _union(parent, t, nxt[t])
+    idx = len({_find(parent, t) for t in range(4 * n)})
+    counts = [0] * ((n + 1) * stride)
+    counts[idx] = 1
 
-    def loops_through(a: int, c: int, e: int) -> int:
-        """1 if the loop through dart a also passes c (welded to e), else 2."""
-        t = a
-        while True:
-            t = alpha[w[t]]
-            if t == c or t == e:
-                return 1
-            if t == a:
-                return 2
-
-    counts: Counter[tuple[int, int]] = Counter()
-    k_exp = n
-    counts[(k_exp, loops)] += 1
-    kind = [0] * n
-    for step in range(1, 1 << n):
-        i = (step & -step).bit_length() - 1
-        a, b, c, e = welds[i][kind[i]]
-        loops -= loops_through(a, c, e)
-        kind[i] ^= 1
-        k_exp += 2 if kind[i] == 0 else -2
-        a, b, c, e = welds[i][kind[i]]
-        w[a], w[b], w[c], w[e] = b, a, e, c
-        loops += loops_through(a, c, e)
-        counts[(k_exp, loops)] += 1
+    # Step s of the Gray code switches crossing ctz(s).  The steps run in
+    # blocks of 2^r along a fixed ruler, whose last entry is the step that
+    # opens the next block.
+    r = min(n, 10)
+    ruler = [(s & -s).bit_length() - 1 for s in range(1, 1 << r)] + [0]
+    blocks = 1 << (n - r)
+    for block in range(1, blocks + 1):
+        if block == blocks:
+            ruler.pop()                 # the last state has no successor
+        else:
+            ruler[-1] = r + (block & -block).bit_length() - 1
+        for i in ruler:
+            jump, new = upcoming[i]
+            upcoming[i], after[i] = after[i], upcoming[i]
+            t = nxt[4 * i]
+            while t >> 2 != i:
+                t = nxt[t]
+            idx += jump[t & 3]
+            counts[idx] += 1
+            nxt[4 * i:4 * i + 4] = new
 
     by_loops: dict[int, dict[int, int]] = {}
-    for (k_exp, loops), mult in counts.items():
-        by_loops.setdefault(loops, {})[k_exp] = mult
+    for idx, mult in enumerate(counts):
+        if mult:
+            b_count, loops = divmod(idx, stride)
+            by_loops.setdefault(loops, {})[n - 2 * b_count] = mult
     result = sum((LaurentPoly(powers) * LOOP_VALUE ** loops
                   for loops, powers in by_loops.items()), LaurentPoly.zero())
     return result * LOOP_VALUE ** d.free_loops if d.free_loops else result
@@ -111,28 +135,17 @@ def narrow_order(ends: Mapping[Item, Sequence[Hashable]]) -> Iterator[tuple[Item
     item slots, and is open from the placement of its first item to that
     of its second.  Each step places the item whose placement changes the
     frontier width the least, ties going to the smaller id, and yields it
-    with the width after it.  The changes sit in a heap with lazy
-    invalidation; placing an item changes only the changes of the items
-    sharing one of its labels.
+    with the width after it.  An item's change starts at the number of its
+    labels held once, all of which it would open; a placement that opens a
+    label turns it from one the other holder would open (+1) into one it
+    would close (-1).  The changes sit in a heap with lazy invalidation.
     """
     holders: dict[Hashable, list[Item]] = {}
     for item, labels in ends.items():
-        for label in set(labels):
+        for label in labels:
             holders.setdefault(label, []).append(item)
-    seen: dict[Hashable, int] = {}
-
-    def width_change(item: Item) -> int:
-        labels = ends[item]
-        change = 0
-        for label in set(labels):
-            prior = seen.get(label, 0)
-            if prior == 1:
-                change -= 1
-            elif prior == 0 and labels.count(label) == 1:
-                change += 1
-        return change
-
-    pending = {item: width_change(item) for item in ends}
+    pending = {item: sum(labels.count(label) == 1 for label in labels)
+               for item, labels in ends.items()}
     heap = [(change, item) for item, change in pending.items()]
     heapq.heapify(heap)
     width = 0
@@ -143,16 +156,11 @@ def narrow_order(ends: Mapping[Item, Sequence[Hashable]]) -> Iterator[tuple[Item
         del pending[item]
         width += change
         yield item, width
-        labels = ends[item]
-        for label in labels:
-            seen[label] = seen.get(label, 0) + 1
-        for label in set(labels):
+        for label in ends[item]:
             for other in holders[label]:
                 if other in pending:
-                    change = width_change(other)
-                    if change != pending[other]:
-                        pending[other] = change
-                        heapq.heappush(heap, (change, other))
+                    pending[other] -= 2
+                    heapq.heappush(heap, (pending[other], other))
 
 
 def frontier_walk(ends: Mapping[Item, Sequence[Hashable]], order: Iterable[Item]
@@ -229,6 +237,22 @@ def _route(slot: tuple[int, ...], weld: tuple[int, ...]) -> tuple[tuple[tuple[in
     return tuple(tuple(e) for e in ends.values() if e), sum(1 for e in ends.values() if not e)
 
 
+# The routes of both smoothings of a crossing, each with its power of A,
+# keyed by the crossing's slots and its over_first: a pure function of at
+# most 2 * 5^4 keys, so one table serves every sweep.
+_ROUTES: dict[tuple[tuple[int, ...], int], tuple[tuple, ...]] = {}
+
+
+def _smoothing_routes(slot: tuple[int, ...], x: Crossing) -> tuple[tuple, ...]:
+    routes = []
+    for kind, shift in (("A", 1), ("B", -1)):
+        (i, j), (k, l) = smoothing_weld_positions(x, kind)
+        weld = [0] * 4
+        weld[i], weld[j], weld[k], weld[l] = j, i, l, k
+        routes.append((*_route(slot, tuple(weld)), shift))
+    return tuple(routes)
+
+
 # A coefficient table (low, packed, bound) stands for the sum of c_k * A^(low + 2k):
 # all exponents of one sweep state share a parity, so the table is dense in
 # steps of A^2 and shifting it by a power of A only moves `low`.  `packed` is
@@ -267,7 +291,6 @@ def bracket_tl_sweep(d: LinkDiagram, max_width: int = MAX_WIDTH) -> LaurentPoly:
         raise ValueError(f"{d.crossing_count} crossings exceeds the sweep budget of "
                          f"{MAX_SWEEP_CROSSINGS}")
     order = sweep_order(d, max_width)
-    routes: dict[tuple, tuple] = {}
     states: dict[tuple[int, ...], tuple[int, int, int]] = {(): (0, 1, 1)}
     width = _SLOT_BITS
     walk = frontier_walk({cid: d.crossing(cid).ends for cid in order}, order)
@@ -279,8 +302,7 @@ def bracket_tl_sweep(d: LinkDiagram, max_width: int = MAX_WIDTH) -> LaurentPoly:
         # paired with frontier end i.  local_pos[i] is the position of
         # frontier end i in the crossing, or -1; renumber[i] its new frontier
         # index, or -1 if it closes; open0[p] the new frontier index of an
-        # opened position p, else -1; welds, per smoothing, the position each
-        # position is welded to and the smoothing's power of A.
+        # opened position p, else -1.
         local_pos = [-1] * (len(survivors) + len(closing))
         for p, i in closing:
             local_pos[i] = p
@@ -291,12 +313,7 @@ def bracket_tl_sweep(d: LinkDiagram, max_width: int = MAX_WIDTH) -> LaurentPoly:
         for k, p in enumerate(opened, len(survivors)):
             open0[p] = k
         pad = [-1] * len(opened)
-        welds = []
-        for kind, shift in (("A", 1), ("B", -1)):
-            (i, j), (k, l) = smoothing_weld_positions(d.crossing(cid), kind)
-            weld = [0] * 4
-            weld[i], weld[j], weld[k], weld[l] = j, i, l, k
-            welds.append((tuple(weld), shift))
+        x = d.crossing(cid)
         new_states: dict[tuple[int, ...], tuple[int, int, int]] = {}
         for match, table in states.items():
             slot = list(paired)
@@ -313,11 +330,10 @@ def bracket_tl_sweep(d: LinkDiagram, max_width: int = MAX_WIDTH) -> LaurentPoly:
             # same ends, so the list is shared between them
             new_match = [renumber[match[i]] for i in survivors] + pad
             scaled = [table]            # scaled[c] is the table times delta^c
-            for weld, shift in welds:
-                route = routes.get((slot_key, weld))
-                if route is None:
-                    route = routes[(slot_key, weld)] = _route(slot_key, weld)
-                chains, closures = route
+            routes = _ROUTES.get((slot_key, x.over_first))
+            if routes is None:
+                routes = _ROUTES[(slot_key, x.over_first)] = _smoothing_routes(slot_key, x)
+            for chains, closures, shift in routes:
                 for p, q in chains:
                     u, v = far[p], far[q]
                     new_match[u] = v

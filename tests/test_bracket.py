@@ -5,7 +5,9 @@ the planar algebra on two points has basis {1, e} with e*e = delta*e, a
 positive letter acts as A*1 + A^-1*e, a negative letter as A^-1*1 + A*e, and
 closing the braid sends 1 to delta^2 and e to delta.  The second oracle
 resolves one crossing at a time through the smoothing maps of the diagram
-layer, never touching the evaluator's own state walk.
+layer, never touching the evaluator's own state walk.  The state sum's
+one-walk rule is also checked against `two_walk_statesum`, which counts the
+loops through the switched crossing before and after each switch.
 """
 
 import importlib
@@ -19,6 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 from skeinlab.diagram import (
     LinkDiagram,
+    _find,
+    _union,
     corpus,
     insert_kink_pair,
     parse_braid,
@@ -65,6 +69,82 @@ def smoothing_oracle(d: LinkDiagram) -> LaurentPoly:
     cid = d.crossing_ids()[0]
     return (A * smoothing_oracle(d.smoothed(cid, "A"))
             + A_INV * smoothing_oracle(d.smoothed(cid, "B")))
+
+
+def two_walk_statesum(d: LinkDiagram) -> LaurentPoly:
+    """Reference for bracket_statesum's one-walk rule: the same Gray-code
+    order, with the loops through the switched crossing counted by one walk
+    before the switch and one after, tallied in a Counter."""
+    n = d.crossing_count
+    cids = d.crossing_ids()
+    index = {cid: i for i, cid in enumerate(cids)}
+    m = 4 * n
+    alpha = [0] * m
+    for d1, d2 in d.arcs().values():
+        i1 = 4 * index[d1[0]] + d1[1]
+        i2 = 4 * index[d2[0]] + d2[1]
+        alpha[i1] = i2
+        alpha[i2] = i1
+    welds = []
+    for cid in cids:
+        x = d.crossing(cid)
+        base = 4 * index[cid]
+        per_kind = []
+        for kind in ("A", "B"):
+            (i, j), (k, l) = smoothing_weld_positions(x, kind)
+            per_kind.append((base + i, base + j, base + k, base + l))
+        welds.append(per_kind)
+
+    # start from the all-A state: its loops are the classes of alpha and w
+    w = [0] * m
+    for (a, b, c, e), _ in welds:
+        w[a], w[b], w[c], w[e] = b, a, e, c
+    parent: dict[int, int] = {}
+    for s in range(m):
+        _union(parent, s, alpha[s])
+        _union(parent, s, w[s])
+    loops = len({_find(parent, s) for s in range(m)})
+
+    def loops_through(a: int, c: int, e: int) -> int:
+        """1 if the loop through dart a also passes c (welded to e), else 2."""
+        t = a
+        while True:
+            t = alpha[w[t]]
+            if t == c or t == e:
+                return 1
+            if t == a:
+                return 2
+
+    counts: Counter[tuple[int, int]] = Counter()
+    k_exp = n
+    counts[(k_exp, loops)] += 1
+    kind = [0] * n
+    for step in range(1, 1 << n):
+        i = (step & -step).bit_length() - 1
+        a, b, c, e = welds[i][kind[i]]
+        loops -= loops_through(a, c, e)
+        kind[i] ^= 1
+        k_exp += 2 if kind[i] == 0 else -2
+        a, b, c, e = welds[i][kind[i]]
+        w[a], w[b], w[c], w[e] = b, a, e, c
+        loops += loops_through(a, c, e)
+        counts[(k_exp, loops)] += 1
+
+    by_loops: dict[int, dict[int, int]] = {}
+    for (k_exp, loops), mult in counts.items():
+        by_loops.setdefault(loops, {})[k_exp] = mult
+    result = sum((LaurentPoly(powers) * LOOP_VALUE ** loops
+                  for loops, powers in by_loops.items()), LaurentPoly.zero())
+    return result * LOOP_VALUE ** d.free_loops
+
+
+def random_map(rng: random.Random, n: int) -> LinkDiagram:
+    """A 4-valent map of n crossings with arcs glued at random: most such
+    maps are not planar."""
+    labels = [l for l in range(2 * n) for _ in range(2)]
+    rng.shuffle(labels)
+    return LinkDiagram({i: (tuple(labels[4 * i:4 * i + 4]), rng.randint(0, 1))
+                        for i in range(n)})
 
 
 def list_table_sweep(d: LinkDiagram) -> LaurentPoly:
@@ -230,10 +310,7 @@ class TestOracles:
         relabel = random.Random(42)
         for _ in range(60):
             n = rng.randint(1, 6)
-            labels = [l for l in range(2 * n) for _ in range(2)]
-            rng.shuffle(labels)
-            d = LinkDiagram({i: (tuple(labels[4 * i:4 * i + 4]), rng.randint(0, 1))
-                             for i in range(n)})
+            d = random_map(rng, n)
             expected = smoothing_oracle(d)
             assert bracket_statesum(d) == expected
             assert bracket_tl_sweep(d, 64) == expected
@@ -245,6 +322,33 @@ class TestOracles:
             assert bracket_tl_sweep(sparse, 64) == expected
             assert bracket(sparse) == expected
             assert bracket(sparse, max_width=3) == expected
+
+    def test_one_walk_rule_matches_two_walks_on_random_maps(self):
+        # a switch at a crossing whose welds share a loop keeps the count on a
+        # twisted reconnection, which only non-planar maps have
+        rng = random.Random(61)
+        relabel = random.Random(62)
+        planar = 0
+        for _ in range(120):
+            n = rng.randint(1, 8)
+            d = random_map(rng, n)
+            planar += d.is_planar()
+            ids = relabel.sample(range(-5 * n, 5 * n), n)
+            d = LinkDiagram({cid: d.crossing(i) for i, cid in enumerate(ids)},
+                            relabel.randint(0, 2))
+            expected = two_walk_statesum(d)
+            assert bracket_statesum(d) == expected
+            assert smoothing_oracle(d) == expected
+        assert planar < 30
+
+    def test_one_walk_rule_matches_two_walks_on_braid_closures(self):
+        rng = random.Random(63)
+        for _ in range(16):
+            strands = rng.randint(2, 5)
+            word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                    for _ in range(rng.randint(8, 14))]
+            d = parse_braid(word, strands)
+            assert bracket_statesum(d) == two_walk_statesum(d), word
 
 
 class TestAlgebraicStructure:
