@@ -35,7 +35,8 @@ def _random_skein_element(rng: random.Random) -> torus_skein.TorusSkeinElement:
 def battery(seed: int) -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
     """The checks as (name, function) pairs in run order.  Each returns
     (ok, detail).  They share two generators seeded with `seed`, so each
-    check draws where the one before it stopped."""
+    check draws where the one before it stopped; `poisson_structure` draws
+    from a third of its own."""
     rng = random.Random(seed)
     nprng = np.random.default_rng(seed)
     corpus = diagram.corpus()
@@ -114,7 +115,17 @@ def battery(seed: int) -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
                 return False, f"{{{a},{b}}} = {got}"
             if torus_skein.poisson_bracket(gens[b], gens[a]) != -w:
                 return False, "antisymmetry"
-        return True, "3 brackets + antisymmetry"
+        # against the h-series of the commutator, on pairs from a generator of
+        # its own, so that the checks after it draw what they drew before
+        own = random.Random(seed)
+        for _ in range(3):
+            p, q = _random_skein_element(own), _random_skein_element(own)
+            series = [(m, c.to_h_series(1)) for m, c in (p * q - q * p).items()]
+            oracle = C({m: s.coeff(1) for m, s in series})
+            if any(s.constant_term() for _, s in series) or (
+                    torus_skein.poisson_bracket(p, q) != oracle):
+                return False, f"{{{p}, {q}}} is not the commutator's h-term"
+        return True, "3 brackets + antisymmetry + 3 random pairs"
 
     def trace_identities():
         worst = 0.0

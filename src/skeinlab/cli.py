@@ -34,6 +34,11 @@ def _parse_t(text: str) -> complex:
         raise ValueError(f"cannot parse t value {text!r}") from exc
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 <= tol < float("inf"):         # also refuses nan
+        raise ValueError(f"--tol must be finite and non-negative, not {tol}")
+
+
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -135,6 +140,7 @@ def _parse_path(text: str) -> list[tuple[int, int]]:
 
 def _cmd_lattice(args) -> int:
     from . import lattice
+    _check_tol(args.tol)
     g = formats.graph_from_json(_load_json(args.graph))
     if args.connection is not None:
         conn = formats.connection_from_json(_load_json(args.connection))
@@ -156,6 +162,7 @@ def _cmd_lattice(args) -> int:
 
 def _cmd_qlattice(args) -> int:
     from . import qlattice
+    _check_tol(args.tol)
     g = formats.graph_from_json(_load_json(args.graph))
     q = formats.qlink_from_json(_load_json(args.qlink))
     if args.qconnection is not None:

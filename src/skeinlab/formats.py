@@ -30,6 +30,17 @@ def _load(obj: dict | str, what: str) -> dict:
     return _object(json.loads(obj) if isinstance(obj, str) else obj, what)
 
 
+def _int(value, what: str) -> int:
+    """An integer field: an integer, an integral float or integer text (object
+    keys are text).  A bool and a non-integral or non-finite float are refused."""
+    if not isinstance(value, bool) and (not isinstance(value, float) or value.is_integer()):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{what} must be an integer, not {value!r}")
+
+
 # ----------------------------------------------------------------------
 # link diagrams
 
@@ -68,13 +79,13 @@ def diagram_from_json(obj: dict | str) -> LinkDiagram:
         raise ValueError(f'"over" lists {len(over)} pairs for {len(crossings)} crossings')
     table = {}
     for i, ends in enumerate(crossings):
-        ends = tuple(int(a) for a in ends)
+        ends = tuple(_int(a, f"crossing {i}'s arc label") for a in ends)
         if len(ends) != 4:
             raise ValueError(f"crossing {i} must list four arc labels")
         if over is None:
             of = 1
         else:
-            pair = tuple(int(a) for a in over[i])
+            pair = tuple(_int(a, f"over pair {i}'s arc label") for a in over[i])
             if pair in ((ends[1], ends[3]), (ends[3], ends[1])):
                 of = 1
             elif pair in ((ends[0], ends[2]), (ends[2], ends[0])):
@@ -82,7 +93,7 @@ def diagram_from_json(obj: dict | str) -> LinkDiagram:
             else:
                 raise ValueError(f"over pair {pair} matches no diagonal of crossing {i}")
         table[i] = Crossing(ends, of)
-    return LinkDiagram(table, int(obj.get("free_loops", 0)))
+    return LinkDiagram(table, _int(obj.get("free_loops", 0), '"free_loops"'))
 
 
 # ----------------------------------------------------------------------
@@ -147,11 +158,13 @@ def graph_from_json(obj: dict | str) -> CiliatedGraph:
     from .lattice import CiliatedGraph
     obj = _load(obj, "a graph")
     vertices = [str(v) for v in obj["vertices"]]
-    edges = {int(e): (str(u), str(v))
+    edges = {_int(e, "an edge id"): (str(u), str(v))
              for e, (u, v) in _object(obj["edges"], '"edges"').items()}
-    cil = {str(v): [(int(e), int(end)) for e, end in ends]
+    cil = {str(v): [(_int(e, "a ciliation edge id"), _int(end, "a ciliation end"))
+                    for e, end in ends]
            for v, ends in _object(obj["ciliation"], '"ciliation"').items()}
-    faces = [[(int(e), int(d)) for e, d in face] for face in obj.get("faces", [])]
+    faces = [[(_int(e, "a face edge id"), _int(d, "a face direction")) for e, d in face]
+             for face in obj.get("faces", [])]
     return CiliatedGraph(vertices, edges, cil, faces)
 
 
@@ -161,7 +174,7 @@ def connection_to_json(conn: Mapping[int, np.ndarray]) -> dict:
 
 def connection_from_json(obj: dict | str) -> dict[int, np.ndarray]:
     obj = _load(obj, "a connection")
-    return {int(e): matrix_from_json(rows) for e, rows in obj.items()}
+    return {_int(e, "a connection edge id"): matrix_from_json(rows) for e, rows in obj.items()}
 
 
 # ----------------------------------------------------------------------
@@ -178,7 +191,8 @@ def qlink_to_json(q: QLink) -> dict:
 def qlink_from_json(obj: dict | str) -> QLink:
     from .qlattice import QLink
     obj = _load(obj, "a q-link")
-    loops = [[(int(e), int(d)) for e, d in loop] for loop in obj["loops"]]
+    loops = [[(_int(e, "a q-link edge id"), _int(d, "a q-link direction")) for e, d in loop]
+             for loop in obj["loops"]]
     crossings = [(str(c["at"]), str(c["sign"])) for c in obj.get("crossings", [])]
     return QLink(loops, crossings)
 
@@ -199,5 +213,5 @@ def qconnection_from_json(obj: dict | str) -> dict[int, UqWord]:
         w = UqWord.zero()
         for term in terms:
             w = w + UqWord.from_word(term["word"], complex_from_json(term["coeff"]))
-        out[int(e)] = w
+        out[_int(e, "a quantum connection edge id")] = w
     return out

@@ -27,7 +27,10 @@ whose bounds outgrow 64-bit slots is computed again at a width they fit.
 Setting A = -e^{h/4} makes the commutator of any two elements divisible by
 h; the constant term of commutator/h is the Poisson bracket of the classical
 (commutative) limit.  `poisson_bracket` performs that extraction exactly,
-returning a commutative polynomial with rational coefficients.
+returning a commutative polynomial with rational coefficients.  It needs
+only S0 = sum c_k and S1 = sum k*c_k of each piece, and reads both from the
+packed commutator without decoding it: with M = 2^W - 1, packed is
+S0 + M*S1 mod M^2, as (M + 1)^k = 1 + k*M mod M^2.
 """
 
 from __future__ import annotations
@@ -167,9 +170,10 @@ def _accumulate(out: Terms, left: dict, right: dict, scales: tuple[int, int]) ->
             _madd(out, _monomial_product(m1, m2), weight.values())
 
 
-def _packed_product(left: dict, right: dict, commutator: bool = False) -> dict:
-    """left * right, or left * right - right * left, of {monomial: LaurentPoly} terms;
-    a wider pass has a table of its own, so the shared one keeps one width."""
+def _packed_product(left: dict, right: dict, commutator: bool = False) -> tuple[Terms, int, int]:
+    """left * right, or left * right - right * left, of {monomial: LaurentPoly} terms, as
+    (pieces, slot width, den): the pieces hold den times the product, each bound below
+    2^(width-1).  A wider pass has a table of its own, so the shared one keeps one width."""
     global _touched, _slot_bits, _RIGHT_ACTION
     dl, dr = (lcm(*(c.denominator for p in side.values() for c in p._terms.values()))
               for side in (left, right))
@@ -190,14 +194,7 @@ def _packed_product(left: dict, right: dict, commutator: bool = False) -> dict:
                 break
     finally:
         _slot_bits, _RIGHT_ACTION = shared
-    den, coeffs = dl * dr, {}
-    for (a, b, c, _), (low, packed, bound) in out.items():
-        exps = coeffs.setdefault((a, b, c), {})
-        for v in _unpack(packed, width, bound):
-            if v:
-                exps[low] = v if den == 1 else Fraction(v, den)
-            low += 4
-    return {mono: LaurentPoly._wrap(exps) for mono, exps in coeffs.items() if exps}
+    return out, width, dl * dr
 
 
 Coeffish = Union[int, Fraction, LaurentPoly]
@@ -254,8 +251,17 @@ class TorusSkeinElement(_MonomialSum):
         return cls({(a, b, c): coeff})
 
     def _product(self, right: dict) -> "TorusSkeinElement":
-        """Each pair of monomials through the right-action table, on packed coefficients."""
-        return self._wrap(_packed_product(self._terms, right))
+        """Each pair of monomials through the right-action table, on packed coefficients;
+        each (monomial, residue) is decoded once."""
+        out, width, den = _packed_product(self._terms, right)
+        coeffs: dict[Monomial, dict] = {}
+        for (a, b, c, _), (low, packed, bound) in out.items():
+            exps = coeffs.setdefault((a, b, c), {})
+            for v in _unpack(packed, width, bound):
+                if v:
+                    exps[low] = v if den == 1 else Fraction(v, den)
+                low += 4
+        return self._wrap({mono: LaurentPoly._wrap(exps) for mono, exps in coeffs.items() if exps})
 
     # Bound here, not only inherited, so that they stay in this class's
     # __dict__, where the benchmark's tracer wraps them.
@@ -326,21 +332,37 @@ def lift(p: CommPoly) -> TorusSkeinElement:
 
 
 def poisson_bracket(p, q) -> CommPoly:
-    """Poisson bracket of the classical limit, extracted from the commutator.
+    """Poisson bracket of the classical limit, read off the packed commutator.
 
-    Computes p*q - q*p, pushes every coefficient through A = -e^{h/4} to
-    first order, checks divisibility by h, and returns the h^1 coefficient.
-    Inputs may be TorusSkeinElement values or exact CommPoly values (lifted).
+    Under A = -e^{h/4} the piece sum of c_k*A^(low + 4k) has h^0 term
+    (-1)^low*S0 and h^1 term (-1)^low*(low*S0 + 4*S1)/4, with S0 = sum c_k and
+    S1 = sum k*c_k.  With M = 2^W - 1, packed = sum c_k*(M + 1)^k is
+    S0 + M*S1 mod M^2, since (M + 1)^k = 1 + k*M mod M^2; so one remainder
+    mod M^2 gives both sums as balanced digits base M while |S0| <= bound and
+    |S1| <= (slots - 1)*bound are below 2^(W-1).  A piece past that is
+    decoded.  Every monomial's h^0 terms must cancel, and its h^1 terms over
+    den are the bracket.  Inputs may be TorusSkeinElement values or exact
+    CommPoly values (lifted).
     """
     p, q = (lift(e) if isinstance(e, CommPoly) else e for e in (p, q))
-    table: dict[Monomial, Fraction] = {}
-    for mono, coeff in _packed_product(p._terms, q._terms, commutator=True).items():
-        series = coeff.to_h_series(1)
-        if series.constant_term() != 0:
-            raise ArithmeticError(
-                "commutator has a nonzero classical term; rewriting is inconsistent")
-        table[mono] = series.divide_by_h().constant_term()
-    return CommPoly(table)
+    out, width, den = _packed_product(p._terms, q._terms, commutator=True)
+    mod = (1 << width) - 1                         # M; balanced digits lie in [-half, half]
+    half, square = mod >> 1, mod * mod
+    sums: dict[Monomial, tuple[int, int]] = {}
+    for (a, b, c, _), (low, packed, bound) in out.items():
+        if packed.bit_length() // width * bound > half:     # (slots - 1)*bound: S1 may not fit
+            slots = _unpack(packed, width, bound)
+            s0, s1 = sum(slots), sum(k * v for k, v in enumerate(slots))
+        else:                       # packed + half*(1 + M) = S0 + half + M*(S1 + half) mod M^2
+            s1, s0 = divmod((packed + (half << width)) % square, mod)
+            s0, s1 = s0 - half, s1 - half
+        if low & 1:
+            s0, s1 = -s0, -s1
+        t0, t1 = sums.get((a, b, c), (0, 0))
+        sums[(a, b, c)] = t0 + s0, t1 + low * s0 + 4 * s1
+    if any(s0 for s0, _ in sums.values()):
+        raise ArithmeticError("commutator has a nonzero classical term; rewriting is inconsistent")
+    return CommPoly._wrap({mono: Fraction(s1, 4 * den) for mono, (_, s1) in sums.items()})
 
 
 # ----------------------------------------------------------------------

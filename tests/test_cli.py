@@ -428,6 +428,19 @@ class TestLatticeCommand:
                          f"{flag}=-3,-2,-1"]) == 0
             assert separate == capsys.readouterr().out != ""
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+    def test_unusable_tol_is_a_usage_error(self, triangle_files, capsys, tol):
+        gp, cp = triangle_files
+        assert main(["lattice", "--graph", gp, "--connection", cp, "--flat",
+                     f"--tol={tol}"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --tol must be finite and non-negative, not {float(tol)}\n")
+
+    def test_zero_tol_is_usable(self, triangle_files, capsys):
+        gp, cp = triangle_files
+        assert main(["lattice", "--graph", gp, "--connection", cp, "--flat", "--tol", "0"]) == 0
+        assert capsys.readouterr().out == "flat\n"
+
 
 class TestQLatticeCommand:
     def test_wilson_value(self, bowtie_files, capsys):
@@ -471,6 +484,14 @@ class TestQLatticeCommand:
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1e-9", "inf"])
+    def test_unusable_tol_is_a_usage_error(self, bowtie_files, capsys, tol):
+        gp, (dp, ap, bp) = bowtie_files
+        assert main(["qlattice", "--graph", gp, "--qlink", dp, "--residual", ap, bp,
+                     f"--tol={tol}"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --tol must be finite and non-negative, not {float(tol)}\n")
 
     def test_crossing_budget_is_a_usage_error(self, bowtie_files, tmp_path, monkeypatch,
                                               capsys):
@@ -665,3 +686,27 @@ class TestFuzzedFiles:
                 code = main(argv)
         assert code in (0, 1, 2)
         assert (code == 2) == err.getvalue().startswith("error: ")
+
+
+# a bowtie graph file whose first face starts with the step [1e400, 1]
+_INFINITE_FACE = json.dumps(graph_to_json(_BOWTIE)).replace('"faces": [[[',
+                                                             '"faces": [[[1e400, 1], [')
+
+
+class TestNonFiniteIntegers:
+    """JSON reads 1e400 as inf; in an integer field that is bad input, exit 2."""
+
+    @pytest.mark.parametrize("argv, text, field", [
+        (["bracket", "--json", "FILE"], '{"crossings": [], "free_loops": 1e400}', '"free_loops"'),
+        (["lattice", "--graph", "FILE", "--flat"], _INFINITE_FACE, "a face edge id"),
+        (["qlattice", "--graph", "GRAPH", "--qlink", "FILE"], '{"loops": [[[1, -1e400]]]}',
+         "a q-link direction"),
+    ], ids=["bracket", "lattice", "qlattice"])
+    def test_one_error_line(self, bowtie_files, tmp_path, capsys, argv, text, field):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        files = {"FILE": str(path), "GRAPH": bowtie_files[0]}
+        assert main([files.get(a, a) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {field} must be an integer, not ") and err.count("\n") == 1

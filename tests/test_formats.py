@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -119,3 +120,46 @@ class TestQuantumObjects:
         back = qconnection_from_json(json.loads(blob))
         for e, w in conn.items():
             assert back[e].diff_norm(w) < 1e-15
+
+
+# One document per integer field of a reader; "@" stands for the field's JSON
+# text, quoted where the field is an object key.
+INTEGER_FIELDS = [
+    (diagram_from_json, '{"crossings": [[1, 2, 2, @]]}', "crossing 0's arc label"),
+    (diagram_from_json, '{"crossings": [[1, 2, 2, 1]], "over": [[2, @]]}',
+     "over pair 0's arc label"),
+    (diagram_from_json, '{"crossings": [], "free_loops": @}', '"free_loops"'),
+    (graph_from_json, '{"vertices": ["a"], "edges": {"@": ["a", "a"]}, "ciliation": {}}',
+     "an edge id"),
+    (graph_from_json, '{"vertices": ["a"], "edges": {"1": ["a", "a"]}, '
+                      '"ciliation": {"a": [[@, 0], [1, 1]]}}', "a ciliation edge id"),
+    (graph_from_json, '{"vertices": ["a"], "edges": {"1": ["a", "a"]}, '
+                      '"ciliation": {"a": [[1, @], [1, 1]]}}', "a ciliation end"),
+    (graph_from_json, '{"vertices": ["a"], "edges": {"1": ["a", "a"]}, '
+                      '"ciliation": {"a": [[1, 0], [1, 1]]}, "faces": [[[@, 1]]]}',
+     "a face edge id"),
+    (graph_from_json, '{"vertices": ["a"], "edges": {"1": ["a", "a"]}, '
+                      '"ciliation": {"a": [[1, 0], [1, 1]]}, "faces": [[[1, @]]]}',
+     "a face direction"),
+    (connection_from_json, '{"@": [[1, 0], [0, 1]]}', "a connection edge id"),
+    (qlink_from_json, '{"loops": [[[@, 1]]]}', "a q-link edge id"),
+    (qlink_from_json, '{"loops": [[[1, @]]]}', "a q-link direction"),
+    (qconnection_from_json, '{"@": [{"coeff": 1, "word": []}]}',
+     "a quantum connection edge id"),
+]
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("reader, template, field", INTEGER_FIELDS,
+                             ids=[field.strip('"') for *_, field in INTEGER_FIELDS])
+    @pytest.mark.parametrize("value", ["1e400", "-1e400", "NaN", "1.5", "true", "null"])
+    def test_refused_with_the_field_named(self, reader, template, field, value):
+        with pytest.raises(ValueError, match=f"^{re.escape(field)} must be an integer, not "):
+            reader(template.replace("@", value))
+
+    def test_integral_floats_and_integer_text_are_read(self):
+        assert diagram_from_json('{"crossings": [], "free_loops": 2.0}').free_loops == 2
+        assert diagram_from_json({"crossings": [], "free_loops": "3"}).free_loops == 3
+        d = diagram_from_json({"crossings": [[1.0, 2, 2, 1]], "over": [["2", 1]]})
+        assert d.same_diagram(diagram_from_json({"crossings": [[1, 2, 2, 1]]}))
+        assert list(connection_from_json({"-4": [[1, 0], [0, 1]]})) == [-4]

@@ -410,6 +410,22 @@ class TestPoissonOracle:
     def test_rational_classical_inputs_match(self, p, q):
         assert poisson_bracket(p, q) == commutator_bracket(p, q)
 
+    def test_a_first_moment_past_the_residue_range_is_decoded(self, monkeypatch):
+        # At 8-bit slots the commutator of (1 + A^4 - 5*A^102)*y and x has
+        # pieces whose bounds fit a slot but whose sum of k*c_k does not fit a
+        # balanced residue mod 2^8 - 1: they must be decoded, not read off.
+        from skeinlab import torus_skein
+        from skeinlab.poly import _unpack
+        monkeypatch.setattr(torus_skein, "_slot_bits", 8)
+        monkeypatch.setattr(torus_skein, "_RIGHT_ACTION", {})
+        p = TorusSkeinElement({(0, 1, 0): lp({0: 1, 4: 1, 102: -5})})
+        out, width, _ = torus_skein._packed_product(p._terms, X._terms, commutator=True)
+        moments = [sum(k * v for k, v in enumerate(_unpack(packed, width, bound)))
+                   for _, packed, bound in out.values()]
+        assert width == 8 and max(map(abs, moments)) >= 128
+        assert poisson_bracket(p, X) == commutator_bracket(p, X) == CommPoly(
+            {(1, 1, 0): Fraction(-3, 2), (0, 0, 1): -3})
+
     def test_a_broken_relation_leaves_a_classical_term(self, monkeypatch):
         # y * x = A^2*x*y + A^-1*z, the A^3 of the relation lost: its z term no
         # longer vanishes at A = -1
