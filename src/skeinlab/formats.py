@@ -2,11 +2,13 @@
 
 All serializers are deterministic (sorted keys, canonical orientation data)
 and round-trip through the corresponding parsers.  Complex numbers are
-encoded as [re, im] pairs; plain numbers are accepted on input.
+encoded as [re, im] pairs; plain numbers are accepted on input, and must be
+finite.  The matrices of connections and representations must be in SL(2).
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 from typing import TYPE_CHECKING, Mapping
 
@@ -106,13 +108,24 @@ def complex_to_json(z: complex) -> list[float]:
 
 
 def complex_from_json(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, str):
-        return complex(v.replace(" ", ""))
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise ValueError(f"cannot read complex value from {v!r}")
+    """A number, complex text or an [re, im] pair as a finite complex number.
+
+    A value that is not finite as a float, such as 1e400 (which JSON reads
+    as inf) or an integer of 400 digits, is refused with a `ValueError`."""
+    try:
+        if isinstance(v, (int, float)):
+            z = complex(v)
+        elif isinstance(v, str):
+            z = complex(v.replace(" ", ""))
+        elif isinstance(v, (list, tuple)) and len(v) == 2:
+            z = complex(float(v[0]), float(v[1]))
+        else:
+            raise ValueError(f"cannot read complex value from {v!r}")
+    except OverflowError:       # an integer too large for a float
+        z = complex("inf")
+    if not cmath.isfinite(z):
+        raise ValueError(f"a complex value must be finite, not {v!r}")
+    return z
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -131,13 +144,30 @@ def matrix_from_json(rows) -> np.ndarray:
     return m
 
 
+def _sl2_from_json(rows, what: str) -> np.ndarray:
+    """`matrix_from_json`, refused unless the determinant is 1: exactly when
+    the four entries are JSON integers, else within 1e-9 * max(1, |m00 m11|,
+    |m01 m10|), which float entries written from SL(2) products pass."""
+    m = matrix_from_json(rows)
+    if all(type(v) is int for row in rows for v in row):
+        (a, b), (c, d) = rows
+        det = a * d - b * c
+    else:
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        if abs(det - 1) <= 1e-9 * max(1, abs(m[0, 0] * m[1, 1]), abs(m[0, 1] * m[1, 0])):
+            det = 1
+    if det != 1:
+        raise ValueError(f"{what} must have determinant 1, not {det}")
+    return m
+
+
 def rep_to_json(rep: Mapping[str, np.ndarray]) -> dict:
     return {name: matrix_to_json(m) for name, m in sorted(rep.items())}
 
 
 def rep_from_json(obj: dict | str) -> dict[str, np.ndarray]:
     obj = _load(obj, "a representation")
-    return {str(name): matrix_from_json(rows) for name, rows in obj.items()}
+    return {str(name): _sl2_from_json(rows, f"generator {name!r}") for name, rows in obj.items()}
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +204,8 @@ def connection_to_json(conn: Mapping[int, np.ndarray]) -> dict:
 
 def connection_from_json(obj: dict | str) -> dict[int, np.ndarray]:
     obj = _load(obj, "a connection")
-    return {_int(e, "a connection edge id"): matrix_from_json(rows) for e, rows in obj.items()}
+    return {_int(e, "a connection edge id"): _sl2_from_json(rows, f"edge {e}'s matrix")
+            for e, rows in obj.items()}
 
 
 # ----------------------------------------------------------------------

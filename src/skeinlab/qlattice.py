@@ -33,14 +33,14 @@ and their antipodes are matrix units, which cut the loops into segments, so
 a Wilson value is a sum over 2-valued indices of products of segment
 entries, contracted crossing by crossing in a greedy order that keeps few
 segments open, within the width budget `MAX_QLINK_WIDTH`.  What depends
-only on the graph and the q-link (validation, segments, order) is planned
-once; up to `MAX_QLINK_PLANS` plans are memoized, keyed by the graph object
-(graphs are not mutated after construction) and the q-link's loops and
-crossings, so an edited q-link is planned again.  A `wilson_qlink` call
-evaluates a plan at a connection and t.  The vertex-splitting check
-contracts operators on (C^2)^(x 3n) instead of expanding the split words;
-the symbolic expansions `decorated_words` and `nabla_vertex` are the tests'
-independent oracle for the numeric results.
+only on the graph and the q-link is planned once: validation, segments,
+order, and per R-leg each slot's matrix unit and power of -t^2 after its
+antipodes.  Up to `MAX_QLINK_PLANS` plans are memoized, keyed by the graph
+object (graphs are not mutated) and the q-link's loops and crossings, so an
+edited q-link is planned again.  A `wilson_qlink` call then forms only
+numbers: factor entries, R-leg coefficients and (-t^2)^k.  The vertex split
+is checked by contracting operators on (C^2)^(x 3n); the symbolic expansions
+`decorated_words` and `nabla_vertex` are the tests' oracle for the numbers.
 
 The public functions that evaluate at t check it once with `_check_t`, and
 the private helpers take the checked value.  A t that is 0, not finite, or
@@ -468,9 +468,10 @@ def _plan(graph: CiliatedGraph, loops: tuple, crossings: tuple) -> tuple:
     [q, p'].  labels[x] holds the segments (into slot 0, out of slot 0, into
     slot 1, out of slot 1) of crossing x.  Returns the distinct other items
     (w, n); per loop without slots and per segment, its items as indices
-    into them; the (leg, n) of each crossing's two slots; per crossing in
-    `narrow_order`, its `frontier_walk` step with positions read as
-    segments; the peak width; the unused edges; and the number of loops.
+    into them; per crossing in `narrow_order`, its `frontier_walk` step with
+    positions read as segments and, per R-leg, the indices (p0, q0, p1, q1)
+    and powers k0, k1 of its slots and the indices of the segments it opens;
+    the peak width; the unused edges; and the number of loops.
     """
     words = _decorations(graph, QLink(loops, crossings))
     index: dict[Item, int] = {}     # the distinct other items, to their positions
@@ -495,7 +496,11 @@ def _plan(graph: CiliatedGraph, loops: tuple, crossings: tuple) -> tuple:
         segments += runs[1:]
         for i, ((x, s, leg), n) in enumerate(slotted):
             labels[x][2 * s:2 * s + 2] = [base + (i - 1) % len(slotted), base + i]
-            slots[x][s] = (leg, n)
+            # per R-leg (its units do not depend on t), S^n(E_pq) = (-t^2)^k E_p'q'
+            # as (p', q', k): S keeps E_01 (k = n) and E_10 (k = -n), swaps E_00, E_11
+            units = [r[:2] if leg == "alpha" else r[2:4] for r in _r_matrix_legs(1)]
+            slots[x][s] = [(p, q, (q - p) * n) if p != q else ((p + n) % 2, (p + n) % 2, 0)
+                           for p, q in units]
     ends = dict(enumerate(labels))
     placed = list(narrow_order(ends))
     order = [x for x, _ in placed]
@@ -507,8 +512,10 @@ def _plan(graph: CiliatedGraph, loops: tuple, crossings: tuple) -> tuple:
         # entry [row, column]: an in-end (even j) holds the column index
         closing = [(n, j, ls[j], 2 - j % 2, 1 + j % 2) for j, n in met]
         internal = [(ls[j], j, paired[j]) for j in (1, 3) if paired[j] >= 0]
-        walk.append((x, closing, internal, opened, survivors))
-    return (list(index), closed, segments, slots, walk, peak,
+        legs = [((p0, q0, p1, q1), k0, k1, tuple([(p0, q0, p1, q1)[j] for j in opened]))
+                for (p0, q0, k0), (p1, q1, k1) in zip(*slots[x])]
+        walk.append((closing, internal, legs, survivors))
+    return (list(index), closed, segments, walk, peak,
             tuple(set(graph.edges) - set(words)), len(loops))
 
 
@@ -518,11 +525,11 @@ def wilson_qlink(graph: CiliatedGraph, qlink: QLink, conn: QConnection,
 
     Sums the traces of the decorated loop products over all R-states, with a
     factor of -1 per loop and a counit factor for every unused edge.  Each
-    call evaluates the q-link's `_plan`: its factors become entry tuples and
-    its slots matrix units (the antipode sends c E_pq to a multiple of
-    E_(1-q)(1-p)), and `_contract` sums over the segments' indices.
+    call evaluates the q-link's `_plan`: its factors become entry tuples, the
+    R-legs their coefficients at t and the slots' powers of -t^2 numbers, and
+    `_contract` sums over the segments' indices.
     """
-    factors, closed, segments, slots, walk, width, unused, loops = _plan_of(graph, qlink)
+    factors, closed, segments, walk, width, unused, loops = _plan_of(graph, qlink)
     _check_width(width)
     t = _check_t(t)
     t2, ti2 = t * t, 1 / (t * t)
@@ -537,47 +544,39 @@ def wilson_qlink(graph: CiliatedGraph, qlink: QLink, conn: QConnection,
     for run in closed:
         m = _product([ms[i] for i in run])
         value = value * (m[0] + m[3])
-    if slots:
-        scale = (1, -t2, -ti2, 1)   # S(E_pq) = scale[2p + q] E_(1-q)(1-p)
-        legs = _r_matrix_legs(t)
-        units = {"alpha": [(i, j, 1) for i, j, _, _, _ in legs],
-                 "beta": [(i, j, 1) for _, _, i, j, _ in legs]}
-        slot_units = [[units[leg] for leg, _ in pair] for pair in slots]
-        for x, s in itertools.product(range(len(slots)), (0, 1)):
-            for _ in range(slots[x][s][1]):
-                slot_units[x][s] = [(1 - q, 1 - p, c * scale[2 * p + q])
-                                    for p, q, c in slot_units[x][s]]
+    if walk:
+        powers = [1] * 7            # (-t^2)^k at index k, for k in -3..3
+        for k in (1, 2, 3):
+            powers[k], powers[-k] = powers[k - 1] * -t2, powers[1 - k] * -ti2
         segments = [_product([ms[i] for i in run]) for run in segments]
-        value = value * _contract(walk, slot_units, [leg[4] for leg in legs], segments)
+        value = value * _contract(walk, [leg[4] for leg in _r_matrix_legs(t)], powers, segments)
     total = complex(value)
     for e in unused:
         total *= uq_counit(_as_uq(conn[e]))
     return (-1) ** loops * total
 
 
-def _contract(walk: list[tuple], units: list[list[list[tuple[int, int, complex]]]],
-              coeffs: list[complex], segments: list[Entries]):
+def _contract(walk: list[tuple], coeffs: list[complex], powers: list[complex],
+              segments: list[Entries]):
     """Sum over R-states and segment indices of the products of entries.
 
-    In R-state r, crossing x has the coefficient coeffs[r] and in its slot s
-    the matrix unit c E_pq with units[x][s][r] = (p, q, c).  Along the
-    plan's `walk`, a state is keyed by the indices of the segments open
-    between placed and unplaced crossings, so the work follows the width of
-    that frontier rather than 5^crossings.
+    In R-state r, a crossing has the coefficient coeffs[r] and, by its plan
+    state, powers[k0] E_(p0)(q0) and powers[k1] E_(p1)(q1) in its slots, with
+    powers[k] = (-t^2)^k.  Along the plan's `walk`, a state is keyed by the
+    indices of the segments open between placed and unplaced crossings, so
+    the work follows the width of that frontier rather than 5^crossings.
     """
     states: dict[tuple[int, ...], object] = {(): 1}
-    for x, closing, internal, opened, survivors in walk:
+    for closing, internal, legs, survivors in walk:
         closing = [(n, j, segments[s], a, b) for n, j, s, a, b in closing]
-        # per R-state: weight with the segments inside this crossing, the
-        # indices of its four slots and those of the segments it opens
+        # per R-state: its weight with the segments inside this crossing
         steps = []
-        for coeff, (p0, q0, c0), (p1, q1, c1) in zip(coeffs, *units[x]):
-            idx = (p0, q0, p1, q1)
-            w = coeff * c0 * c1
+        for coeff, (idx, k0, k1, born) in zip(coeffs, legs):
+            w = coeff * powers[k0] * powers[k1]
             for s, j_out, j_in in internal:
                 w = w * segments[s][2 * idx[j_out] + idx[j_in]]
             if w:
-                steps.append((w, idx, tuple([idx[j] for j in opened])))
+                steps.append((w, idx, born))
         new: dict[tuple[int, ...], object] = {}
         for key, value in states.items():
             kept = tuple(key[n] for n in survivors)

@@ -710,3 +710,29 @@ class TestNonFiniteIntegers:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: {field} must be an integer, not ") and err.count("\n") == 1
+
+
+class TestMatrixEntries:
+    """Connection and representation entries must be finite, and the
+    matrices in SL(2); anything else is bad input, exit 2."""
+
+    @pytest.mark.parametrize("entry, message", [
+        ("1" * 401, "a complex value must be finite, not 1111"),
+        ("1e400", "a complex value must be finite, not inf"),
+        ("2", "edge 1's matrix must have determinant 1, not 4"),
+    ], ids=["401 digits", "1e400", "2I"])
+    def test_connection(self, triangle_files, tmp_path, capsys, entry, message):
+        gp, _ = triangle_files
+        path = tmp_path / "conn.json"
+        path.write_text('{"1": [[%s, 0], [0, %s]], "2": [[1, 0], [0, 1]], "3": [[1, 0], [0, 1]]}'
+                        % (entry, entry))
+        assert main(["lattice", "--graph", gp, "--connection", str(path), "--holonomy=1,-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_representation(self, tmp_path, capsys):
+        path = tmp_path / "rep.json"
+        path.write_text('{"a": [[2, 0], [0, 2]], "b": [[1, 0], [0, 1]]}')
+        assert main(["char", "--rep", str(path), "--point"]) == 2
+        assert capsys.readouterr() == ("", "error: generator 'a' must have determinant 1, not 4\n")

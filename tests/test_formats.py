@@ -72,6 +72,15 @@ class TestNumbers:
         assert complex_from_json("1+2j") == 1 + 2j
         assert complex_from_json([1, -1]) == 1 - 1j
 
+    @pytest.mark.parametrize("value", [10 ** 400, -10 ** 400, 1e400, float("nan"), "1e400",
+                                       "inf", "nan+1j", [1e400, 0], [0, -10 ** 400]],
+                             ids=["huge int", "huge negative int", "1e400", "nan", "text 1e400",
+                                  "text inf", "text nan", "pair inf", "pair huge int"])
+    def test_non_finite_values_are_refused_and_named(self, value):
+        with pytest.raises(ValueError, match="^a complex value must be finite, not ") as info:
+            complex_from_json(value)
+        assert str(info.value).endswith(repr(value))
+
     def test_matrix_round_trip(self):
         m = random_sl2(np.random.default_rng(82))
         back = matrix_from_json(matrix_to_json(m))
@@ -101,6 +110,29 @@ class TestRepsAndGraphs:
         back = connection_from_json(json.dumps(connection_to_json(conn)))
         for e in conn:
             assert np.allclose(back[e], conn[e], atol=1e-15)
+
+
+class TestDeterminant:
+    """Connections and representations hold SL(2) matrices."""
+
+    def test_integer_entries_are_checked_exactly(self):
+        assert np.array_equal(connection_from_json({"1": [[2, 3], [1, 2]]})[1], [[2, 3], [1, 2]])
+        with pytest.raises(ValueError, match="^edge 1's matrix must have determinant 1, not 4$"):
+            connection_from_json({"1": [[2, 0], [0, 2]]})
+        # as floats the determinant 0 would be within the tolerance of 1
+        with pytest.raises(ValueError, match="^edge 2's matrix must have determinant 1, not 0$"):
+            connection_from_json({"2": [[10 ** 17, 1], [10 ** 17, 1]]})
+
+    def test_float_entries_within_the_tolerance(self):
+        rng = np.random.default_rng(85)
+        for _ in range(20):
+            a, b = random_sl2(rng), random_sl2(rng)
+            m = connection_from_json(json.loads(json.dumps(connection_to_json({1: a @ b}))))[1]
+            assert np.allclose(m, a @ b, atol=1e-12)
+        assert rep_from_json({"a": [[0.1, 0], [0, 10]]})["a"][1, 1] == 10
+        for rows in ([[2.0, 0], [0, 2]], [[1, 0], [0, [1, 1e-6]]], [["1+1j", 0], [0, 1]]):
+            with pytest.raises(ValueError, match="^generator 'a' must have determinant 1, not "):
+                rep_from_json({"a": rows})
 
 
 class TestQuantumObjects:

@@ -240,6 +240,17 @@ def triangle_chain(k: int) -> tuple[CiliatedGraph, list]:
     return CiliatedGraph(vertices, edges, cil), loop
 
 
+def flipped_bowtie(flips) -> CiliatedGraph:
+    """The bowtie graph with each edge in `flips` reversed: its two vertices
+    and its two ends in the ciliation swap, and its face steps are negated."""
+    g = bowtie_graph()
+    edges = {e: (v, u) if e in flips else (u, v) for e, (u, v) in g.edges.items()}
+    cil = {v: [(e, 1 - end if e in flips else end) for e, end in ends]
+           for v, ends in g.ciliation.items()}
+    faces = [[(e, -d if e in flips else d) for e, d in face] for face in g.faces]
+    return CiliatedGraph(g.vertices, edges, cil, faces)
+
+
 def passage_ends(loop) -> list[tuple[tuple, tuple]]:
     """(arrival end, departure end) at the vertex after each step."""
     out = []
@@ -963,6 +974,40 @@ class TestRepresentationAgainstWords:
             res = nabla_coassociativity_residual(g, "w", [W_K, W_KI, W_K], t,
                                                  np.random.default_rng(seed))
             assert res < 1e-8, (seed, res)
+
+
+class TestOrientationFlips:
+    """The bowtie's self-crossing loop under every choice of edge
+    orientations, so that a slot holds S^n of an R-leg for n = 0 to 3."""
+
+    def test_a_slot_holds_three_antipodes(self):
+        g = flipped_bowtie({1})
+        d = bowtie_qlinks()[0]
+        loop = [(e, -s if e == 1 else s) for e, s in d.loops[0]]
+        items = _decorations(g, QLink([loop], [("v3", "-")]))[1]
+        assert ((0, 1, "alpha"), 3) in items
+
+    def test_wilson_matches_decorated_word_traces(self):
+        # random SL(2) matrices on edges 1, 4 and 5 only: each dense edge
+        # multiplies the terms of the word expansion by four
+        rng = np.random.default_rng(92)
+        d = bowtie_qlinks()[0]
+        antipodes = set()
+        for r in range(7):
+            for flips in itertools.combinations(range(1, 7), r):
+                g = flipped_bowtie(flips)
+                loop = [(e, -s if e in flips else s) for e, s in d.loops[0]]
+                conns = [{e: W_ONE for e in g.edges}, classical_to_quantum(
+                    {e: random_sl2(rng) if e in (1, 4, 5) else np.eye(2) for e in g.edges})]
+                for lp in (loop, [(e, -s) for e, s in reversed(loop)]):
+                    for sign in "+-":
+                        link = QLink([lp], [("v3", sign)])
+                        antipodes |= {n for items in _decorations(g, link).values()
+                                      for w, n in items if type(w) is tuple}
+                        for conn, t in itertools.product(conns, GENERIC_T[:2]):
+                            assert rel_close(wilson_qlink(g, link, conn, t),
+                                             symbolic_wilson(g, link, conn, t)), (flips, lp, sign)
+        assert antipodes == {0, 1, 2, 3}
 
 
 class TestMultiCrossingLinks:
