@@ -3,12 +3,13 @@
 Two independent evaluators are provided.  `bracket_statesum` expands all 2^n
 smoothings in Gray-code order; one walk along a loop decides whether switching
 a crossing merges two loops, splits one or keeps the count, by a rule that
-holds on every 4-valent map, planar or not.  It is exponential but
-transparent, and serves as the reference.  `bracket_tl_sweep` processes
-crossings one at a time, tracking a frontier of open strand-ends up to the
-pairing they induce through the processed region.  Loop closures contribute
-delta = -A^2 - A^-2 factors as they happen, so the cost is governed by the
-frontier width rather than the crossing count.
+holds on every 4-valent map, planar or not; it is exponential.
+`bracket_tl_sweep` processes crossings one at a time, tracking a frontier of
+open strand-ends up to the pairing they induce through the processed region.
+Loop closures contribute delta = -A^2 - A^-2 factors as they happen, so the
+cost is governed by the frontier width rather than the crossing count.  The
+tests check both against oracles of their own, such as `two_walk_statesum`
+and `smoothing_oracle`.
 
 Both return the bracket of the diagram itself: no writhe normalization is
 applied, so a kink scales the result by -A^{+-3} and a split unknot

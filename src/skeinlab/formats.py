@@ -111,8 +111,11 @@ def complex_from_json(v) -> complex:
     """A number, complex text or an [re, im] pair as a finite complex number.
 
     A value that is not finite as a float, such as 1e400 (which JSON reads
-    as inf) or an integer of 400 digits, is refused with a `ValueError`."""
+    as inf) or an integer of 400 digits, is refused with a `ValueError`, and
+    so is a bool (JSON `true`), alone or in a pair."""
     try:
+        if isinstance(v, bool) or isinstance(v, (list, tuple)) and bool in map(type, v):
+            raise ValueError(f"a complex value must be a number, not {v!r}")
         if isinstance(v, (int, float)):
             z = complex(v)
         elif isinstance(v, str):

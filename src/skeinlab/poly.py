@@ -20,10 +20,10 @@ from typing import Mapping, Union
 Scalar = Union[int, Fraction]
 
 # Budgets that make oversized input fail fast with a ValueError.  A parsed
-# power stops at exponent MAX_EXPONENT, and so does its exponent times the
-# span of A-exponents in its base's coefficients, which bounds the
-# coefficients of powers such as (1 + A)^n and ((1 + A)^n)^m; the spans of
-# all the powers in one text together stop there too.  An h-series
+# power of anything but a unit term stops at exponent MAX_EXPONENT, and so
+# does its exponent times the span of A-exponents in its base's coefficients,
+# which bounds the coefficients of powers such as (1 + A)^n and ((1 + A)^n)^m;
+# the spans of all the powers in one text together stop there too.  An h-series
 # stops at order MAX_SERIES_ORDER: its h^j coefficient has about j log j
 # digits, so order n costs about n^2 (one core of a 2-vCPU VM, Python 3.11:
 # order 1000 of a 400-crossing bracket 0.3 s).
@@ -370,21 +370,12 @@ def render_laurent(p: LaurentPoly) -> str:
                        for k, c in reversed(p.items()))
 
 
-def _span(exps) -> int:
-    return max(exps, default=0) - min(exps, default=0)
+def _span(pairs) -> int:
+    """The span of the A-exponents in a collection of (exponent, coefficient) pairs."""
+    return max(pairs, default=(0,))[0] - min(pairs, default=(0,))[0]
 
 
-def _check_power(n: int, exps) -> None:
-    """Refuse base ^ n over budget, given the A-exponents of base's coefficients."""
-    if abs(n) > MAX_EXPONENT:
-        raise ValueError(f"exponent {n} exceeds the budget of {MAX_EXPONENT}")
-    span = _span(exps)
-    if abs(n) * span > MAX_EXPONENT:
-        raise ValueError(f"exponent {n} times coefficient span {span} "
-                         f"exceeds the budget of {MAX_EXPONENT}")
-
-
-def _parse_expression(text: str, cls: type, atoms: dict, power, exps):
+def _parse_expression(text: str, cls: type, atoms: dict, exps):
     """Read text in the one grammar of the exact values skeinlab prints:
 
         sum     = ["+" | "-"] product {("+" | "-") product}
@@ -393,14 +384,19 @@ def _parse_expression(text: str, cls: type, atoms: dict, power, exps):
         atom    = integer | integer "/" integer | name | "(" sum ")"
 
     A number is a constant of `cls` and a name one of `atoms`; `*` multiplies
-    left to right, so it may be noncommutative, and `power(base, n)` applies
-    the caller's power rule and budgets.  `exps(value)` lists the A-exponents
-    of a value's coefficients.  A factor is refused, before it is computed,
-    when its span of exponents and that of the product before it are both
-    nonzero and sum past MAX_EXPONENT, and so is a power within its own
-    budget when its span and those of the powers computed before it in the
-    text sum past MAX_EXPONENT, so a sum of powers is bounded too.  A
-    number, `A^k` or a monomial always passes, so printed values read back.
+    left to right, so it may be noncommutative, and `base ^ n` is `base ** n`.
+    `exps(value)` lists the (A-exponent, coefficient) pairs of a value's
+    coefficients; the span of those exponents is what the budgets count.
+    A power is refused when |n|, or |n| times its base's span, exceeds
+    MAX_EXPONENT (`(1 + A)^1001`, `(2*x)^1001`), unless the base is a unit
+    term, one pair with coefficient +-1 (`A^-5000`, `-x`, `A^3*y`), whose
+    power is one term at any n.  A factor is refused, before it is computed,
+    when its span and that of the product before it are both nonzero and sum
+    past MAX_EXPONENT, and so is a power within its own budget when its span
+    and those of the powers computed before it in the text sum past
+    MAX_EXPONENT, so a sum of powers is bounded too.  A number and a unit
+    term have span 0, so printed values read back: `x^1000*x` prints
+    `x^1001`, which parses again.
     """
     toks = re.findall(r"[0-9]+(?:/[0-9]+)?|\S", text)
     for tok in toks:
@@ -441,17 +437,24 @@ def _parse_expression(text: str, cls: type, atoms: dict, power, exps):
             if not tok.isdigit():
                 raise ValueError("exponent must be an integer")
             n = int(sign + tok)
-        span = _span(exps(base)) * (1 if n is None else abs(n))
+        pairs = exps(base)
+        width = _span(pairs)
+        span = width * (1 if n is None else abs(n))
         if used and span and used + span > MAX_EXPONENT:
             raise ValueError(f"product of coefficient spans {used} and {span} "
                              f"exceeds the budget of {MAX_EXPONENT}")
         if n is None:
             return base
-        if span <= MAX_EXPONENT < spent + span:    # over its own budget, power refuses it
+        if abs(n) > MAX_EXPONENT and [c for _, c in pairs] not in ([1], [-1]):
+            raise ValueError(f"exponent {n} exceeds the budget of {MAX_EXPONENT}")
+        if span > MAX_EXPONENT:                 # never for a unit term, of span 0
+            raise ValueError(f"exponent {n} times coefficient span {width} "
+                             f"exceeds the budget of {MAX_EXPONENT}")
+        if spent + span > MAX_EXPONENT:
             raise ValueError(f"powers of coefficient spans {spent} and {span} "
                              f"exceed the budget of {MAX_EXPONENT}")
         spent += span
-        return power(base, n)
+        return base ** n
 
     def parse_atom():
         tok = take()
@@ -479,17 +482,10 @@ def _parse_expression(text: str, cls: type, atoms: dict, power, exps):
     return result
 
 
-def _laurent_power(base: LaurentPoly, n: int) -> LaurentPoly:
-    """base ^ n: at any n for a unit monomial +-A^k, else within the budgets."""
-    if len(base._terms) != 1 or abs(next(iter(base._terms.values()))) != 1:
-        _check_power(n, base._terms)
-    return base ** n
-
-
 def parse_laurent(text: str) -> LaurentPoly:
     """Parse Laurent text in A, such as render_laurent's `A^3 - 1/2*A^-1`."""
-    return _parse_expression(text, LaurentPoly, {"A": LaurentPoly.a_power(1)}, _laurent_power,
-                             lambda p: p._terms)
+    return _parse_expression(text, LaurentPoly, {"A": LaurentPoly.a_power(1)},
+                             lambda p: p._terms.items())
 
 
 class HSeries:

@@ -39,8 +39,8 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Union
 
-from .poly import (MAX_EXPONENT, LaurentPoly, SparseSum, _check_power, _parse_expression,
-                   _unpack, join_signed, numeric_term, power_text, render_laurent, scaled)
+from .poly import (MAX_EXPONENT, LaurentPoly, SparseSum, _parse_expression, _unpack,
+                   join_signed, numeric_term, power_text, render_laurent, scaled)
 
 Monomial = tuple[int, int, int]
 # Normal-form terms: the pieces of the coefficient of x^a y^b z^c, keyed (a, b, c, low mod 4).
@@ -263,10 +263,26 @@ class TorusSkeinElement(_MonomialSum):
                 low += 4
         return self._wrap({mono: LaurentPoly._wrap(exps) for mono, exps in coeffs.items() if exps})
 
-    # Bound here, not only inherited, so that they stay in this class's
-    # __dict__, where the benchmark's tracer wraps them.
+    # Bound here, not only inherited, so that it stays in this class's
+    # __dict__, where the benchmark's tracer wraps it (as it does __pow__).
     __mul__ = SparseSum.__mul__
-    __pow__ = SparseSum.__pow__
+
+    def __pow__(self, n: int) -> "TorusSkeinElement":
+        """self ** n; a negative n only for a coefficient monomial.
+
+        The budget of one product, applied to the power at once: every term of
+        self^n has degree at least n times the least degree of self's
+        monomials, and some ordered pair of them moves a letter when two of x,
+        y, z occur.
+        """
+        degree = n * min(map(sum, self._terms), default=0)
+        if degree > MAX_DEGREE and sum(any(m[i] for m in self._terms) for i in range(3)) > 1:
+            raise ValueError(f"skein product of degree {degree} exceeds the budget of {MAX_DEGREE}")
+        if n >= 0:
+            return SparseSum.__pow__(self, n)
+        if self._terms.keys() == {(0, 0, 0)}:
+            return TorusSkeinElement({(0, 0, 0): self._terms[(0, 0, 0)] ** n})
+        raise ValueError("negative exponents only apply to coefficient monomials")
 
     def specialize(self, a) -> "CommPoly":
         """Evaluate every coefficient at A=a, yielding a commutative polynomial."""
@@ -378,24 +394,5 @@ def parse_skein(text: str) -> TorusSkeinElement:
     """
     atoms = {"x": TorusSkeinElement.x(), "y": TorusSkeinElement.y(), "z": TorusSkeinElement.z(),
              "A": TorusSkeinElement.monomial(0, 0, 0, LaurentPoly.a_power(1))}
-    return _parse_expression(text, TorusSkeinElement, atoms, _skein_power, _coefficient_exps)
-
-
-def _coefficient_exps(e: TorusSkeinElement) -> list[int]:
-    return [k for poly in e._terms.values() for k in poly._terms]
-
-
-def _skein_power(base: TorusSkeinElement, n: int) -> TorusSkeinElement:
-    """base ^ n within the budgets; n < 0 only for a coefficient monomial."""
-    _check_power(n, _coefficient_exps(base))
-    # The budget of one product, applied to the power at once: every term of
-    # base^n has degree at least n times the least degree of base's monomials,
-    # and some ordered pair of them moves a letter when two of x, y, z occur.
-    degree = n * min(map(sum, base._terms), default=0)
-    if degree > MAX_DEGREE and sum(any(m[i] for m in base._terms) for i in range(3)) > 1:
-        raise ValueError(f"skein product of degree {degree} exceeds the budget of {MAX_DEGREE}")
-    if n >= 0:
-        return base ** n
-    if base._terms.keys() == {(0, 0, 0)}:
-        return TorusSkeinElement({(0, 0, 0): base._terms[(0, 0, 0)] ** n})
-    raise ValueError("negative exponents only apply to coefficient monomials")
+    return _parse_expression(text, TorusSkeinElement, atoms, lambda e: [
+        pair for poly in e._terms.values() for pair in poly._terms.items()])

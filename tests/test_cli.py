@@ -220,8 +220,8 @@ class TestSkeinCommand:
     @pytest.mark.parametrize("expr, message", [
         ("y^1000*x", "skein product of degree 1001 exceeds the budget of 24"),
         ("y^900*x", "skein product of degree 901 exceeds the budget of 24"),
-        ("x^99999999", "exponent 99999999 exceeds the budget of 1000"),
-        ("A^-1001", "exponent -1001 exceeds the budget of 1000"),
+        ("(2*x)^99999999", "exponent 99999999 exceeds the budget of 1000"),
+        ("(2*A)^-1001", "exponent -1001 exceeds the budget of 1000"),
         ("((1 + A)^1000)^2",
          "exponent 2 times coefficient span 1000 exceeds the budget of 1000"),
         ("((1 + A)^1000)^1000",
@@ -280,8 +280,8 @@ class TestSkeinCommand:
         # each factor passes the power budget; their product would not, and
         # the second power is refused before it is computed
         powers = []
-        skein_power = torus_skein._skein_power
-        monkeypatch.setattr(torus_skein, "_skein_power",
+        skein_power = torus_skein.TorusSkeinElement.__pow__
+        monkeypatch.setattr(torus_skein.TorusSkeinElement, "__pow__",
                             lambda base, n: powers.append(n) or skein_power(base, n))
         six = "*".join(["(1 + A)^1000"] * 6)
         assert main(["skein", "--expr", six]) == 2
@@ -304,8 +304,8 @@ class TestSkeinCommand:
         # each term passes every per-power and per-product budget; the second
         # power is refused before it is computed
         powers = []
-        skein_power = torus_skein._skein_power
-        monkeypatch.setattr(torus_skein, "_skein_power",
+        skein_power = torus_skein.TorusSkeinElement.__pow__
+        monkeypatch.setattr(torus_skein.TorusSkeinElement, "__pow__",
                             lambda base, n: powers.append(n) or skein_power(base, n))
         ten = " + ".join(["(1 + A)^1000"] * 10)
         start = time.perf_counter()
@@ -318,6 +318,16 @@ class TestSkeinCommand:
         out = capsys.readouterr().out
         assert main(["skein", "--expr", out.strip()]) == 0
         assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize("expr, printed", [
+        ("x^1000*x", "x^1001"), ("A^1000*A^1000*x", "A^2000*x"),
+        ("(x^1000*x)^2", "x^2002"), ("A^-1000*A^-1000*z^3", "A^-2000*z^3"),
+    ])
+    def test_powers_of_unit_terms_read_back(self, expr, printed, capsys):
+        assert main(["skein", "--expr", expr]) == 0
+        assert capsys.readouterr().out == f"{printed}\n"
+        assert main(["skein", "--expr", printed]) == 0
+        assert capsys.readouterr().out == f"{printed}\n"
 
     def test_high_powers_already_in_normal_form(self, capsys):
         assert main(["skein", "--expr", "x^1000 * y^1000 * z^1000"]) == 0
@@ -730,6 +740,15 @@ class TestMatrixEntries:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_boolean_entries(self, bowtie_files, tmp_path, capsys):
+        # [[true, false], [false, true]] would read as the identity
+        path = tmp_path / "conn.json"
+        path.write_text(json.dumps({str(e): [[True, False], [False, True]] if e == 1
+                                    else [[1, 0], [0, 1]] for e in range(1, 7)}))
+        assert main(["lattice", "--graph", bowtie_files[0], "--connection", str(path),
+                     "--holonomy=1,-1"]) == 2
+        assert capsys.readouterr() == ("", "error: a complex value must be a number, not True\n")
 
     def test_representation(self, tmp_path, capsys):
         path = tmp_path / "rep.json"

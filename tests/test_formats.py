@@ -81,6 +81,13 @@ class TestNumbers:
             complex_from_json(value)
         assert str(info.value).endswith(repr(value))
 
+    @pytest.mark.parametrize("value", [True, False, [True, 0], [0, False]])
+    def test_booleans_are_refused(self, value):
+        with pytest.raises(ValueError, match="^a complex value must be a number, not "):
+            complex_from_json(value)
+        with pytest.raises(ValueError, match="^a complex value must be a number, not "):
+            qconnection_from_json({"1": [{"coeff": value, "word": []}]})
+
     def test_matrix_round_trip(self):
         m = random_sl2(np.random.default_rng(82))
         back = matrix_from_json(matrix_to_json(m))

@@ -180,8 +180,10 @@ class TestNormalForm:
     def test_powers(self):
         assert (X + Y) ** 0 == TorusSkeinElement.one()
         assert (X + Y) ** 2 == (X + Y) * (X + Y)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^negative exponents only apply to coefficient"):
             (X + Y) ** -1
+        a_squared = TorusSkeinElement.monomial(0, 0, 0, lp({2: -1}))
+        assert a_squared ** -3 == TorusSkeinElement.monomial(0, 0, 0, lp({-6: -1}))
 
 
 # ----------------------------------------------------------------------
@@ -611,8 +613,10 @@ class TestBudgets:
         def no_product(m1, m2):
             raise AssertionError(f"product {m1} * {m2} was computed")
         monkeypatch.setattr(torus_skein, "_monomial_product", no_product)
-        with pytest.raises(ValueError, match="^skein product of degree 5 exceeds the budget of 4$"):
-            parse_skein("(x+y)^5")
+        for power in (lambda: parse_skein("(x+y)^5"), lambda: (X + Y) ** 5):
+            with pytest.raises(ValueError, match="^skein product of degree 5 exceeds the budget "
+                                                 "of 4$"):
+                power()
 
     def test_many_terms_of_one_degree_stop_at_the_work_budget(self):
         # every term of (z+y)^24 has degree 24, under MAX_DEGREE; the squares
@@ -644,10 +648,22 @@ class TestBudgets:
 
     def test_parsed_exponents_stop_at_their_budget(self):
         assert parse_skein(f"x^{MAX_EXPONENT}") == TorusSkeinElement.monomial(MAX_EXPONENT, 0, 0)
-        for bad in (f"x^{MAX_EXPONENT + 1}", f"(1 + A)^{MAX_EXPONENT + 1}",
-                    f"A^-{MAX_EXPONENT + 1}"):
+        for bad in (f"(2*x)^{MAX_EXPONENT + 1}", f"(1 + A)^{MAX_EXPONENT + 1}",
+                    f"(2*A)^-{MAX_EXPONENT + 1}"):
             with pytest.raises(ValueError, match=f"exceeds the budget of {MAX_EXPONENT}"):
                 parse_skein(bad)
+
+    @pytest.mark.parametrize("text, value", [
+        ("x^1001", TorusSkeinElement.monomial(1001, 0, 0)),
+        ("x^99999999", TorusSkeinElement.monomial(99999999, 0, 0)),
+        ("A^-1001", TorusSkeinElement.monomial(0, 0, 0, lp({-1001: 1}))),
+        ("A^1000*A^1000*x", TorusSkeinElement.monomial(1, 0, 0, lp({2000: 1}))),
+        ("(x^1000*x)^2", TorusSkeinElement.monomial(2002, 0, 0)),
+        ("A^-1000*A^-1000*z^3", TorusSkeinElement.monomial(0, 0, 3, lp({-2000: 1}))),
+    ])
+    def test_powers_of_unit_terms_have_no_budget_and_read_back(self, text, value):
+        assert parse_skein(text) == value
+        assert parse_skein(render_skein(value)) == value
 
 
 class TestParsingAndRendering:
