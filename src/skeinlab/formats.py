@@ -29,7 +29,13 @@ def _object(value, what: str) -> dict:
 
 
 def _load(obj: dict | str, what: str) -> dict:
-    return _object(json.loads(obj) if isinstance(obj, str) else obj, what)
+    """obj, or the JSON text obj parsed; text that nests too deeply is bad input."""
+    if isinstance(obj, str):
+        try:
+            obj = json.loads(obj)
+        except RecursionError:
+            raise ValueError("JSON nests too deeply") from None
+    return _object(obj, what)
 
 
 def _int(value, what: str) -> int:

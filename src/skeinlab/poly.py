@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import re
+import sys
 from fractions import Fraction
 from math import factorial
 from operator import add
@@ -23,7 +24,10 @@ Scalar = Union[int, Fraction]
 # power of anything but a unit term stops at exponent MAX_EXPONENT, and so
 # does its exponent times the span of A-exponents in its base's coefficients,
 # which bounds the coefficients of powers such as (1 + A)^n and ((1 + A)^n)^m;
-# the spans of all the powers in one text together stop there too.  An h-series
+# the spans of all the powers in one text together stop there too.  So does a
+# power whose exponent times the bits, less one, of its base's largest
+# numerator or denominator passes the interpreter's limit on the digits of an
+# integer as text, which bounds ((9^99)^999)^99.  An h-series
 # stops at order MAX_SERIES_ORDER: its h^j coefficient has about j log j
 # digits, so order n costs about n^2 (one core of a 2-vCPU VM, Python 3.11:
 # order 1000 of a 400-crossing bracket 0.3 s).
@@ -396,7 +400,10 @@ def _parse_expression(text: str, cls: type, atoms: dict, exps):
     and those of the powers computed before it in the text sum past
     MAX_EXPONENT, so a sum of powers is bounded too.  A number and a unit
     term have span 0, so printed values read back: `x^1000*x` prints
-    `x^1001`, which parses again.
+    `x^1001`, which parses again.  A power is also refused when |n| times
+    the bit length, less one, of its base's largest numerator or denominator
+    exceeds the interpreter's limit on the digits of an integer as text,
+    `sys.get_int_max_str_digits()` or 4300 (`(9^999)^5`, `((2^1000)^1000)^1000`).
     """
     toks = re.findall(r"[0-9]+(?:/[0-9]+)?|\S", text)
     for tok in toks:
@@ -453,6 +460,14 @@ def _parse_expression(text: str, cls: type, atoms: dict, exps):
         if spent + span > MAX_EXPONENT:
             raise ValueError(f"powers of coefficient spans {spent} and {span} "
                              f"exceed the budget of {MAX_EXPONENT}")
+        # c^n has more than |n| * (bits of c - 1) bits, none for c = +-1; the text
+        # limit is missing before Python 3.10.7, and 0 when it is switched off
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        bits = max((max(abs(c.numerator), c.denominator).bit_length() for _, c in pairs),
+                   default=1) - 1
+        if abs(n) * bits > limit:
+            raise ValueError(f"exponent {n} times coefficient bits {bits} exceeds the "
+                             f"integer-to-text limit of {limit}")
         spent += span
         return base ** n
 

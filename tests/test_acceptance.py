@@ -15,6 +15,7 @@ from math import factorial
 
 import numpy as np
 
+from skeinlab import checks
 from skeinlab.bracket import bracket, bracket_statesum, bracket_tl_sweep, sweep_order
 from skeinlab.characters import (
     phi_evaluate,
@@ -357,4 +358,5 @@ def test_cli_round_trips_and_deterministic_verification():
     assert runs[0].returncode == 0, runs[0].stdout + runs[0].stderr
     assert runs[1].returncode == 0
     assert runs[0].stdout == runs[1].stdout
-    assert "17/17 checks passed" in runs[0].stdout
+    total = len(checks.battery(7))
+    assert f"{total}/{total} checks passed" in runs[0].stdout

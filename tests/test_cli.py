@@ -250,10 +250,10 @@ class TestSkeinCommand:
             self, expr, degree, monkeypatch, capsys):
         base_product = torus_skein._monomial_product
 
-        def base_products_only(m1, m2):
+        def base_products_only(m1, m2, width, table):
             # x*y*z takes two products of degree at most 3; the power takes none
             assert sum(m1) + sum(m2) <= 3, f"product {m1} * {m2} of the power was computed"
-            return base_product(m1, m2)
+            return base_product(m1, m2, width, table)
         monkeypatch.setattr(torus_skein, "_monomial_product", base_products_only)
         assert main(["skein", "--expr", expr]) == 2
         out, err = capsys.readouterr()
@@ -275,6 +275,28 @@ class TestSkeinCommand:
         assert main(["skein", "--expr", "(1 + A)^1000"]) == 0
         out = capsys.readouterr().out.strip()
         assert out.startswith("(A^1000 + 1000*A^999 + 499500*A^998") and out.endswith(" + 1)")
+
+    @pytest.mark.parametrize("expr", [
+        "((9^99)^999)^99", "((2^1000)^1000)^1000", "(9^999)^999", "(9^999)^5",
+        "((9*x)^1000)^1000",
+    ])
+    def test_power_of_numbers_past_the_text_limit_is_refused_at_once(self, expr, capsys):
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 4300
+        start = time.perf_counter()
+        assert main(["skein", "--expr", expr]) == 2
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: exponent ") and err.count("\n") == 1
+        assert err.endswith(f" exceeds the integer-to-text limit of {limit}\n"), err
+
+    @pytest.mark.parametrize("expr", [
+        "2^1000", "9^999", "10^1000", "(1 + A)^1000", "(2*x)^1000", "(1/3)^1000",
+        "x^99999999", "A^-1001",
+    ])
+    def test_powers_within_the_text_limit_evaluate_and_read_back(self, expr, capsys):
+        assert main(["skein", "--expr", expr]) == 0
+        out = capsys.readouterr().out.strip()
+        assert torus_skein.parse_skein(out) == torus_skein.parse_skein(expr)
 
     def test_product_of_powers_stops_at_the_span_budget(self, monkeypatch, capsys):
         # each factor passes the power budget; their product would not, and
@@ -526,10 +548,19 @@ class TestVerifyCommand:
         text = capsys.readouterr().out.splitlines()
         assert main(["verify", "--seed", "7", "--format", "json"]) == 0
         obj = json.loads(capsys.readouterr().out)
-        assert (obj["seed"], obj["passed"], obj["total"]) == (7, 17, 17)
-        assert len(obj["checks"]) == 17 and all(c["ok"] for c in obj["checks"])
+        total = len(checks.battery(7))
+        assert (obj["seed"], obj["passed"], obj["total"]) == (7, total, total)
+        assert len(obj["checks"]) == total and all(c["ok"] for c in obj["checks"])
         assert [f"ok   {c['name']}: {c['detail']}" for c in obj["checks"]] == text[:-1]
-        assert text[-1] == "17/17 checks passed (seed 7)"
+        assert text[-1] == f"{total}/{total} checks passed (seed 7)"
+
+    def test_the_battery_names_its_checks_in_order(self):
+        assert [name for name, _ in checks.battery(7)] == [
+            "bracket_corpus", "move_invariance", "kink_scaling", "sweep_vs_statesum",
+            "skein_normal_form", "poisson_structure", "trace_identities", "phi_multiplicative",
+            "wilson_gauge_invariance", "rep_connection_traces", "yang_baxter",
+            "charmed_and_tangle", "bowtie_skein_residual", "epsilon_invariance",
+            "quantum_classical_limit", "nabla_coassociativity", "serialization_round_trips"]
 
     def test_a_raising_check_fails_alone(self, monkeypatch, capsys):
         real_battery = checks.battery
@@ -545,8 +576,9 @@ class TestVerifyCommand:
         assert main(["verify", "--seed", "7"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert "FAIL sweep_vs_statesum: error: RuntimeError('boom')" in lines
-        assert sum(line.startswith("ok   ") for line in lines) == 16
-        assert lines[-1] == "16/17 checks passed (seed 7)"
+        total = len(real_battery(7))
+        assert sum(line.startswith("ok   ") for line in lines) == total - 1
+        assert lines[-1] == f"{total - 1}/{total} checks passed (seed 7)"
 
     @pytest.mark.parametrize("argv", [
         ["bracket", "--pd", "O", "--tol", "1e-3"],

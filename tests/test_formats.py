@@ -62,6 +62,14 @@ class TestDiagrams:
             diagram_from_json(obj)
 
 
+@pytest.mark.parametrize("reader", [diagram_from_json, rep_from_json, graph_from_json,
+                                    connection_from_json, qlink_from_json,
+                                    qconnection_from_json])
+def test_json_text_that_nests_too_deeply_is_bad_input(reader):
+    with pytest.raises(ValueError, match="^JSON nests too deeply$"):
+        reader("[" * 100_000 + "]" * 100_000)
+
+
 class TestNumbers:
     def test_complex_round_trip(self):
         for z in (0, 1.5, -2 + 3j, 1j):

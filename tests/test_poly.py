@@ -1,6 +1,7 @@
 """Exact Laurent arithmetic and the h-expansion at A = -exp(h/4)."""
 
 import re
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -111,6 +112,35 @@ class TestRendering:
                              (f"2^{budget + 1}", f"exponent {budget + 1} ")):
             with pytest.raises(ValueError, match=f"^{message}.*budget of {budget}$"):
                 parse_laurent(bad)
+
+    def test_powers_of_numbers_stop_at_the_integer_text_limit(self, monkeypatch):
+        # |n| times the bits, less one, of the base's largest numerator or
+        # denominator may not pass sys.get_int_max_str_digits(); +-1 counts 0
+        assert parse_laurent("9^999") == LaurentPoly({0: 9 ** 999})
+        assert parse_laurent("(1/3)^1000*A") == LaurentPoly({1: Fraction(1, 3 ** 1000)})
+        assert parse_laurent("(-A^-1)^99999999") == LaurentPoly({-99999999: -1})
+        powers = []
+        laurent_power = LaurentPoly.__pow__
+        monkeypatch.setattr(LaurentPoly, "__pow__",
+                            lambda base, n: powers.append(n) or laurent_power(base, n))
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 4300
+        for bad, n, bits, computed in (("((9^99)^999)^99", 999, 313, [99]),
+                                       ("(9^999)^5", 5, 3166, [999]),
+                                       ("(2*A)^1000*(3/1024*A)^431", 431, 10, [1000])):
+            powers.clear()
+            with pytest.raises(ValueError, match=f"^exponent {n} times coefficient bits {bits} "
+                                                 f"exceeds the integer-to-text limit of {limit}$"):
+                parse_laurent(bad)
+            assert powers == computed, bad
+        # 4300, the default, where the interpreter has no limit or it is off
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+        with pytest.raises(ValueError, match="limit of 4300$"):
+            parse_laurent("(9^999)^5")
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        with pytest.raises(ValueError, match="limit of 4300$"):
+            parse_laurent("(9^999)^5")
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 20000, raising=False)
+        assert parse_laurent("(9^999)^5") == LaurentPoly({0: 9 ** 4995})
 
     def test_products_stop_at_the_span_budget(self, monkeypatch):
         budget = poly.MAX_EXPONENT

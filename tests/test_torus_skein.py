@@ -3,6 +3,8 @@
 import cmath
 import itertools
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -363,42 +365,92 @@ class TestPackedProducts:
         # 8-bit slots fit no bound past 127: products must be computed again
         # at wider slots, with a table of their own, and still agree exactly
         from skeinlab import torus_skein
-        monkeypatch.setattr(torus_skein, "_slot_bits", 8)
+        monkeypatch.setattr(torus_skein, "_SLOT_BITS", 8)
         monkeypatch.setattr(torus_skein, "_RIGHT_ACTION", {})
         shared = torus_skein._RIGHT_ACTION
-        widths = []
-        pieces = torus_skein._pieces
+        passes = []
+        product = torus_skein._monomial_product
 
-        def recording_pieces(poly, scale):
-            widths.append(torus_skein._slot_bits)
-            return pieces(poly, scale)
-        monkeypatch.setattr(torus_skein, "_pieces", recording_pieces)
+        def recording_product(m1, m2, width, table):
+            passes.append((width, table is shared))
+            return product(m1, m2, width, table)
+        monkeypatch.setattr(torus_skein, "_monomial_product", recording_product)
         cases = [(TorusSkeinElement.monomial(0, 6, 6), TorusSkeinElement.monomial(6, 0, 0)),
                  (TorusSkeinElement.monomial(0, 20, 0), X),
                  (random_element(random.Random(50)), random_element(random.Random(51)))]
         for p, q in cases:
             assert p * q == dict_table_product(p, q)
             assert poisson_bracket(p, q) == commutator_bracket(p, q)
+        widths = [w for w, _ in passes]
         assert 8 in widths and max(widths) > 8
         # every pass at a wider width ran on a table of its own
-        assert torus_skein._slot_bits == 8 and torus_skein._RIGHT_ACTION is shared
+        assert all(on_shared == (w == 8) for w, on_shared in passes)
+        assert torus_skein._SLOT_BITS == 8 and torus_skein._RIGHT_ACTION is shared
         assert all(w % 8 == 0 for w in widths)
 
     def test_the_shared_table_survives_a_refused_wide_product(self, monkeypatch):
         from skeinlab import torus_skein
         monkeypatch.setattr(torus_skein, "MAX_PRODUCT_TERMS", 10)
-        shared = torus_skein._slot_bits, torus_skein._RIGHT_ACTION
+        shared = torus_skein._RIGHT_ACTION
+        entries = dict(shared)
         big = TorusSkeinElement({(0, 3, 3): (1 + LaurentPoly.a_power(1)) ** 200})
         right = X ** 3 + X ** 2
         widths = []
         pieces = torus_skein._pieces
-        monkeypatch.setattr(torus_skein, "_pieces", lambda poly, scale: widths.append(
-            torus_skein._slot_bits) or pieces(poly, scale))
+        monkeypatch.setattr(torus_skein, "_pieces", lambda poly, scale, width: widths.append(
+            width) or pieces(poly, scale, width))
         with pytest.raises(ValueError, match="exceeds the budget of 10 terms"):
             big * right
         assert min(widths) > 200            # coefficients of 200 bits: a wide pass from the start
-        assert (torus_skein._slot_bits, torus_skein._RIGHT_ACTION) == shared
-        assert torus_skein._RIGHT_ACTION is shared[1]
+        assert torus_skein._SLOT_BITS == 64 and torus_skein._RIGHT_ACTION is shared
+        assert shared == entries            # the wide pass filled a table of its own
+
+    def test_a_product_rebinds_no_module_global(self, monkeypatch):
+        # a wide pass keeps its slot width, table and work count on the call
+        from skeinlab import torus_skein
+        madd, rebound = torus_skein._madd, set()
+
+        def probe(*args):
+            rebound.update(name for name, value in vars(torus_skein).items()
+                           if name not in before or before[name] is not value)
+            return madd(*args)
+        monkeypatch.setattr(torus_skein, "_madd", probe)
+        before = dict(vars(torus_skein))
+        big = TorusSkeinElement({(0, 1, 0): (1 + LaurentPoly.a_power(1)) ** 300})
+        assert big * X == dict_table_product(big, X)
+        assert not rebound and vars(torus_skein).keys() == before.keys()
+
+    def test_products_beside_wide_passes_in_other_threads_stay_exact(self, monkeypatch):
+        # two threads share the 64-bit table while a third runs wide passes
+        from skeinlab import torus_skein
+        monkeypatch.setattr(torus_skein, "_RIGHT_ACTION", {})
+        rng = random.Random(24)
+        small = [(p, q, p * q) for p, q in ((random_element(rng), random_element(rng))
+                                           for _ in range(30))]
+        p = TorusSkeinElement.monomial(0, 5, 5, 3 ** 40 * lp({0: 1, 1: 1, 2: 1}))
+        q = TorusSkeinElement.monomial(5, 0, 0)
+        wide = [(p, q, p * q)]
+        stop, wrong, rounds = threading.Event(), [], []
+
+        def check(jobs):
+            while not stop.is_set():
+                torus_skein._RIGHT_ACTION.clear()       # each round fills the table again
+                wrong.extend((p, q) for p, q, want in jobs if p * q != want)
+                rounds.append(len(jobs))
+        threads = [threading.Thread(target=check, args=(jobs,)) for jobs in (small, small, wide)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)         # switch threads often, inside the products
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(1)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong and rounds.count(1) and rounds.count(len(small)) >= 2
 
 
 class TestPoissonOracle:
@@ -418,7 +470,7 @@ class TestPoissonOracle:
         # balanced residue mod 2^8 - 1: they must be decoded, not read off.
         from skeinlab import torus_skein
         from skeinlab.poly import _unpack
-        monkeypatch.setattr(torus_skein, "_slot_bits", 8)
+        monkeypatch.setattr(torus_skein, "_SLOT_BITS", 8)
         monkeypatch.setattr(torus_skein, "_RIGHT_ACTION", {})
         p = TorusSkeinElement({(0, 1, 0): lp({0: 1, 4: 1, 102: -5})})
         out, width, _ = torus_skein._packed_product(p._terms, X._terms, commutator=True)
@@ -432,8 +484,7 @@ class TestPoissonOracle:
         # y * x = A^2*x*y + A^-1*z, the A^3 of the relation lost: its z term no
         # longer vanishes at A = -1
         from skeinlab import torus_skein
-        monkeypatch.setattr(torus_skein, "_RIGHT_ACTION", {})
-        y_x = torus_skein._right_action((0, 1, 0), _X)
+        y_x = torus_skein._right_action((0, 1, 0), _X, torus_skein._SLOT_BITS, {})
         broken = {k: (-1, 1, 1) if k[:3] == (0, 0, 1) else piece for k, piece in y_x.items()}
         assert broken != y_x
         monkeypatch.setattr(torus_skein, "_RIGHT_ACTION", {((0, 1, 0), _X): broken})
@@ -610,7 +661,7 @@ class TestBudgets:
         monkeypatch.setattr(torus_skein, "MAX_DEGREE", 4)
         assert parse_skein("(x+y)^4") == (X + Y) * (X + Y) * (X + Y) * (X + Y)
 
-        def no_product(m1, m2):
+        def no_product(m1, m2, width, table):
             raise AssertionError(f"product {m1} * {m2} was computed")
         monkeypatch.setattr(torus_skein, "_monomial_product", no_product)
         for power in (lambda: parse_skein("(x+y)^5"), lambda: (X + Y) ** 5):
@@ -634,9 +685,43 @@ class TestBudgets:
         from skeinlab import torus_skein
         monkeypatch.setattr(torus_skein, "_RIGHT_ACTION", {})
         p, q = parse_skein("y^5*z^4 + y^4*z^4"), parse_skein("x^5 + x^4")
-        cold = (p * q, torus_skein._touched)
+        counts = []
+        product = torus_skein._monomial_product
+
+        def counting_product(*args):
+            terms, work = product(*args)
+            counts[-1] += work
+            return terms, work
+        monkeypatch.setattr(torus_skein, "_monomial_product", counting_product)
+
+        def counted_product():
+            counts.append(0)
+            return p * q, counts[-1]
+        cold = counted_product()
         assert len(torus_skein._RIGHT_ACTION) > 50
-        assert (p * q, torus_skein._touched) == cold and cold[1] > 0
+        assert counted_product() == cold and cold[1] > 0
+
+    def test_unit_products_at_the_degree_budget_stay_on_the_shared_table(self, monkeypatch):
+        # The worst pairs of unit monomials at degree MAX_DEGREE: their largest
+        # tracked bound, 56 bits for z^10*y^14, grows about 3 bits per degree,
+        # so a larger MAX_DEGREE needs them measured again against the slots.
+        from skeinlab import torus_skein
+        monkeypatch.setattr(torus_skein, "_RIGHT_ACTION", {})
+        product, passes = torus_skein._monomial_product, []
+
+        def recording_product(m1, m2, width, table):
+            terms, work = product(m1, m2, width, table)
+            passes.append((width, table is torus_skein._RIGHT_ACTION,
+                           max(bound for _, _, bound in terms.values())))
+            return terms, work
+        monkeypatch.setattr(torus_skein, "_monomial_product", recording_product)
+        for m1, m2 in (((0, 0, 10), (0, 14, 0)), ((0, 0, 9), (0, 15, 0)),
+                       ((0, 0, 11), (0, 13, 0)), ((0, 2, 11), (11, 0, 0))):
+            assert sum(m1) + sum(m2) == MAX_DEGREE
+            passes.clear()
+            TorusSkeinElement.monomial(*m1) * TorusSkeinElement.monomial(*m2)
+            ((width, on_shared, top),) = passes
+            assert width == 64 and on_shared and top < 1 << 57
 
     def test_work_budget_leaves_normal_form_products_alone(self, monkeypatch):
         from skeinlab import torus_skein
