@@ -27,10 +27,10 @@ Scalar = Union[int, Fraction]
 # the spans of all the powers in one text together stop there too.  So does a
 # power whose exponent times the bits, less one, of its base's largest
 # numerator or denominator passes the interpreter's limit on the digits of an
-# integer as text, which bounds ((9^99)^999)^99.  An h-series
-# stops at order MAX_SERIES_ORDER: its h^j coefficient has about j log j
-# digits, so order n costs about n^2 (one core of a 2-vCPU VM, Python 3.11:
-# order 1000 of a 400-crossing bracket 0.3 s).
+# integer as text, or a factor whose bits and the product's before it do
+# (((9^99)^999)^99, 9^999*9^999).  An h-series stops at MAX_SERIES_ORDER: its
+# h^j coefficient has about j log j digits, so order n costs about n^2 (one
+# core of a 2-vCPU VM, Python 3.11: order 1000 of a 400-crossing bracket 0.3 s).
 MAX_EXPONENT = 1000
 MAX_SERIES_ORDER = 1000
 
@@ -379,6 +379,11 @@ def _span(pairs) -> int:
     return max(pairs, default=(0,))[0] - min(pairs, default=(0,))[0]
 
 
+def _bits(pairs) -> int:
+    """The bit length, less one, of the largest numerator or denominator in the pairs."""
+    return max([1, *(max(abs(c.numerator), c.denominator).bit_length() for _, c in pairs)]) - 1
+
+
 def _parse_expression(text: str, cls: type, atoms: dict, exps):
     """Read text in the one grammar of the exact values skeinlab prints:
 
@@ -403,7 +408,9 @@ def _parse_expression(text: str, cls: type, atoms: dict, exps):
     `x^1001`, which parses again.  A power is also refused when |n| times
     the bit length, less one, of its base's largest numerator or denominator
     exceeds the interpreter's limit on the digits of an integer as text,
-    `sys.get_int_max_str_digits()` or 4300 (`(9^999)^5`, `((2^1000)^1000)^1000`).
+    `sys.get_int_max_str_digits()` or 4300 (`(9^999)^5`, `((2^1000)^1000)^1000`);
+    so is a factor, before it is computed, when its bits by that measure and
+    those of the product before it are nonzero and sum past it (`9^999*9^999`).
     """
     toks = re.findall(r"[0-9]+(?:/[0-9]+)?|\S", text)
     for tok in toks:
@@ -428,13 +435,14 @@ def _parse_expression(text: str, cls: type, atoms: dict, exps):
             op = take()
 
     def parse_product():
-        total = parse_power(0)
+        total = parse_power(0, 0)
         while toks[-1] == "*":
             take()
-            total = total * parse_power(_span(exps(total)))
+            pairs = exps(total)
+            total = total * parse_power(_span(pairs), _bits(pairs))
         return total
 
-    def parse_power(used: int):
+    def parse_power(used: int, used_bits: int):
         nonlocal spent
         base, n = parse_atom(), None
         if toks[-1] == "^":
@@ -445,29 +453,31 @@ def _parse_expression(text: str, cls: type, atoms: dict, exps):
                 raise ValueError("exponent must be an integer")
             n = int(sign + tok)
         pairs = exps(base)
-        width = _span(pairs)
-        span = width * (1 if n is None else abs(n))
+        width, bits, k = _span(pairs), _bits(pairs), 1 if n is None else abs(n)
+        span = width * k
         if used and span and used + span > MAX_EXPONENT:
             raise ValueError(f"product of coefficient spans {used} and {span} "
                              f"exceeds the budget of {MAX_EXPONENT}")
-        if n is None:
-            return base
-        if abs(n) > MAX_EXPONENT and [c for _, c in pairs] not in ([1], [-1]):
-            raise ValueError(f"exponent {n} exceeds the budget of {MAX_EXPONENT}")
-        if span > MAX_EXPONENT:                 # never for a unit term, of span 0
-            raise ValueError(f"exponent {n} times coefficient span {width} "
-                             f"exceeds the budget of {MAX_EXPONENT}")
-        if spent + span > MAX_EXPONENT:
-            raise ValueError(f"powers of coefficient spans {spent} and {span} "
-                             f"exceed the budget of {MAX_EXPONENT}")
         # c^n has more than |n| * (bits of c - 1) bits, none for c = +-1; the text
         # limit is missing before Python 3.10.7, and 0 when it is switched off
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-        bits = max((max(abs(c.numerator), c.denominator).bit_length() for _, c in pairs),
-                   default=1) - 1
-        if abs(n) * bits > limit:
-            raise ValueError(f"exponent {n} times coefficient bits {bits} exceeds the "
-                             f"integer-to-text limit of {limit}")
+        if n is not None:
+            if abs(n) > MAX_EXPONENT and [c for _, c in pairs] not in ([1], [-1]):
+                raise ValueError(f"exponent {n} exceeds the budget of {MAX_EXPONENT}")
+            if span > MAX_EXPONENT:                 # never for a unit term, of span 0
+                raise ValueError(f"exponent {n} times coefficient span {width} "
+                                 f"exceeds the budget of {MAX_EXPONENT}")
+            if spent + span > MAX_EXPONENT:
+                raise ValueError(f"powers of coefficient spans {spent} and {span} "
+                                 f"exceed the budget of {MAX_EXPONENT}")
+            if k * bits > limit:
+                raise ValueError(f"exponent {n} times coefficient bits {bits} exceeds the "
+                                 f"integer-to-text limit of {limit}")
+        if used_bits and bits and used_bits + k * bits > limit:
+            raise ValueError(f"product of coefficient bits {used_bits} and {k * bits} exceeds "
+                             f"the integer-to-text limit of {limit}")
+        if n is None:
+            return base
         spent += span
         return base ** n
 

@@ -14,7 +14,7 @@ z*y = A^2*y*z + (A^-1 - A^3)*x, and x moves left through z^c by
 z*x = A^-2*x*z + (A - A^-3)*y and then through y^b by
 y*x = A^2*x*y + (A^-1 - A^3)*z.  A product m1 * x^a y^b z^c applies the
 table one generator at a time, so the table only grows with the degrees of
-the monomials reached.
+the monomials reached; the pairs of one m1 share their walks to x^i y^j.
 
 Inside a product a coefficient, scaled to integers by the lcm of the
 denominators on its side, is one piece (low, packed, bound) per residue mod 4
@@ -140,19 +140,24 @@ def _right_action(mono: Monomial, gen: int, width: int, table: dict) -> Terms:
     return out
 
 
-def _monomial_product(m1: Monomial, m2: Monomial, width: int, table: dict) -> tuple[Terms, int]:
-    """m1 * x^a y^b z^c, one generator at a time from the left, and the table terms multiplied."""
+def _monomial_product(m1: Monomial, m2: Monomial, width: int, table: dict,
+                      walks: dict) -> tuple[Terms, int]:
+    """m1 * x^a y^b z^c, one generator at a time from the left, and the table terms multiplied;
+    walks, one m1's own, holds each prefix m1 * x^i y^j under (i, j) with the work of its walk."""
     a, b, c = m2
     if not a * (m1[1] + m1[2]) + b * m1[2]:        # no letter of m2 moves
         return {(m1[0] + a, m1[1] + b, m1[2] + c, 0): _ONE}, 0
     degree = sum(m1) + sum(m2)
     if degree > MAX_DEGREE:
         raise ValueError(f"skein product of degree {degree} exceeds the budget of {MAX_DEGREE}")
-    terms, work = {m1 + (0,): _ONE}, 0
-    for gen in (_X,) * a + (_Y,) * b:
-        terms, n = _act(terms, gen, width, table)
-        work += n
-    return _times_z(terms, c), work
+    if (walk := walks.get((a, b))) is None:
+        walk = {m1 + (0,): _ONE}, 0
+        for i in range(1, a + b + 1):               # through x^i, then x^a y^(i-a)
+            if (step := walks.get(key := (i, 0) if i <= a else (a, i - a))) is None:
+                terms, n = _act(walk[0], _Y if key[1] else _X, width, table)
+                walks[key] = step = terms, walk[1] + n
+            walk = step
+    return _times_z(walk[0], c), walk[1]
 
 
 def _pieces(poly: LaurentPoly, scale: int, width: int) -> Terms:
@@ -181,14 +186,13 @@ def _packed_product(left: dict, right: dict, commutator: bool = False) -> tuple[
         for first, second, s1, s2 in orders:
             second = [(m2, _pieces(p2, s2, width)) for m2, p2 in second.items()]
             for m1, p1 in first.items():
-                p1 = _pieces(p1, s1, width)
+                p1, walks = _pieces(p1, s1, width), {}
                 for m2, p2 in second:
                     if work > MAX_PRODUCT_TERMS:
                         raise ValueError(
                             f"skein product exceeds the budget of {MAX_PRODUCT_TERMS} terms")
-                    weight: Terms = {}
-                    _madd(weight, p1, p2.values(), width)
-                    terms, n = _monomial_product(m1, m2, width, table)
+                    _madd(weight := {}, p1, p2.values(), width)
+                    terms, n = _monomial_product(m1, m2, width, table, walks)
                     work += n
                     _madd(out, terms, weight.values(), width)
         top = max((bound for _, _, bound in out.values()), default=0)
@@ -250,17 +254,22 @@ class TorusSkeinElement(_MonomialSum):
         return cls({(a, b, c): coeff})
 
     def _product(self, right: dict) -> "TorusSkeinElement":
-        """Each pair of monomials through the right-action table, on packed coefficients;
-        each (monomial, residue) is decoded once."""
+        """Each pair of monomials through the right-action table, on packed coefficients; each
+        piece's balanced digits, over den, go straight into its monomial's exponent map."""
         out, width, den = _packed_product(self._terms, right)
-        coeffs: dict[Monomial, dict] = {}
-        for (a, b, c, _), (low, packed, bound) in out.items():
-            exps = coeffs.setdefault((a, b, c), {})
-            for v in _unpack(packed, width, bound):
-                if v:
-                    exps[low] = v if den == 1 else Fraction(v, den)
+        half, mask = 1 << (width - 1), (1 << width) - 1
+        coeffs: dict[Monomial, LaurentPoly] = {}
+        for (a, b, c, _), (low, packed, _) in out.items():
+            if (poly := coeffs.get((a, b, c))) is None:
+                coeffs[(a, b, c)] = poly = LaurentPoly._wrap({})
+            terms = poly._terms
+            while packed:
+                packed += half
+                if v := (packed & mask) - half:
+                    terms[low] = v if den == 1 else v // den if not v % den else Fraction(v, den)
+                packed >>= width
                 low += 4
-        return self._wrap({mono: LaurentPoly._wrap(exps) for mono, exps in coeffs.items() if exps})
+        return self._wrap(coeffs)
 
     # Bound here, not only inherited, so that it stays in this class's
     # __dict__, where the benchmark's tracer wraps it (as it does __pow__).

@@ -250,10 +250,10 @@ class TestSkeinCommand:
             self, expr, degree, monkeypatch, capsys):
         base_product = torus_skein._monomial_product
 
-        def base_products_only(m1, m2, width, table):
+        def base_products_only(m1, m2, width, table, walks):
             # x*y*z takes two products of degree at most 3; the power takes none
             assert sum(m1) + sum(m2) <= 3, f"product {m1} * {m2} of the power was computed"
-            return base_product(m1, m2, width, table)
+            return base_product(m1, m2, width, table, walks)
         monkeypatch.setattr(torus_skein, "_monomial_product", base_products_only)
         assert main(["skein", "--expr", expr]) == 2
         out, err = capsys.readouterr()
@@ -288,6 +288,16 @@ class TestSkeinCommand:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: exponent ") and err.count("\n") == 1
         assert err.endswith(f" exceeds the integer-to-text limit of {limit}\n"), err
+
+    @pytest.mark.parametrize("factors", [2, 5, 3000])
+    def test_products_of_numbers_past_the_text_limit_are_refused_at_once(self, factors, capsys):
+        # (9^999)^2 is refused by its power's bits; a product of the same value is too
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 4300
+        start = time.perf_counter()
+        assert main(["skein", "--expr", "*".join(["9^999"] * factors)]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", "error: product of coefficient bits 3166 and 2997 "
+                                           f"exceeds the integer-to-text limit of {limit}\n")
 
     @pytest.mark.parametrize("expr", [
         "2^1000", "9^999", "10^1000", "(1 + A)^1000", "(2*x)^1000", "(1/3)^1000",

@@ -142,6 +142,34 @@ class TestRendering:
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 20000, raising=False)
         assert parse_laurent("(9^999)^5") == LaurentPoly({0: 9 ** 4995})
 
+    def test_products_of_numbers_stop_at_the_integer_text_limit(self, monkeypatch):
+        # a factor whose bits, |n| times its base's for a power, and the bits of
+        # the product before it are both nonzero and sum past the limit is
+        # refused before it is computed, as the equal power is
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 4300
+        assert parse_laurent("4^1000*16^575") == LaurentPoly({0: 2 ** 4300})
+        assert parse_laurent("9^999*A*(-1)*(-1)") == LaurentPoly({1: 9 ** 999})
+        # 3^3000 has 4755 bits, past the limit, but a factor of 0 bits adds none
+        assert parse_laurent("3^1000*3^1000*3^1000*A*(-1)") == LaurentPoly({1: -3 ** 3000})
+        assert parse_laurent("(2*A)^1000*A^-1000*1") == LaurentPoly({0: 2 ** 1000})
+        powers = []
+        laurent_power = LaurentPoly.__pow__
+        monkeypatch.setattr(LaurentPoly, "__pow__",
+                            lambda base, n: powers.append(n) or laurent_power(base, n))
+        for bad, used, bits, computed in (("9^999*9^999", 3166, 2997, [999]),
+                                          ("*".join(["9^999"] * 5), 3166, 2997, [999]),
+                                          ("*".join(["9^999"] * 3000), 3166, 2997, [999]),
+                                          ("4^1000*16^576", 2000, 2304, [1000]),
+                                          ("(2^1000)^4*2^301", 4000, 301, [1000, 4]),
+                                          ("(1/8)^1000*(4*A - 4)^700", 3000, 1400, [1000])):
+            powers.clear()
+            with pytest.raises(ValueError, match=f"^product of coefficient bits {used} and {bits} "
+                                                 f"exceeds the integer-to-text limit of {limit}$"):
+                parse_laurent(bad)
+            assert powers == computed, bad
+        with pytest.raises(ValueError, match="^exponent 2 times coefficient bits 3166 "):
+            parse_laurent("(9^999)^2")
+
     def test_products_stop_at_the_span_budget(self, monkeypatch):
         budget = poly.MAX_EXPONENT
         assert parse_laurent("(1 + A)^500*(1 + A)^500") == parse_laurent(f"(1 + A)^{budget}")

@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skeinlab.poly import LaurentPoly
+from skeinlab import torus_skein
+from skeinlab.poly import LaurentPoly, _pack, _unpack
 from skeinlab.qlattice import UqWord
 from skeinlab.torus_skein import (
     MAX_DEGREE,
@@ -371,9 +372,9 @@ class TestPackedProducts:
         passes = []
         product = torus_skein._monomial_product
 
-        def recording_product(m1, m2, width, table):
+        def recording_product(m1, m2, width, table, walks):
             passes.append((width, table is shared))
-            return product(m1, m2, width, table)
+            return product(m1, m2, width, table, walks)
         monkeypatch.setattr(torus_skein, "_monomial_product", recording_product)
         cases = [(TorusSkeinElement.monomial(0, 6, 6), TorusSkeinElement.monomial(6, 0, 0)),
                  (TorusSkeinElement.monomial(0, 20, 0), X),
@@ -451,6 +452,121 @@ class TestPackedProducts:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not wrong and rounds.count(1) and rounds.count(len(small)) >= 2
+
+
+# ----------------------------------------------------------------------
+# oracle: each pair of monomials walked alone
+#
+# A product forms m1 * x^a y^b z^c by walking from {m1} one right action per
+# letter.  The pairs of one left monomial share the walks to their common
+# prefixes x^i y^j; this is the walk of one pair on its own, from scratch,
+# which must give the same pieces and count the same work.
+
+
+def per_pair_walk(m1, m2, width, table):
+    a, b, c = m2
+    if not a * (m1[1] + m1[2]) + b * m1[2]:
+        return {(m1[0] + a, m1[1] + b, m1[2] + c, 0): torus_skein._ONE}, 0
+    degree = sum(m1) + sum(m2)
+    if degree > MAX_DEGREE:
+        raise ValueError(f"skein product of degree {degree} exceeds the budget of {MAX_DEGREE}")
+    terms, work = {m1 + (0,): torus_skein._ONE}, 0
+    for gen in (_X,) * a + (_Y,) * b:
+        terms, n = torus_skein._act(terms, gen, width, table)
+        work += n
+    return torus_skein._times_z(terms, c), work
+
+
+def with_pairs(compute, pair):
+    """compute() with every pair of monomials formed by pair, and the work the pairs counted."""
+    counts = []
+
+    def counting(*args):
+        terms, work = pair(*args)
+        counts.append(work)
+        return terms, work
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(torus_skein, "_monomial_product", counting)
+        return compute(), sum(counts)
+
+
+SHARED_WALKS = torus_skein._monomial_product
+
+
+def checked_against_the_walk_alone(m1, m2, width, table, walks):
+    got = SHARED_WALKS(m1, m2, width, table, walks)
+    assert got == per_pair_walk(m1, m2, width, table), (m1, m2, width)
+    return got
+
+
+def walked_alone(m1, m2, width, table, walks):
+    return per_pair_walk(m1, m2, width, table)
+
+
+BIG = TorusSkeinElement({(0, 1, 1): (1 + LaurentPoly.a_power(1)) ** 300})
+
+
+class TestSharedWalks:
+    @settings(deadline=None, max_examples=40)
+    @given(rational_elements, rational_elements, st.booleans())
+    def test_products_squares_and_brackets_match_pairs_walked_alone(self, p, q, big):
+        if big:
+            p = p + BIG
+        for compute in (lambda: p * q, lambda: p ** 2, lambda: poisson_bracket(p, q)):
+            shared, work = with_pairs(compute, checked_against_the_walk_alone)
+            assert (shared, work) == with_pairs(compute, walked_alone)
+
+    def test_pairs_of_one_left_monomial_share_their_walks(self, monkeypatch):
+        # a*(bc): bc has many monomials x^a y^b z^c with common prefixes x^a y^b
+        p = TorusSkeinElement.monomial(0, 2, 2, lp({1: 2, -1: Fraction(1, 3)})) + Y * Z
+        q = parse_skein("(x + y + z)^2*(y + A*z)")
+        assert len(q._terms) > 10
+        p * q                                   # fill the table first
+        acts, act = [], torus_skein._act
+        monkeypatch.setattr(torus_skein, "_act", lambda *args: acts.append(1) or act(*args))
+        shared = with_pairs(lambda: p * q, SHARED_WALKS)
+        shared_acts = len(acts)
+        acts.clear()
+        alone = with_pairs(lambda: p * q, walked_alone)
+        assert shared == alone and shared[0] == dict_table_product(p, q) and shared[1] > 0
+        assert 0 < shared_acts < len(acts) / 2
+
+    def test_the_work_budget_stops_at_the_pair_it_stops_at_walked_alone(self, monkeypatch):
+        monkeypatch.setattr(torus_skein, "MAX_PRODUCT_TERMS", 2000)
+        p, q = parse_skein("(z + y)^4"), parse_skein("(x + y)^4")
+        reached = {}
+        for pair in (SHARED_WALKS, walked_alone):
+            pairs = reached[pair] = []
+            with pytest.raises(ValueError, match="^skein product exceeds the budget of 2000 terms$"):
+                with_pairs(lambda: p * q, lambda *args: pairs.append(args[:2]) or pair(*args))
+        shared, alone = reached.values()
+        assert shared == alone and len(p._terms) < len(shared) < len(p._terms) * len(q._terms)
+
+
+class TestDecode:
+    @pytest.mark.parametrize("width", [8, 64])
+    def test_pieces_decode_as_unpack_reads_them(self, width, monkeypatch):
+        # random pieces with negative, zero and den-divisible slots: the product's
+        # decode must give what _unpack reads, over den, integral values as ints
+        rng, half = random.Random(width), 1 << (width - 1)
+        for den in (1, 2, 6, 35):
+            out, want = {}, {}
+            for mono in rng.sample(monomials(3), 6):
+                for residue in rng.sample(range(4), rng.randint(1, 4)):
+                    low = 4 * rng.randint(-4, 4) + residue
+                    slots = [rng.choice((0, den * rng.randint(-3, 3), rng.randrange(1 - half, half)))
+                             for _ in range(rng.randint(1, 9))]
+                    bound = max(map(abs, slots))
+                    out[mono + (residue,)] = (low, _pack(slots, width), bound)
+                    for k, v in enumerate(_unpack(_pack(slots, width), width, bound)):
+                        want.setdefault(mono, {})[low + 4 * k] = Fraction(v, den)
+            monkeypatch.setattr(torus_skein, "_packed_product", lambda *_: (out, width, den))
+            got = TorusSkeinElement.one()._product({})
+            assert got == TorusSkeinElement({m: LaurentPoly(e) for m, e in want.items()})
+            values = [c for poly in got._terms.values() for c in poly._terms.values()]
+            assert all(type(c) is int or c.denominator > 1 for c in values)
+            assert any(type(c) is int for c in values) and (den == 1 or any(
+                type(c) is Fraction for c in values))
 
 
 class TestPoissonOracle:
@@ -661,7 +777,7 @@ class TestBudgets:
         monkeypatch.setattr(torus_skein, "MAX_DEGREE", 4)
         assert parse_skein("(x+y)^4") == (X + Y) * (X + Y) * (X + Y) * (X + Y)
 
-        def no_product(m1, m2, width, table):
+        def no_product(m1, m2, width, table, walks):
             raise AssertionError(f"product {m1} * {m2} was computed")
         monkeypatch.setattr(torus_skein, "_monomial_product", no_product)
         for power in (lambda: parse_skein("(x+y)^5"), lambda: (X + Y) ** 5):
@@ -709,8 +825,8 @@ class TestBudgets:
         monkeypatch.setattr(torus_skein, "_RIGHT_ACTION", {})
         product, passes = torus_skein._monomial_product, []
 
-        def recording_product(m1, m2, width, table):
-            terms, work = product(m1, m2, width, table)
+        def recording_product(m1, m2, width, table, walks):
+            terms, work = product(m1, m2, width, table, walks)
             passes.append((width, table is torus_skein._RIGHT_ACTION,
                            max(bound for _, _, bound in terms.values())))
             return terms, work
