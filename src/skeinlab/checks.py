@@ -5,11 +5,10 @@ classical and quantum lattice gauge theory."""
 from __future__ import annotations
 
 import json
+import math
 import random
 from collections.abc import Callable
 from fractions import Fraction
-
-import numpy as np
 
 from . import characters, diagram, formats, lattice, qlattice, torus_skein
 from .bracket import bracket, bracket_statesum, bracket_tl_sweep
@@ -34,11 +33,9 @@ def _random_skein_element(rng: random.Random) -> torus_skein.TorusSkeinElement:
 
 def battery(seed: int) -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
     """The checks as (name, function) pairs in run order.  Each returns
-    (ok, detail).  They share two generators seeded with `seed`, so each
-    check draws where the one before it stopped; `poisson_structure` draws
-    from a third of its own."""
+    (ok, detail).  They share one `random.Random` seeded with `seed`, so
+    each check draws where the one before it stopped."""
     rng = random.Random(seed)
-    nprng = np.random.default_rng(seed)
     corpus = diagram.corpus()
 
     def bracket_corpus():
@@ -115,11 +112,8 @@ def battery(seed: int) -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
                 return False, f"{{{a},{b}}} = {got}"
             if torus_skein.poisson_bracket(gens[b], gens[a]) != -w:
                 return False, "antisymmetry"
-        # against the h-series of the commutator, on pairs from a generator of
-        # its own, so that the checks after it draw what they drew before
-        own = random.Random(seed)
-        for _ in range(3):
-            p, q = _random_skein_element(own), _random_skein_element(own)
+        for _ in range(3):          # against the h-series of the commutator
+            p, q = _random_skein_element(rng), _random_skein_element(rng)
             series = [(m, c.to_h_series(1)) for m, c in (p * q - q * p).items()]
             oracle = C({m: s.coeff(1) for m, s in series})
             if any(s.constant_term() for _, s in series) or (
@@ -130,14 +124,14 @@ def battery(seed: int) -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
     def trace_identities():
         worst = 0.0
         for _ in range(200):
-            rep = characters.random_rep("uv", nprng)
+            rep = characters.random_rep("uv", rng)
             worst = max(worst, abs(characters.trace_identity_residual(rep, "u", "v")))
         return _within(worst, 1e-9, "200 pairs, max residual")
 
     def phi_multiplicative():
         worst = 0.0
         for _ in range(25):
-            rep = characters.random_rep("ab", nprng)
+            rep = characters.random_rep("ab", rng)
             p, q = _random_skein_element(rng), _random_skein_element(rng)
             lhs = characters.phi_evaluate((p * q).specialize(-1), rep)
             rhs = (characters.phi_evaluate(p.specialize(-1), rep)
@@ -149,8 +143,8 @@ def battery(seed: int) -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
         g = lattice.bowtie_graph()
         worst = 0.0
         for _ in range(5):
-            conn = {e: characters.random_sl2(nprng) for e in g.edges}
-            gauge = {v: characters.random_sl2(nprng) for v in g.vertices}
+            conn = {e: characters.random_sl2(rng) for e in g.edges}
+            gauge = {v: characters.random_sl2(rng) for v in g.vertices}
             conn2 = lattice.gauge_act(g, gauge, conn)
             for face in g.faces:
                 worst = max(worst, abs(lattice.wilson_loop(g, conn, face)
@@ -161,7 +155,7 @@ def battery(seed: int) -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
         g = lattice.punctured_torus_graph()
         worst = 0.0
         for _ in range(5):
-            rep = characters.random_rep("ab", nprng)
+            rep = characters.random_rep("ab", rng)
             conn = lattice.rep_to_connection(g, {1: rep["a"], 2: rep["b"]}, tree=set())
             for word, path in (("a", [(1, 1)]), ("b", [(2, 1)]), ("ab", [(1, 1), (2, 1)])):
                 got = lattice.wilson_loop(g, conn, path)
@@ -171,14 +165,14 @@ def battery(seed: int) -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
     def yang_baxter():
         worst = 0.0
         for _ in range(5):
-            t = complex(nprng.uniform(0.5, 1.5), nprng.uniform(-0.5, 0.5))
+            t = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))
             worst = max(worst, qlattice.yang_baxter_residual(t))
         return _within(worst, 1e-10, "5 values of t, max residual")
 
     def charmed_and_tangle():
         worst = 0.0
         for _ in range(3):
-            t = complex(nprng.uniform(0.6, 1.4), nprng.uniform(-0.4, 0.4))
+            t = complex(rng.uniform(0.6, 1.4), rng.uniform(-0.4, 0.4))
             worst = max(worst, abs(uq_trace(qlattice.W_CHARM, t) - (t * t + 1 / (t * t))))
         ok, detail = _within(worst, 1e-12, "tr k - t^2 - t^-2 at 3 values of t, max")
         graph = lattice.CiliatedGraph(
@@ -197,9 +191,9 @@ def battery(seed: int) -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
         triv = {e: UqWord.unit() for e in g.edges}
         worst = words = 0.0
         for _ in range(3):
-            t = complex(nprng.uniform(0.7, 1.3), nprng.uniform(-0.3, 0.3))
+            t = complex(rng.uniform(0.7, 1.3), rng.uniform(-0.3, 0.3))
             worst = max(worst, abs(qlattice.skein_residual(g, d, d_a, d_b, triv, t)))
-            gauge = {v: characters.random_sl2(nprng) for v in g.vertices}
+            gauge = {v: characters.random_sl2(rng) for v in g.vertices}
             flat = classical_to_quantum(
                 lattice.gauge_act(g, gauge, lattice.trivial_connection(g)))
             worst = max(worst, abs(qlattice.skein_residual(g, d, d_a, d_b, flat, t)))
@@ -207,7 +201,7 @@ def battery(seed: int) -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
             for link in (d, d_a, d_b):
                 got = wilson_qlink(g, link, triv, t)
                 want = (-1) ** len(link.loops) * sum(
-                    np.prod([uq_trace(w, t) for w in products])
+                    math.prod([uq_trace(w, t) for w in products])
                     for products in qlattice.decorated_words(g, link, triv, t))
                 words = max(words, abs(got - want) / max(1.0, abs(want)))
         ok_r, residual = _within(worst, 1e-8, "max residual")
@@ -232,7 +226,7 @@ def battery(seed: int) -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
         _, d_a, d_b = qlattice.bowtie_qlinks()
         worst = 0.0
         for _ in range(3):
-            conn = {e: characters.random_sl2(nprng) for e in g.edges}
+            conn = {e: characters.random_sl2(rng) for e in g.edges}
             qconn = classical_to_quantum(conn)
             got = wilson_qlink(g, d_a, qconn, 1.0)
             worst = max(worst, abs(got - lattice.wilson_loop(g, conn, d_a.loops[0])))
@@ -249,7 +243,7 @@ def battery(seed: int) -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
         for letters in (("K", "E"), ("E", "F")):
             inputs = [UqWord.letter(ch) for ch in letters]
             worst = max(worst, qlattice.nabla_coassociativity_residual(
-                graph, "v1", inputs, t, nprng))
+                graph, "v1", inputs, t, rng))
         return _within(worst, 1e-8, "2 input pairs, max defect")
 
     def serialization_round_trips():

@@ -13,7 +13,7 @@ import re
 import sys
 from fractions import Fraction
 
-# numpy-backed modules are imported by their handlers: bracket and skein load no numpy
+# the matrix modules are imported by their handlers, so bracket and skein skip their import time
 from . import diagram, formats, torus_skein
 from .bracket import MAX_CROSSINGS, MAX_WIDTH, bracket as _bracket_eval
 from .poly import render_laurent
@@ -148,7 +148,7 @@ def _cmd_lattice(args) -> int:
         conn = lattice.trivial_connection(g)
     if args.holonomy is not None:
         m = lattice.holonomy(g, conn, _parse_path(args.holonomy))
-        rows = [f"[{_fmt_complex(m[i, 0])}, {_fmt_complex(m[i, 1])}]" for i in (0, 1)]
+        rows = [f"[{_fmt_complex(m[i])}, {_fmt_complex(m[i + 1])}]" for i in (0, 2)]
         _emit(args, "\n".join(rows), {"holonomy": formats.matrix_to_json(m)})
         return 0
     if args.wilson is not None:

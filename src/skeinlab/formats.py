@@ -14,9 +14,8 @@ from typing import TYPE_CHECKING, Mapping
 
 from .diagram import Crossing, LinkDiagram, parse_braid
 
-if TYPE_CHECKING:        # imported where used, so that diagrams load no numpy
-    import numpy as np
-
+if TYPE_CHECKING:        # imported where used, so that diagram input skips their import
+    from .characters import Entries
     from .lattice import CiliatedGraph
     from .qlattice import QLink, UqWord
 
@@ -137,44 +136,41 @@ def complex_from_json(v) -> complex:
     return z
 
 
-def matrix_to_json(m: np.ndarray) -> list:
-    import numpy as np
-    m = np.asarray(m, dtype=complex)
-    return [[complex_to_json(m[i, j]) for j in range(m.shape[1])]
-            for i in range(m.shape[0])]
+def matrix_to_json(m: Entries) -> list:
+    """Two rows of two [re, im] pairs, from any matrix `characters.entries` reads."""
+    from .characters import entries
+    a, b, c, d = entries(m)
+    return [[complex_to_json(a), complex_to_json(b)], [complex_to_json(c), complex_to_json(d)]]
 
 
-def matrix_from_json(rows) -> np.ndarray:
-    """A 2x2 complex matrix from two rows of two entries."""
-    import numpy as np
-    m = np.array([[complex_from_json(v) for v in row] for row in rows], dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"a matrix must be 2x2, not of shape {m.shape}")
-    return m
+def matrix_from_json(rows) -> Entries:
+    """A 2x2 complex matrix, as its entry tuple, from two rows of two entries."""
+    if not (isinstance(rows, (list, tuple)) and len(rows) == 2
+            and all(isinstance(row, (list, tuple)) and len(row) == 2 for row in rows)):
+        raise ValueError(f"a matrix must be two rows of two entries, not {rows!r}")
+    return tuple(complex_from_json(v) for row in rows for v in row)
 
 
-def _sl2_from_json(rows, what: str) -> np.ndarray:
+def _sl2_from_json(rows, what: str) -> Entries:
     """`matrix_from_json`, refused unless the determinant is 1: exactly when
     the four entries are JSON integers, else within 1e-9 * max(1, |m00 m11|,
     |m01 m10|), which float entries written from SL(2) products pass."""
     m = matrix_from_json(rows)
-    if all(type(v) is int for row in rows for v in row):
-        (a, b), (c, d) = rows
-        det = a * d - b * c
-    else:
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if abs(det - 1) <= 1e-9 * max(1, abs(m[0, 0] * m[1, 1]), abs(m[0, 1] * m[1, 0])):
-            det = 1
+    exact = all(type(v) is int for row in rows for v in row)
+    a, b, c, d = (*rows[0], *rows[1]) if exact else m
+    det = a * d - b * c
+    if not exact and abs(det - 1) <= 1e-9 * max(1, abs(a * d), abs(b * c)):
+        det = 1
     if det != 1:
         raise ValueError(f"{what} must have determinant 1, not {det}")
     return m
 
 
-def rep_to_json(rep: Mapping[str, np.ndarray]) -> dict:
+def rep_to_json(rep: Mapping[str, Entries]) -> dict:
     return {name: matrix_to_json(m) for name, m in sorted(rep.items())}
 
 
-def rep_from_json(obj: dict | str) -> dict[str, np.ndarray]:
+def rep_from_json(obj: dict | str) -> dict[str, Entries]:
     obj = _load(obj, "a representation")
     return {str(name): _sl2_from_json(rows, f"generator {name!r}") for name, rows in obj.items()}
 
@@ -207,11 +203,11 @@ def graph_from_json(obj: dict | str) -> CiliatedGraph:
     return CiliatedGraph(vertices, edges, cil, faces)
 
 
-def connection_to_json(conn: Mapping[int, np.ndarray]) -> dict:
+def connection_to_json(conn: Mapping[int, Entries]) -> dict:
     return {str(e): matrix_to_json(m) for e, m in sorted(conn.items())}
 
 
-def connection_from_json(obj: dict | str) -> dict[int, np.ndarray]:
+def connection_from_json(obj: dict | str) -> dict[int, Entries]:
     obj = _load(obj, "a connection")
     return {_int(e, "a connection edge id"): _sl2_from_json(rows, f"edge {e}'s matrix")
             for e, rows in obj.items()}

@@ -14,19 +14,18 @@ minus the trace of the holonomy, matching the loop sign convention of the
 skein algebra.  Flatness means every distinguished face has trivial
 holonomy; representation-valued data on a surface graph arises by putting
 the identity on a spanning tree and generator images on the leftover edges.
+Edge matrices are `characters` entry tuples, so exact entries give exact values.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
-from .characters import Rep, sl2_inverse
+from .characters import IDENTITY, Entries, Rep, entries, product, sl2_inverse, trace
 
 EdgeEnd = tuple[int, int]          # (edge id, 0 = source end / 1 = target end)
 Step = tuple[int, int]             # (edge id, +1 forward / -1 against)
-Connection = Mapping[int, np.ndarray]
+Connection = Mapping[int, Entries]  # or any matrix that `characters.entries` reads
 
 
 class CiliatedGraph:
@@ -94,32 +93,33 @@ class CiliatedGraph:
         return i
 
 
-def holonomy(graph: CiliatedGraph, conn: Connection, path: Sequence[Step]) -> np.ndarray:
+def _edge(conn: Connection, e: int) -> Entries:
+    try:
+        m = conn[e]
+    except KeyError:
+        raise KeyError(f"edge {e} missing from connection") from None
+    return entries(m)
+
+
+def holonomy(graph: CiliatedGraph, conn: Connection, path: Sequence[Step]) -> Entries:
     """Ordered product of edge matrices along a path, x1 * x2^(+/-1) * ...."""
     graph._check_path(path, closed=False)
-    out = np.eye(2, dtype=complex)
-    for e, d in path:
-        m = np.asarray(conn[e], dtype=complex)
-        out = out @ (m if d == 1 else sl2_inverse(m))
-    return out
+    return product([_edge(conn, e) if d == 1 else sl2_inverse(_edge(conn, e))
+                    for e, d in path])
 
 
-def wilson_loop(graph: CiliatedGraph, conn: Connection, loop: Sequence[Step]) -> complex:
+def wilson_loop(graph: CiliatedGraph, conn: Connection, loop: Sequence[Step]):
     """Minus the trace of the holonomy around a closed path."""
     graph._check_path(loop, closed=True)
-    return -complex(np.trace(holonomy(graph, conn, loop)))
+    return -trace(holonomy(graph, conn, loop))
 
 
-def gauge_act(graph: CiliatedGraph, g: Mapping[object, np.ndarray],
-              conn: Connection) -> dict[int, np.ndarray]:
+def gauge_act(graph: CiliatedGraph, g: Mapping[object, Entries],
+              conn: Connection) -> dict[int, Entries]:
     """Gauge transformation: an edge u -> v carrying x gets g(u) x g(v)^-1."""
-    out = {}
-    for e, (u, v) in graph.edges.items():
-        m = np.asarray(conn[e], dtype=complex)
-        gu = np.asarray(g.get(u, np.eye(2)), dtype=complex)
-        gv = np.asarray(g.get(v, np.eye(2)), dtype=complex)
-        out[e] = gu @ m @ sl2_inverse(gv)
-    return out
+    return {e: product((entries(g.get(u, IDENTITY)), _edge(conn, e),
+                        sl2_inverse(entries(g.get(v, IDENTITY)))))
+            for e, (u, v) in graph.edges.items()}
 
 
 def is_flat(graph: CiliatedGraph, conn: Connection, tol: float = 1e-9) -> bool:
@@ -128,8 +128,7 @@ def is_flat(graph: CiliatedGraph, conn: Connection, tol: float = 1e-9) -> bool:
     A graph with no distinguished faces imposes no conditions, matching the
     fact that on a punctured surface every connection on a spine is flat.
     """
-    eye = np.eye(2)
-    return all(np.abs(holonomy(graph, conn, face) - eye).max() <= tol
+    return all(max(abs(x - y) for x, y in zip(holonomy(graph, conn, face), IDENTITY)) <= tol
                for face in graph.faces)
 
 
@@ -158,26 +157,17 @@ def spanning_tree(graph: CiliatedGraph) -> set[int]:
     return tree
 
 
-def rep_to_connection(graph: CiliatedGraph, images: Mapping[int, np.ndarray],
-                      tree: set[int] | None = None) -> dict[int, np.ndarray]:
+def rep_to_connection(graph: CiliatedGraph, images: Connection,
+                      tree: set[int] | None = None) -> dict[int, Entries]:
     """Connection with identity on a spanning tree and given holonomy images
     on the remaining edges (one fundamental-group generator per such edge)."""
     if tree is None:
         tree = spanning_tree(graph)
-    eye = np.eye(2, dtype=complex)
-    out = {}
-    for e in graph.edges:
-        if e in tree:
-            out[e] = eye.copy()
-        else:
-            if e not in images:
-                raise KeyError(f"no image supplied for non-tree edge {e}")
-            out[e] = np.asarray(images[e], dtype=complex)
-    return out
+    return {e: IDENTITY if e in tree else _edge(images, e) for e in graph.edges}
 
 
-def trivial_connection(graph: CiliatedGraph) -> dict[int, np.ndarray]:
-    return {e: np.eye(2, dtype=complex) for e in graph.edges}
+def trivial_connection(graph: CiliatedGraph) -> dict[int, Entries]:
+    return {e: IDENTITY for e in graph.edges}
 
 
 # ----------------------------------------------------------------------
@@ -213,9 +203,9 @@ def peripheral_path() -> list[Step]:
     return [(1, 1), (2, 1), (1, -1), (2, -1)]
 
 
-def rep_connection_on_bouquet(rep: Rep, names: Sequence[str] = ("a", "b")) -> dict[int, np.ndarray]:
+def rep_connection_on_bouquet(rep: Rep, names: Sequence[str] = ("a", "b")) -> dict[int, Entries]:
     """Connection on bouquet(len(names)) whose loop holonomies realize rep."""
-    return {i + 1: np.asarray(rep[name], dtype=complex) for i, name in enumerate(names)}
+    return {i + 1: entries(rep[name]) for i, name in enumerate(names)}
 
 
 def triangle_graph() -> CiliatedGraph:

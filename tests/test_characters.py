@@ -1,22 +1,35 @@
 """Trace functions on pairs of unimodular 2x2 matrices."""
 
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from skeinlab.characters import (
+    IDENTITY,
     character_point,
-    commutator_trace,
     conjugate_rep,
+    det,
+    entries,
     evaluate_word,
     inverse_word,
+    mul,
     phi_evaluate,
+    product,
     random_rep,
     random_sl2,
     sl2_inverse,
+    trace,
     trace_identity_residual,
     trace_word,
 )
 from skeinlab.torus_skein import CommPoly, TorusSkeinElement
+
+
+def matrix(m) -> np.ndarray:
+    """The numpy 2x2 array of an entry tuple, for an independent oracle."""
+    return np.reshape(m, (2, 2))
 
 
 class TestMatrices:
@@ -24,16 +37,70 @@ class TestMatrices:
         rng = np.random.default_rng(1)
         for _ in range(50):
             m = random_sl2(rng)
-            assert abs(np.linalg.det(m) - 1) < 1e-12
+            assert abs(np.linalg.det(matrix(m)) - 1) < 1e-12
 
     def test_sl2_inverse(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             m = random_sl2(rng)
-            assert np.allclose(m @ sl2_inverse(m), np.eye(2), atol=1e-12)
+            assert np.allclose(matrix(m) @ matrix(sl2_inverse(m)), np.eye(2), atol=1e-12)
 
     def test_seeded_generation_is_reproducible(self):
         assert np.array_equal(random_sl2(7), random_sl2(7))
+
+
+class TestEntryHelpers:
+    def test_helpers_match_numpy(self):
+        rng = random.Random(16)
+        ms = [random_sl2(rng) for _ in range(4)]
+        assert np.allclose(matrix(mul(ms[0], ms[1])), matrix(ms[0]) @ matrix(ms[1]))
+        assert np.allclose(matrix(product(ms)),
+                           matrix(ms[0]) @ matrix(ms[1]) @ matrix(ms[2]) @ matrix(ms[3]))
+        assert product([]) == IDENTITY and product(ms[:1]) == ms[0]
+        m = mul(ms[0], (2, 1, 3, 4))
+        assert abs(trace(m) - np.trace(matrix(m))) < 1e-12
+        assert abs(det(m) - np.linalg.det(matrix(m))) < 1e-12
+
+    def test_reader_takes_four_entries_rows_and_arrays(self):
+        want = (1, 2j, 3, 4)
+        assert entries(want) == want
+        assert entries([1, 2j, 3, 4]) == want
+        assert entries([[1, 2j], [3, 4]]) == want
+        assert entries(((1, 2j), (3, 4))) == want
+        got = entries(np.array([[1, 2j], [3, 4]]))
+        assert got == want and all(type(v) is complex for v in got)
+        assert entries(np.array([[1, 2], [3, 4]])) == (1, 2, 3, 4)
+        for bad in ([[1, 2, 3], [4, 5, 6]], [1, 2, 3], [[1, 2]]):
+            with pytest.raises(ValueError):
+                entries(bad)
+
+    def test_exact_entries_stay_exact(self):
+        a, b = (1, 1, 0, 1), (0, -1, 1, 0)
+        assert mul(a, b) == (1, -1, 1, 0) and all(type(v) is int for v in mul(a, b))
+        h = (Fraction(1, 2), Fraction(1, 3), 0, 2)
+        inv = (2, Fraction(-1, 3), 0, Fraction(1, 2))
+        assert sl2_inverse(h) == inv and product([h, inv, h]) == h
+        assert all(type(v) is Fraction for v in product([h, h])[:2])
+        assert det(h) == 1 and trace(h) == Fraction(5, 2)
+        rep = {"a": a, "b": b}
+        assert evaluate_word(rep, "abAB") == mul(mul(a, b), mul(sl2_inverse(a), sl2_inverse(b)))
+        assert trace_word(rep, "abAB") == 3 and type(trace_word(rep, "abAB")) is int
+        assert character_point(rep) == (-2, 0, -1)
+
+    @pytest.mark.parametrize("make_rng", [random.Random, np.random.default_rng],
+                             ids=["random.Random", "numpy Generator"])
+    def test_random_sl2_takes_either_generator(self, make_rng):
+        ms = [random_sl2(make_rng(17)) for _ in range(2)]
+        assert ms[0] == ms[1]
+        rng = make_rng(18)
+        for _ in range(50):
+            m = random_sl2(rng)
+            assert abs(det(m) - 1) < 1e-12 and all(type(v) is complex for v in m)
+        assert len(set(random_rep("abc", rng).values())) == 3
+
+    def test_an_int_seeds_a_random_random(self):
+        assert random_sl2(19) == random_sl2(random.Random(19))
+        assert random_rep("ab", 20) == random_rep("ab", random.Random(20))
 
 
 class TestWords:
@@ -44,10 +111,10 @@ class TestWords:
 
     def test_evaluate_word(self):
         rep = random_rep("ab", np.random.default_rng(3))
-        a, b = rep["a"], rep["b"]
-        assert np.allclose(evaluate_word(rep, "ab"), a @ b)
-        assert np.allclose(evaluate_word(rep, "aB"), a @ sl2_inverse(b))
-        assert np.allclose(evaluate_word(rep, ""), np.eye(2))
+        a, b = matrix(rep["a"]), matrix(rep["b"])
+        assert np.allclose(matrix(evaluate_word(rep, "ab")), a @ b)
+        assert np.allclose(matrix(evaluate_word(rep, "aB")), a @ np.linalg.inv(b))
+        assert np.allclose(matrix(evaluate_word(rep, "")), np.eye(2))
 
     def test_word_inverse_evaluates_to_matrix_inverse(self):
         rep = random_rep("ab", np.random.default_rng(4))
@@ -85,7 +152,6 @@ class TestTraceIdentities:
         rep = random_rep("ab", np.random.default_rng(8))
         x, y, z = character_point(rep)
         want = x * x + y * y + z * z + x * y * z - 2
-        assert abs(commutator_trace(rep) - want) < 1e-9
         assert abs(trace_word(rep, "abAB") - want) < 1e-9
 
     def test_mixed_product_trace_in_coordinates(self):

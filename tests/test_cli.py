@@ -483,6 +483,14 @@ class TestLatticeCommand:
         assert main(["lattice", "--graph", gp, "--connection", cp, "--flat", "--tol", "0"]) == 0
         assert capsys.readouterr().out == "flat\n"
 
+    def test_a_connection_without_a_used_edge_names_it(self, triangle_files, tmp_path, capsys):
+        gp, _ = triangle_files
+        cp = tmp_path / "partial.json"
+        cp.write_text(json.dumps({"1": [[1, 0], [0, 1]], "3": [[1, 0], [0, 1]]}))
+        for mode in (["--holonomy", "1,2"], ["--wilson", "1,2,3"], ["--flat"]):
+            assert main(["lattice", "--graph", gp, "--connection", str(cp), *mode]) == 2
+            assert capsys.readouterr() == ("", "error: 'edge 2 missing from connection'\n")
+
 
 class TestQLatticeCommand:
     def test_wilson_value(self, bowtie_files, capsys):
@@ -534,6 +542,17 @@ class TestQLatticeCommand:
                      f"--tol={tol}"]) == 2
         assert capsys.readouterr() == (
             "", f"error: --tol must be finite and non-negative, not {float(tol)}\n")
+
+    def test_a_quantum_connection_without_an_edge_names_it(self, bowtie_files, tmp_path,
+                                                           capsys):
+        gp, (dp, ap, bp) = bowtie_files
+        cp = tmp_path / "partial.json"
+        cp.write_text(json.dumps({str(e): [{"coeff": 1, "word": []}] for e in (1, 3, 4, 5, 6)}))
+        for extra in ([], ["--residual", ap, bp]):
+            assert main(["qlattice", "--graph", gp, "--qlink", dp, "--qconnection", str(cp),
+                         *extra]) == 2
+            assert capsys.readouterr() == (
+                "", "error: 'edge 2 missing from quantum connection'\n")
 
     def test_crossing_budget_is_a_usage_error(self, bowtie_files, tmp_path, monkeypatch,
                                               capsys):

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from skeinlab.characters import random_rep, random_sl2
+from skeinlab.characters import mul, random_rep, random_sl2
 from skeinlab.diagram import corpus, parse_braid, random_braid_diagram
 from skeinlab.formats import (
     complex_from_json,
@@ -100,6 +100,12 @@ class TestNumbers:
         m = random_sl2(np.random.default_rng(82))
         back = matrix_from_json(matrix_to_json(m))
         assert np.allclose(back, m, atol=1e-15)
+        assert matrix_to_json(np.reshape(m, (2, 2))) == matrix_to_json(m)
+
+    @pytest.mark.parametrize("rows", [[[1, 2, 3], [4, 5, 6]], [[1, 2]], [1, 2, 3, 4], 7])
+    def test_a_matrix_is_two_rows_of_two(self, rows):
+        with pytest.raises(ValueError, match="^a matrix must be two rows of two entries"):
+            matrix_from_json(rows)
 
 
 class TestRepsAndGraphs:
@@ -131,7 +137,7 @@ class TestDeterminant:
     """Connections and representations hold SL(2) matrices."""
 
     def test_integer_entries_are_checked_exactly(self):
-        assert np.array_equal(connection_from_json({"1": [[2, 3], [1, 2]]})[1], [[2, 3], [1, 2]])
+        assert connection_from_json({"1": [[2, 3], [1, 2]]})[1] == (2, 3, 1, 2)
         with pytest.raises(ValueError, match="^edge 1's matrix must have determinant 1, not 4$"):
             connection_from_json({"1": [[2, 0], [0, 2]]})
         # as floats the determinant 0 would be within the tolerance of 1
@@ -142,9 +148,9 @@ class TestDeterminant:
         rng = np.random.default_rng(85)
         for _ in range(20):
             a, b = random_sl2(rng), random_sl2(rng)
-            m = connection_from_json(json.loads(json.dumps(connection_to_json({1: a @ b}))))[1]
-            assert np.allclose(m, a @ b, atol=1e-12)
-        assert rep_from_json({"a": [[0.1, 0], [0, 10]]})["a"][1, 1] == 10
+            m = connection_from_json(json.loads(json.dumps(connection_to_json({1: mul(a, b)}))))[1]
+            assert np.allclose(m, mul(a, b), atol=1e-12)
+        assert rep_from_json({"a": [[0.1, 0], [0, 10]]})["a"][3] == 10
         for rows in ([[2.0, 0], [0, 2]], [[1, 0], [0, [1, 1e-6]]], [["1+1j", 0], [0, 1]]):
             with pytest.raises(ValueError, match="^generator 'a' must have determinant 1, not "):
                 rep_from_json({"a": rows})

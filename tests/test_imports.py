@@ -1,9 +1,11 @@
 """What importing skeinlab and running its commands loads, each in a fresh
 interpreter.
 
-The exact modules (poly, diagram, bracket, torus_skein) load with the
-package and never import numpy; the numpy-backed characters, lattice and
-qlattice load on first use of one of their names.
+The modules poly, diagram, bracket and torus_skein load with the package;
+the matrix modules characters, lattice and qlattice load on first use of
+one of their names.  No module and no command loads numpy: 2x2 matrices
+are entry tuples, and only qlattice's coassociativity probe imports numpy,
+when it runs.
 """
 
 import json
@@ -51,6 +53,15 @@ def fresh_json(code: str):
 def test_import_loads_no_numpy():
     assert fresh_json("import json, sys, skeinlab\n"
                       "print(json.dumps('numpy' in sys.modules))") is False
+
+
+def test_matrix_modules_load_no_numpy():
+    code = """
+import json, sys
+import skeinlab.characters, skeinlab.lattice, skeinlab.qlattice, skeinlab.formats, skeinlab.checks
+print(json.dumps("numpy" in sys.modules))
+"""
+    assert fresh_json(code) is False
 
 
 def test_public_names_are_unchanged_and_listed_by_dir():
@@ -141,8 +152,8 @@ FILES = {
 }
 
 
-# (arguments, exit code, output), as printed when every module was imported eagerly
-NUMPY_COMMANDS = [
+# (arguments, exit code, output), as printed when 2x2 matrices were numpy arrays
+MATRIX_COMMANDS = [
     ("char --rep rep.json --trace abAB", 0, "1"),
     ("char --rep rep.json", 0, "-3 -2 -3-1j"),
     ("char --rep rep.json --phi x*y-z", 0, "9+1j"),
@@ -157,10 +168,17 @@ NUMPY_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("args, exit_code, output", NUMPY_COMMANDS)
-def test_numpy_commands_give_the_same_output(args, exit_code, output, tmp_path):
+@pytest.mark.parametrize("args, exit_code, output", MATRIX_COMMANDS)
+def test_matrix_commands_give_the_same_output_without_numpy(args, exit_code, output, tmp_path):
     for name, obj in FILES.items():
         (tmp_path / name).write_text(json.dumps(obj))
-    proc = fresh(f"import sys\nfrom skeinlab.cli import main\nsys.exit(main({args.split()!r}))",
-                 cwd=tmp_path)
-    assert (proc.returncode, proc.stdout.strip()) == (exit_code, output), proc.stderr
+    code = f"""
+import contextlib, io, json, sys
+from skeinlab.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main({args.split()!r})
+print(json.dumps([code, out.getvalue().strip(), "numpy" in sys.modules]))
+"""
+    proc = fresh(code, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [exit_code, output, False], proc.stderr

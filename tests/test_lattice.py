@@ -1,15 +1,16 @@
 """Graph connections: holonomy, Wilson observables, gauge symmetry."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from skeinlab.characters import (
     character_point,
-    commutator_trace,
     phi_evaluate,
     random_rep,
     random_sl2,
-    sl2_inverse,
+    trace_word,
 )
 from skeinlab.lattice import (
     CiliatedGraph,
@@ -32,6 +33,17 @@ from skeinlab.torus_skein import CommPoly
 
 def random_connection(graph, rng) -> dict:
     return {e: random_sl2(rng) for e in graph.edges}
+
+
+def matrix(m) -> np.ndarray:
+    """The numpy 2x2 array of an entry tuple, for an independent oracle."""
+    return np.reshape(m, (2, 2))
+
+
+# T, S, (TS)^-1, U, T, (UT^-1)^-1 on the bowtie's edges 1..6 for
+# T = [[1,1],[0,1]], S = [[0,-1],[1,0]], U = [[1,0],[1,1]]: flat around both faces
+EXACT_BOWTIE = {1: (1, 1, 0, 1), 2: (0, -1, 1, 0), 3: (0, 1, -1, 1),
+                4: (1, 0, 1, 1), 5: (1, 1, 0, 1), 6: (0, 1, -1, 1)}
 
 
 def boundary_cycles(graph) -> list[list[tuple[int, int]]]:
@@ -99,27 +111,79 @@ class TestHolonomy:
         conn = random_connection(g, rng)
         # Walk e4 forward then e5 backward: x4 * x5^-1.
         got = holonomy(g, conn, [(4, 1), (5, -1)])
-        assert np.allclose(got, conn[4] @ sl2_inverse(conn[5]), atol=1e-12)
+        assert np.allclose(matrix(got), matrix(conn[4]) @ np.linalg.inv(matrix(conn[5])),
+                           atol=1e-12)
 
     def test_triangle_cycle(self):
         g = triangle_graph()
         rng = np.random.default_rng(22)
         conn = random_connection(g, rng)
         got = holonomy(g, conn, [(1, 1), (2, 1), (3, 1)])
-        assert np.allclose(got, conn[1] @ conn[2] @ conn[3], atol=1e-12)
+        assert np.allclose(matrix(got), matrix(conn[1]) @ matrix(conn[2]) @ matrix(conn[3]),
+                           atol=1e-12)
 
     def test_backtracking_cancels(self):
         g = triangle_graph()
         conn = random_connection(g, np.random.default_rng(23))
         got = holonomy(g, conn, [(1, 1), (1, -1)])
-        assert np.allclose(got, np.eye(2), atol=1e-10)
+        assert np.allclose(matrix(got), np.eye(2), atol=1e-10)
+
+    def test_numpy_arrays_and_rows_are_read(self):
+        g = triangle_graph()
+        conn = random_connection(g, np.random.default_rng(36))
+        want = holonomy(g, conn, [(1, 1), (2, 1), (3, 1)])
+        for convert in (matrix, lambda m: matrix(m).tolist()):
+            other = {e: convert(m) for e, m in conn.items()}
+            assert holonomy(g, other, [(1, 1), (2, 1), (3, 1)]) == want
+
+    def test_a_missing_edge_is_named(self):
+        g = triangle_graph()
+        conn = trivial_connection(g)
+        del conn[2]
+        for call in (lambda: holonomy(g, conn, [(1, 1), (2, 1)]),
+                     lambda: wilson_loop(g, conn, [(1, 1), (2, 1), (3, 1)]),
+                     lambda: is_flat(g, conn),
+                     lambda: gauge_act(g, {}, conn)):
+            with pytest.raises(KeyError, match="edge 2 missing from connection"):
+                call()
+
+
+class TestExactConnections:
+    def test_integer_bowtie_is_exact(self):
+        g = bowtie_graph()
+        conn = EXACT_BOWTIE
+        assert holonomy(g, conn, [(1, 1), (2, 1)]) == (1, -1, 1, 0)
+        for loop in g.faces + [[(1, 1), (2, 1), (3, 1), (4, 1), (5, -1), (6, 1)]]:
+            assert holonomy(g, conn, loop) == (1, 0, 0, 1)
+            value = wilson_loop(g, conn, loop)
+            assert value == -2 and type(value) is int
+        assert is_flat(g, conn, tol=0)
+        bent = {**conn, 3: (1, 0, 1, 1)}
+        assert not is_flat(g, bent, tol=0)
+        assert wilson_loop(g, bent, g.faces[0]) == 0
+        gauge = {v: (2, 1, 1, 1) for v in g.vertices}
+        moved = gauge_act(g, gauge, conn)
+        assert all(type(v) is int for m in moved.values() for v in m)
+        assert is_flat(g, moved, tol=0)
+
+    def test_fraction_entries_stay_fractions(self):
+        g = bowtie_graph()
+        h = (Fraction(2), Fraction(1, 3), Fraction(0), Fraction(1, 2))
+        conn = gauge_act(g, {"v1": h}, EXACT_BOWTIE)
+        got = holonomy(g, conn, [(1, 1)])
+        assert got == (Fraction(1, 2), Fraction(5, 3), 0, 2)
+        assert all(type(v) is Fraction for v in got)
+        assert holonomy(g, conn, [(1, 1), (2, 1)]) == (1, -1, 1, 0)
+        assert is_flat(g, conn, tol=0)
+        value = wilson_loop(g, conn, g.faces[0])
+        assert value == -2 and type(value) is Fraction
 
 
 class TestWilson:
     def test_minus_trace(self):
         g = bouquet(1)
         conn = random_connection(g, np.random.default_rng(24))
-        assert abs(wilson_loop(g, conn, [(1, 1)]) + np.trace(conn[1])) < 1e-12
+        assert abs(wilson_loop(g, conn, [(1, 1)]) + np.trace(matrix(conn[1]))) < 1e-12
 
     def test_trivial_connection_scores_minus_two(self):
         g = triangle_graph()
@@ -162,7 +226,7 @@ class TestGaugeAction:
         conn = random_connection(g, rng)
         g1 = {v: random_sl2(rng) for v in g.vertices}
         g2 = {v: random_sl2(rng) for v in g.vertices}
-        combined = {v: g1[v] @ g2[v] for v in g.vertices}
+        combined = {v: matrix(g1[v]) @ matrix(g2[v]) for v in g.vertices}
         a = gauge_act(g, g1, gauge_act(g, g2, conn))
         b = gauge_act(g, combined, conn)
         for e in g.edges:
@@ -201,7 +265,7 @@ class TestRepresentationConnections:
         images = {e: random_sl2(rng) for e in g.edges if e not in tree}
         conn = rep_to_connection(g, images, tree)
         for e in tree:
-            assert np.allclose(conn[e], np.eye(2), atol=1e-12)
+            assert np.allclose(matrix(conn[e]), np.eye(2), atol=1e-12)
         with pytest.raises(KeyError):
             rep_to_connection(g, {}, tree)
 
@@ -225,9 +289,10 @@ class TestRepresentationConnections:
         g = punctured_torus_graph()
         conn = rep_connection_on_bouquet(rep)
         got = holonomy(g, conn, peripheral_path())
-        want = (rep["a"] @ rep["b"] @ sl2_inverse(rep["a"]) @ sl2_inverse(rep["b"]))
-        assert np.allclose(got, want, atol=1e-10)
-        assert abs(wilson_loop(g, conn, peripheral_path()) + commutator_trace(rep)) < 1e-10
+        a, b = matrix(rep["a"]), matrix(rep["b"])
+        want = a @ b @ np.linalg.inv(a) @ np.linalg.inv(b)
+        assert np.allclose(matrix(got), want, atol=1e-10)
+        assert abs(wilson_loop(g, conn, peripheral_path()) + trace_word(rep, "abAB")) < 1e-10
 
     def test_peripheral_wilson_in_coordinates(self):
         rep = random_rep("ab", np.random.default_rng(35))

@@ -3,12 +3,13 @@
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from skeinlab import qlattice
-from skeinlab.characters import random_sl2, sl2_inverse
+from skeinlab.characters import random_sl2
 from skeinlab.lattice import (
     CiliatedGraph,
     bouquet,
@@ -51,6 +52,11 @@ from skeinlab.qlattice import (
 )
 
 GENERIC_T = (0.83 + 0.41j, 1.317, -0.64 + 0.73j, 0.5)
+
+
+def fundamental(w: UqWord, t) -> np.ndarray:
+    """uq_fundamental's entry tuple as a numpy 2x2 array, for matrix oracles."""
+    return np.reshape(uq_fundamental(w, t), (2, 2))
 
 
 def random_word(rng: random.Random, max_len: int = 4) -> UqWord:
@@ -126,7 +132,7 @@ def broadcast_wilson(graph, qlink, conn, t) -> complex:
             shape[x] = len(legs)
             m = stacks[leg].reshape(shape)
         else:
-            m = uq_fundamental(W_CHARM if w == "k" else conn[w], t)
+            m = fundamental(W_CHARM if w == "k" else conn[w], t)
         for _ in range(n):
             m = _antipode_matrix(m, t)
         return m
@@ -294,7 +300,7 @@ class TestWordAlgebra:
         assert W_CHARM == UqWord.from_word(("K", "K"))
         for t in GENERIC_T:
             m = uq_fundamental(W_CHARM, t)
-            assert np.allclose(m, np.diag([t ** 2, t ** -2]))
+            assert np.allclose(m, [t ** 2, 0, 0, t ** -2])
             assert abs(uq_trace(W_CHARM, t) - (t ** 2 + t ** -2)) < 1e-12
 
     def test_fundamental_is_an_algebra_map(self):
@@ -303,8 +309,8 @@ class TestWordAlgebra:
         for _ in range(20):
             v, w = random_word(rng), random_word(rng)
             assert np.allclose(
-                uq_fundamental(v * w, t),
-                uq_fundamental(v, t) @ uq_fundamental(w, t),
+                fundamental(v * w, t),
+                fundamental(v, t) @ fundamental(w, t),
                 atol=1e-10,
             )
 
@@ -437,7 +443,7 @@ class TestRMatrix:
             unit = np.eye(4).reshape(2, 2, 2, 2)       # unit[i, j] = E_ij
             got = sum(c * np.kron(unit[i, j], unit[k, l])
                       for i, j, k, l, c in _r_matrix_legs(t))
-            want = sum(np.kron(uq_fundamental(a, t), uq_fundamental(b, t))
+            want = sum(np.kron(fundamental(a, t), fundamental(b, t))
                        for a, b in r_matrix_terms(t))
             assert np.allclose(got, want, atol=1e-12)
 
@@ -468,6 +474,26 @@ class TestRMatrix:
             assert np.isfinite(r_matrix(t)).all()
             assert np.isfinite(uq_fundamental(W_K * W_K, t)).all()
 
+    def test_yang_baxter_against_numpy(self):
+        # the sparse matrix-unit products against 8x8 numpy matrices
+        swap23 = np.kron(np.eye(2), np.eye(4)[[0, 2, 1, 3]])
+        for t in GENERIC_T + (1, 1j, 1 + 1e-8):
+            r = np.array(r_matrix(t), dtype=complex)
+            r12, r23 = np.kron(r, np.eye(2)), np.kron(np.eye(2), r)
+            r13 = swap23 @ r12 @ swap23
+            want = np.abs(r12 @ r13 @ r23 - r23 @ r13 @ r12).max()
+            assert abs(yang_baxter_residual(t) - want) < 1e-14
+
+    def test_yang_baxter_sees_a_wrong_leg(self, monkeypatch):
+        legs = qlattice._r_matrix_legs
+
+        def wrong(t):
+            return [(i, j, k, l, c * 2 if (i, j) == (0, 1) else c)
+                    for i, j, k, l, c in legs(t)]
+
+        monkeypatch.setattr(qlattice, "_r_matrix_legs", wrong)
+        assert yang_baxter_residual(GENERIC_T[0]) > 1
+
     def test_degenerate_t_values(self):
         # At t^4 = 1 the generic coefficients blow up; the scalar and
         # charmed substitutes still satisfy the braid relation.
@@ -482,7 +508,7 @@ class TestRMatrix:
         # weighted t, the charmed-adjugate one weighted 1/t.
         rng = np.random.default_rng(70)
         for t in GENERIC_T:
-            terms = [(uq_fundamental(a, t), uq_fundamental(b, t))
+            terms = [(fundamental(a, t), fundamental(b, t))
                      for a, b in r_matrix_terms(t)]
             for _ in range(5):
                 zm = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -819,8 +845,8 @@ class TestClassicalQuantumBridge:
         rng = np.random.default_rng(74)
         m = random_sl2(rng)
         enc = classical_to_quantum({1: m})[1]
-        assert np.allclose(uq_fundamental(uq_antipode(enc), 1),
-                           sl2_inverse(m), atol=1e-10)
+        assert np.allclose(fundamental(uq_antipode(enc), 1),
+                           np.linalg.inv(np.reshape(m, (2, 2))), atol=1e-10)
 
     def test_wilson_at_t_one_is_classical(self):
         g = bowtie_graph()
@@ -835,6 +861,37 @@ class TestClassicalQuantumBridge:
         got2 = wilson_qlink(g, db, qconn, 1)
         want2 = wilson_loop(g, conn, db.loops[0]) * wilson_loop(g, conn, db.loops[1])
         assert abs(got2 - want2) < 1e-10
+
+
+    def test_exact_entries_stay_exact(self):
+        # the bowtie's flat integer connection T, S, (TS)^-1, U, T, (UT^-1)^-1
+        conn = {1: [[1, 1], [0, 1]], 2: [[0, -1], [1, 0]], 3: [[0, 1], [-1, 1]],
+                4: [[1, 0], [1, 1]], 5: [[1, 1], [0, 1]], 6: [[0, 1], [-1, 1]]}
+        qconn = classical_to_quantum(conn)
+        assert qconn[2] == UqWord({(): 0, ("E", "F"): 0, ("E",): -1, ("F",): 1})
+        assert all(type(c) is int for w in qconn.values() for _, c in w.items())
+        g = bowtie_graph()
+        _, da, db = bowtie_qlinks()
+        assert wilson_qlink(g, da, qconn, 1) == -2
+        assert wilson_qlink(g, db, qconn, 1) == 4
+        half = classical_to_quantum({1: (Fraction(1, 2), 3, Fraction(1, 3), 4)})[1]
+        assert half == UqWord({(): 4, ("E", "F"): Fraction(-7, 2), ("E",): 3,
+                               ("F",): Fraction(1, 3)})
+        assert all(type(c) is Fraction for w, c in half.items() if w in (("E", "F"), ("F",)))
+
+    def test_numpy_arrays_are_read(self):
+        m = random_sl2(random.Random(76))
+        assert classical_to_quantum({1: np.reshape(m, (2, 2))}) == classical_to_quantum({1: m})
+
+    def test_a_missing_edge_is_named(self):
+        g = bowtie_graph()
+        d = bowtie_qlinks()[0]
+        conn = {e: W_ONE for e in g.edges if e != 2}
+        for call in (lambda: wilson_qlink(g, d, conn, 1.1),
+                     lambda: decorated_words(g, d, conn, 1.1),
+                     lambda: wilson_qlink(g, QLink([[(4, 1), (5, -1), (6, 1)]]), conn, 1.1)):
+            with pytest.raises(KeyError, match="edge 2 missing from quantum connection"):
+                call()
 
 
 class TestGaugeSymmetry:
@@ -897,6 +954,18 @@ class TestVertexSplitting:
                                              GENERIC_T[0], rng)
         assert res < 1e-8
 
+    @pytest.mark.parametrize("make_rng", [random.Random, np.random.default_rng],
+                             ids=["random.Random", "numpy Generator"])
+    def test_coassociativity_takes_either_generator(self, make_rng):
+        g = star_graph()
+        values = [nabla_coassociativity_residual(g, "w", [W_K, W_E, W_F], GENERIC_T[0],
+                                                 make_rng(seed)) for seed in (93, 93, 94)]
+        assert values[0] == values[1] and max(values) < 1e-8
+        assert nabla_coassociativity_residual(
+            g, "w", [W_K, W_E, W_F], GENERIC_T[0], 93) == (
+            nabla_coassociativity_residual(g, "w", [W_K, W_E, W_F], GENERIC_T[0],
+                                           random.Random(93)))
+
     def test_input_arity_checked(self):
         g = triangle_graph()
         with pytest.raises(ValueError):
@@ -913,15 +982,15 @@ class TestRepresentationAgainstWords:
             for _ in range(20):
                 w = random_word(rng, max_len=6) + random_word(rng) + random_word(rng)
                 want = sum(c * word_matrix(word, t) for word, c in w.items())
-                assert np.allclose(uq_fundamental(w, t), want, atol=1e-12)
+                assert np.allclose(fundamental(w, t), want, atol=1e-12)
 
     def test_antipode_matrix_is_the_word_antipode(self):
         rng = random.Random(78)
         for t in GENERIC_T + (1,):
             for _ in range(20):
                 w = random_word(rng) + random_word(rng) + random_word(rng)
-                assert np.allclose(_antipode_matrix(uq_fundamental(w, t), t),
-                                   uq_fundamental(uq_antipode(w), t), atol=1e-10)
+                assert np.allclose(_antipode_matrix(fundamental(w, t), t),
+                                   fundamental(uq_antipode(w), t), atol=1e-10)
 
     def test_wilson_matches_decorated_word_traces(self):
         g = bowtie_graph()
