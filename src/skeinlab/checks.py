@@ -175,11 +175,9 @@ def battery(seed: int) -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
             t = complex(rng.uniform(0.6, 1.4), rng.uniform(-0.4, 0.4))
             worst = max(worst, abs(uq_trace(qlattice.W_CHARM, t) - (t * t + 1 / (t * t))))
         ok, detail = _within(worst, 1e-12, "tr k - t^2 - t^-2 at 3 values of t, max")
-        graph = lattice.CiliatedGraph(
-            ["w", "u1", "u2", "u3"],
-            {1: ("w", "u1"), 2: ("w", "u2"), 3: ("w", "u3")},
-            {"w": [(1, 0), (2, 0), (3, 0)], "u1": [(1, 1)],
-             "u2": [(2, 1)], "u3": [(3, 1)]})
+        graph = lattice.CiliatedGraph(             # the star of edges w -> u1, u2, u3
+            ["w", "u1", "u2", "u3"], {i: ("w", f"u{i}") for i in (1, 2, 3)},
+            {"w": [(i, 0) for i in (1, 2, 3)], **{f"u{i}": [(i, 1)] for i in (1, 2, 3)}})
         perm = qlattice.fundamental_tangle(graph, "w").permutation
         if perm != (1, 4, 2, 5, 3, 6):
             return False, f"permutation {perm}"

@@ -124,18 +124,12 @@ def _cmd_char(args) -> int:
 
 
 def _parse_path(text: str) -> list[tuple[int, int]]:
-    steps = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        e = int(tok)
-        if e == 0:
-            raise ValueError("edge ids are nonzero; sign gives direction")
-        steps.append((abs(e), 1 if e > 0 else -1))
-    if not steps:
+    edges = [int(tok) for tok in text.split(",") if tok.strip()]
+    if not edges:
         raise ValueError("empty path")
-    return steps
+    if 0 in edges:
+        raise ValueError("edge ids are nonzero; sign gives direction")
+    return [(abs(e), 1 if e > 0 else -1) for e in edges]
 
 
 def _cmd_lattice(args) -> int:
@@ -283,15 +277,12 @@ def _attach_signed_lists(argv: list[str]) -> list[str]:
     number as another option and fails; attached with '=' it is the value.
     """
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        if (argv[i] in ("--braid", "--wilson", "--holonomy") and i + 1 < len(argv)
-                and re.fullmatch(r"-\d+(\s*,\s*-?\d+)*\s*,?", argv[i + 1])):
-            out.append(f"{argv[i]}={argv[i + 1]}")
-            i += 2
+    for arg in argv:
+        if (out and out[-1] in ("--braid", "--wilson", "--holonomy")
+                and re.fullmatch(r"-\d+(\s*,\s*-?\d+)*\s*,?", arg)):
+            out[-1] += "=" + arg
         else:
-            out.append(argv[i])
-            i += 1
+            out.append(arg)
     return out
 
 
@@ -302,7 +293,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -369,13 +369,8 @@ class LinkDiagram:
         return [cid for cid in sorted(self._crossings) if self.kink_positions(cid)]
 
     def r2_sites(self) -> list[tuple[Dart, Dart]]:
-        sites = []
-        for o in self.face_orbits():
-            for i, d1 in enumerate(o):
-                for d2 in o[i + 1:]:
-                    if self.label_at(d1) != self.label_at(d2):
-                        sites.append((d1, d2))
-        return sites
+        return [(d1, d2) for o in self.face_orbits() for i, d1 in enumerate(o)
+                for d2 in o[i + 1:] if self.label_at(d1) != self.label_at(d2)]
 
     def r2_delete_sites(self) -> list[tuple[int, int]]:
         """Crossing pairs bounding a bigon whose one strand is over at both."""
@@ -422,16 +417,10 @@ class LinkDiagram:
             e = tuple(x.ends[(p + shift) % 4] for p in range(4))
             e2 = tuple(x.ends[(p + shift + 2) % 4] for p in range(4))
             rotated.append(min(e, e2))
-        names: dict[int, int] = {}
-        out = []
-        for ends in rotated:
-            row = []
-            for label in ends:
-                if label not in names:
-                    names[label] = len(names)
-                row.append(names[label])
-            out.append(tuple(row))
-        return (tuple(out), self._free_loops)
+        names: dict[int, int] = {}          # each label to its number of first appearance
+        out = tuple(tuple(names.setdefault(label, len(names)) for label in ends)
+                    for ends in rotated)
+        return (out, self._free_loops)
 
     def same_diagram(self, other: "LinkDiagram") -> bool:
         return self.canonical_form() == other.canonical_form()

@@ -27,6 +27,13 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _field(obj: dict, key: str, what: str):
+    """obj[key], or a KeyError that names the missing field."""
+    if key not in obj:
+        raise KeyError(f'{what} needs "{key}"')
+    return obj[key]
+
+
 def _load(obj: dict | str, what: str) -> dict:
     """obj, or the JSON text obj parsed; text that nests too deeply is bad input."""
     if isinstance(obj, str):
@@ -192,12 +199,12 @@ def graph_to_json(g: CiliatedGraph) -> dict:
 def graph_from_json(obj: dict | str) -> CiliatedGraph:
     from .lattice import CiliatedGraph
     obj = _load(obj, "a graph")
-    vertices = [str(v) for v in obj["vertices"]]
+    vertices = [str(v) for v in _field(obj, "vertices", "a graph")]
     edges = {_int(e, "an edge id"): (str(u), str(v))
-             for e, (u, v) in _object(obj["edges"], '"edges"').items()}
+             for e, (u, v) in _object(_field(obj, "edges", "a graph"), '"edges"').items()}
     cil = {str(v): [(_int(e, "a ciliation edge id"), _int(end, "a ciliation end"))
                     for e, end in ends]
-           for v, ends in _object(obj["ciliation"], '"ciliation"').items()}
+           for v, ends in _object(_field(obj, "ciliation", "a graph"), '"ciliation"').items()}
     faces = [[(_int(e, "a face edge id"), _int(d, "a face direction")) for e, d in face]
              for face in obj.get("faces", [])]
     return CiliatedGraph(vertices, edges, cil, faces)
@@ -228,8 +235,9 @@ def qlink_from_json(obj: dict | str) -> QLink:
     from .qlattice import QLink
     obj = _load(obj, "a q-link")
     loops = [[(_int(e, "a q-link edge id"), _int(d, "a q-link direction")) for e, d in loop]
-             for loop in obj["loops"]]
-    crossings = [(str(c["at"]), str(c["sign"])) for c in obj.get("crossings", [])]
+             for loop in _field(obj, "loops", "a q-link")]
+    crossings = [tuple(str(_field(c, k, "a q-link crossing")) for k in ("at", "sign"))
+                 for c in obj.get("crossings", [])]
     return QLink(loops, crossings)
 
 
@@ -248,6 +256,7 @@ def qconnection_from_json(obj: dict | str) -> dict[int, UqWord]:
     for e, terms in obj.items():
         w = UqWord.zero()
         for term in terms:
-            w = w + UqWord.from_word(term["word"], complex_from_json(term["coeff"]))
+            word, coeff = (_field(term, k, "a quantum connection term") for k in ("word", "coeff"))
+            w = w + UqWord.from_word(word, complex_from_json(coeff))
         out[_int(e, "a quantum connection edge id")] = w
     return out

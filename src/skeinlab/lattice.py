@@ -141,19 +141,14 @@ def spanning_tree(graph: CiliatedGraph) -> set[int]:
     seen: set[object] = set()
     tree: set[int] = set()
     for root in graph.vertices:
-        if root in seen:
-            continue
+        queue = [] if root in seen else [root]
         seen.add(root)
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v, e in adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        tree.add(e)
-                        nxt.append(v)
-            frontier = nxt
+        for u in queue:                 # the queue grows as it is read: breadth first
+            for v, e in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    tree.add(e)
+                    queue.append(v)
     return tree
 
 

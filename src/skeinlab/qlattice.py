@@ -39,8 +39,10 @@ antipodes.  Up to `MAX_QLINK_PLANS` plans are memoized, keyed by the graph
 object (graphs are not mutated) and the q-link's loops and crossings, so an
 edited q-link is planned again.  A `wilson_qlink` call then forms only
 numbers: factor entries, R-leg coefficients and (-t^2)^k.  The vertex split
-is checked by contracting operators on (C^2)^(x 3n); the symbolic expansions
-`decorated_words` and `nabla_vertex` are the tests' oracle for the numbers.
+is checked by acting with sparse operators on a state in (C^2)^(x 3n), a
+flat list of 2^(3n) numbers, so 3n is held to the same budget; the symbolic
+expansions `decorated_words` and `nabla_vertex` are the tests' oracle for
+the numbers.
 
 The public functions that evaluate at t check it once with `_check_t`, and
 the private helpers take the checked value.  A t that is 0, not finite, or
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .bracket import frontier_walk, narrow_order
@@ -283,34 +286,15 @@ def r_matrix(t: complex) -> list[list[complex]]:
 
 
 def yang_baxter_residual(t: complex) -> float:
-    """Max-entry defect of R12 R13 R23 = R23 R13 R12 on three tensor factors.
-
-    Each R_ab is a sparse 8x8 matrix {(row, column): c}, its rows and columns
-    index triples: the legs c E_ij (x) E_kl on factors a and b, and the
-    identity E_00 + E_11 on the third.
-    """
-    legs = _r_matrix_legs(_check_t(t))
-
-    def r(a: int, b: int) -> dict:
-        out = {}
-        for i, j, k, l, c in legs:
-            for m in (0, 1):
-                row, col = [m] * 3, [m] * 3
-                row[a], row[b], col[a], col[b] = i, k, j, l
-                out[tuple(row), tuple(col)] = c
-        return out
-
-    def mul(x: dict, y: dict) -> dict:
-        out: dict = {}
-        for (p, q), c in x.items():
-            for (q2, s), d in y.items():
-                if q == q2:
-                    out[p, s] = out.get((p, s), 0) + c * d
-        return out
-
-    r12, r13, r23 = r(0, 1), r(0, 2), r(1, 2)
-    lhs, rhs = mul(mul(r12, r13), r23), mul(mul(r23, r13), r12)
-    return max((abs(lhs.get(k, 0) - rhs.get(k, 0)) for k in lhs.keys() | rhs.keys()), default=0.0)
+    """Max-entry defect of R12 R13 R23 = R23 R13 R12 on three tensor factors:
+    both sides act by `_act`, R as the sparse map of its matrix-unit legs, on
+    the identity, a state whose bits 0-2 index rows and bits 3-5 columns."""
+    r = {(2 * i + k, 2 * j + l): c for i, j, k, l, c in _r_matrix_legs(_check_t(t))}
+    pairs = ((1, 2), (0, 2), (0, 1))        # R23 acts first on the left side
+    lhs = rhs = [complex(i >> 3 == i & 7) for i in range(64)]
+    for x, y in zip(pairs, reversed(pairs)):
+        lhs, rhs = _act(lhs, r, x), _act(rhs, r, y)
+    return max(map(abs, map(operator.sub, lhs, rhs)))
 
 
 # ----------------------------------------------------------------------
@@ -669,8 +653,7 @@ def classical_to_quantum(conn: Mapping[int, Entries]) -> dict[int, UqWord]:
 
 
 # ----------------------------------------------------------------------
-# vertex splitting (the coproduct of the theory); numpy is imported only where the
-# probe contracts its state of 2^(3n) entries: 2.3 ms a call at valence 3 (2-vCPU Xeon)
+# vertex splitting (the coproduct of the theory)
 
 
 class Tangle(NamedTuple):
@@ -743,44 +726,72 @@ def nabla_vertex(graph: CiliatedGraph, vertex: object, inputs: Sequence[UqWord],
     return [tuple(state[s] for s in strands) for state in states]
 
 
-def _split_matrix(w: UqWord, n: int, t: complex) -> np.ndarray:
-    """rho^(x n) of the iterated coproduct D^(n-1)(w), a 2^n x 2^n matrix."""
-    import numpy as np
-    return sum((c * functools.reduce(np.kron, [np.array(uq_fundamental(UqWord.from_word(x), t))
-                                               .reshape(2, 2) for x in words])
-                for c, words in uq_coproduct_n(w, n)),
-               np.zeros((2 ** n, 2 ** n), dtype=complex))
+def _split_op(tensors: Iterable[tuple[complex, tuple[Word, ...]]], t: complex) -> dict:
+    """The sum of c rho(x_1) (x) ... (x) rho(x_k) over pure tensors (c, (x_1, ..., x_k))
+    at a checked t, as a sparse map {(row, col): entry} over k-bit indices, x_1's bit on top."""
+    op: dict[tuple[int, int], complex] = {}
+    for c, words in tensors:
+        part = {(0, 0): complex(c)}
+        for word in words:
+            m = _entries(UqWord._wrap({word: 1}), t)
+            part = {(2 * r + i, 2 * s + j): v * m[2 * i + j] for (r, s), v in part.items()
+                    for i in (0, 1) for j in (0, 1) if m[2 * i + j]}
+        for key, v in part.items():
+            op[key] = op.get(key, 0) + v
+    return op
 
 
-def _apply(psi: np.ndarray, op: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """Act with a 2^k x 2^k operator on k axes of a state in (C^2)^(x m)."""
-    import numpy as np
-    k = len(axes)
-    psi = np.tensordot(op.reshape((2,) * (2 * k)), psi, axes=(range(k, 2 * k), axes))
-    return np.moveaxis(psi, range(k), axes)
+@functools.lru_cache(maxsize=32)
+def _layout(bits: int, positions: tuple[int, ...]) -> tuple[operator.itemgetter, ...]:
+    """Getters that reorder a state over `bits` bits, bit 0 the top one, so that
+    the bits at `positions` become the top ones in that order, and back."""
+    lead = positions + tuple(p for p in range(bits) if p not in positions)
+    order = sorted(range(1 << bits), key=lambda i: [i >> (bits - 1 - p) & 1 for p in lead])
+    back = sorted(range(1 << bits), key=order.__getitem__)     # the inverse permutation
+    return operator.itemgetter(*order), operator.itemgetter(*back)
+
+
+def _act(psi: Sequence[complex], op: dict, positions: Sequence[int]) -> tuple[complex, ...]:
+    """A sparse operator over k-bit indices, its top bit at positions[0], acting
+    on k bits of a state in (C^2)^(x m), a flat sequence of 2^m entries: each
+    row is a `map` over the runs of its columns in the reordered state."""
+    to, back = _layout(len(psi).bit_length() - 1, tuple(positions))
+    psi, size = to(psi), len(psi) >> len(positions)
+    rows: dict[int, Iterable[complex]] = {}
+    for (r, c), x in op.items():
+        term = map(x.__mul__, psi[c * size:(c + 1) * size])
+        rows[r] = map(operator.add, rows[r], term) if r in rows else term
+    zero = (0j,) * size
+    return back(list(itertools.chain.from_iterable(
+        rows.get(r, zero) for r in range(1 << len(positions)))))
+
+
+def _outer(a: Sequence[complex], b: Sequence[complex]) -> list[complex]:
+    return [x * y for x in a for y in b]
 
 
 def _iterate_probes(graph: CiliatedGraph, vertex: object, inputs: Sequence[UqWord],
-                    t: complex, probes: Sequence[tuple[np.ndarray, np.ndarray]]
+                    t: complex, probes: Sequence[tuple[Sequence[complex], Sequence[complex]]]
                     ) -> tuple[complex, complex]:
     """Probe values of (nabla (x) id) nabla and (id (x) nabla) nabla on `inputs`.
 
     Each iterate is a sum of 3n-fold pure tensors X_1 (x) ... (x) X_3n; its
     probe value is the sum of prod_s u_s^T rho(X_s) v_s over the probe pairs
-    (u_s, v_s).  It is computed by acting on the product vector of the v_s in
-    (C^2)^(x 3n) with the coproducts of the inputs, then the R-matrices of
-    the first split, then those of the second, and pairing with the u_s.  A
-    strand of the first split that the second split acts on occupies two
-    slots, where rho becomes (rho (x) rho) D; since D is an algebra map, every
+    (u_s, v_s).  Each input's coproduct acts on the product of the v_s in its
+    own slots; the state in (C^2)^(x 3n) formed from those is acted on by the
+    R-matrices of the first split, then the second, and paired with the u_s.
+    A strand of the first split that the second splits occupies two slots,
+    where rho becomes (rho (x) rho) D; since D is an algebra map, every
     factor acting on that strand is mapped the same way.
     """
-    import numpy as np
     tangle = fundamental_tangle(graph, vertex)
     n, perm = tangle.n, tangle.permutation
     if len(inputs) != n:
         raise ValueError(f"expected {n} inputs at {vertex!r}, got {len(inputs)}")
+    t = _check_t(t)
     rterms = r_matrix_terms(t)
-    r_ops: dict[tuple[int, int], np.ndarray] = {}
+    pairing = functools.reduce(_outer, [u for u, _ in probes])
+    r_ops: dict[tuple[int, int], dict] = {}
     values = []
     for base in (0, n):                   # positions base+1..base+n are split again
         def slots(strand: int) -> tuple[int, ...]:
@@ -790,12 +801,13 @@ def _iterate_probes(graph: CiliatedGraph, vertex: object, inputs: Sequence[UqWor
                 return (base + perm[2 * j - 2] - 1, base + perm[2 * j - 1] - 1)
             return (pos - 1 + n - base,)
 
-        psi = np.array(1, dtype=complex)
-        for _, v in probes:
-            psi = np.multiply.outer(psi, v)
+        psi, order = [1 + 0j], ()
         for i, w in enumerate(inputs, start=1):
             axes = slots(2 * i - 1) + slots(2 * i)
-            psi = _apply(psi, _split_matrix(w, len(axes), t), axes)
+            vec = functools.reduce(_outer, [probes[a][1] for a in axes])
+            op = _split_op(uq_coproduct_n(w, len(axes)), t)
+            psi, order = _outer(psi, _act(vec, op, range(len(axes)))), order + axes
+        psi = _layout(3 * n, order)[1](psi)        # from the inputs' slot order to 0..3n-1
         # crossings of the first split, then of the second: (over slots, under slots)
         outer = [(slots(over), slots(under)) for _, over, under in tangle.crossings]
         inner = [((base + perm[over - 1] - 1,), (base + perm[under - 1] - 1,))
@@ -803,12 +815,11 @@ def _iterate_probes(graph: CiliatedGraph, vertex: object, inputs: Sequence[UqWor
         for ao, au in outer + inner:
             key = (len(ao), len(au))
             if key not in r_ops:
-                r_ops[key] = sum(np.kron(_split_matrix(a, key[0], t),
-                                         _split_matrix(b, key[1], t)) for a, b in rterms)
-            psi = _apply(psi, r_ops[key], ao + au)
-        for u, _ in probes:
-            psi = np.tensordot(u, psi, axes=(0, 0))
-        values.append(complex(psi))
+                r_ops[key] = _split_op([(ca * cb, wa + wb) for a, b in rterms
+                                        for ca, wa in uq_coproduct_n(a, key[0])
+                                        for cb, wb in uq_coproduct_n(b, key[1])], t)
+            psi = _act(psi, r_ops[key], ao + au)
+        values.append(sum(map(operator.mul, pairing, psi)))
     return values[0], values[1]
 
 
@@ -821,10 +832,12 @@ def nabla_coassociativity_residual(graph: CiliatedGraph, vertex: object,
     basis-free and reduces both iterates to one number each.  The vectors are
     drawn as `characters.random_sl2` draws its entries, from `random_source(rng)`.
     """
-    import numpy as np
+    n = len(graph.ciliation[vertex])
+    if 3 * n > MAX_QLINK_WIDTH:
+        raise ValueError(f"a probe state of 2^{3 * n} entries exceeds the budget "
+                         f"of 2^{MAX_QLINK_WIDTH}")
     rng = random_source(rng)
-    draws = [complex(2 * rng.random() - 1, 2 * rng.random() - 1)
-             for _ in range(12 * len(graph.ciliation[vertex]))]
-    probes = np.array(draws).reshape(-1, 2, 2)      # per slot, the rows u and v
+    draws = [complex(2 * rng.random() - 1, 2 * rng.random() - 1) for _ in range(12 * n)]
+    probes = [(draws[4 * s:4 * s + 2], draws[4 * s + 2:4 * s + 4]) for s in range(3 * n)]
     lv, rv = _iterate_probes(graph, vertex, inputs, t, probes)
     return abs(lv - rv) / max(1.0, abs(lv), abs(rv))

@@ -489,7 +489,13 @@ class TestLatticeCommand:
         cp.write_text(json.dumps({"1": [[1, 0], [0, 1]], "3": [[1, 0], [0, 1]]}))
         for mode in (["--holonomy", "1,2"], ["--wilson", "1,2,3"], ["--flat"]):
             assert main(["lattice", "--graph", gp, "--connection", str(cp), *mode]) == 2
-            assert capsys.readouterr() == ("", "error: 'edge 2 missing from connection'\n")
+            assert capsys.readouterr() == ("", "error: edge 2 missing from connection\n")
+
+    def test_a_graph_without_vertices_names_the_field(self, tmp_path, capsys):
+        gp = tmp_path / "graph.json"
+        gp.write_text(json.dumps({"edges": {}}))
+        assert main(["lattice", "--graph", str(gp), "--flat"]) == 2
+        assert capsys.readouterr() == ("", 'error: a graph needs "vertices"\n')
 
 
 class TestQLatticeCommand:
@@ -552,7 +558,15 @@ class TestQLatticeCommand:
             assert main(["qlattice", "--graph", gp, "--qlink", dp, "--qconnection", str(cp),
                          *extra]) == 2
             assert capsys.readouterr() == (
-                "", "error: 'edge 2 missing from quantum connection'\n")
+                "", "error: edge 2 missing from quantum connection\n")
+
+    def test_a_term_without_a_coefficient_names_the_field(self, bowtie_files, tmp_path,
+                                                          capsys):
+        gp, (dp, _, _) = bowtie_files
+        cp = tmp_path / "terms.json"
+        cp.write_text(json.dumps({"1": [{"word": []}]}))
+        assert main(["qlattice", "--graph", gp, "--qlink", dp, "--qconnection", str(cp)]) == 2
+        assert capsys.readouterr() == ("", 'error: a quantum connection term needs "coeff"\n')
 
     def test_crossing_budget_is_a_usage_error(self, bowtie_files, tmp_path, monkeypatch,
                                               capsys):

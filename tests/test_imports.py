@@ -4,8 +4,8 @@ interpreter.
 The modules poly, diagram, bracket and torus_skein load with the package;
 the matrix modules characters, lattice and qlattice load on first use of
 one of their names.  No module and no command loads numpy: 2x2 matrices
-are entry tuples, and only qlattice's coassociativity probe imports numpy,
-when it runs.
+are entry tuples, and qlattice's coassociativity probe acts on a flat list.
+With numpy's import blocked, `verify` still passes.
 """
 
 import json
@@ -116,6 +116,7 @@ DIAGRAM = {"crossings": [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]}
     ["skein", "--expr", "x", "--poisson", "y"],
     ["skein", "--expr", "y*x - A*z", "--specialize", "-1"],
     ["skein", "--expr", "y^1000*x"],
+    ["verify", "--seed", "7"],
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_exact_commands_load_no_numpy(argv, tmp_path):
     (tmp_path / "diagram.json").write_text(json.dumps(DIAGRAM))
@@ -130,6 +131,20 @@ print(json.dumps([code, "numpy" in sys.modules]))
     assert proc.returncode == 0, proc.stderr
     code, numpy_loaded = json.loads(proc.stdout)
     assert code in (0, 2) and not numpy_loaded
+
+
+def test_verify_passes_with_numpy_blocked():
+    code = """
+import contextlib, io, sys
+sys.modules["numpy"] = None         # any import of numpy now raises ImportError
+from skeinlab.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(["verify", "--seed", "7"])
+print(code, out.getvalue().splitlines()[-1])
+"""
+    proc = fresh(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 17/17 checks passed (seed 7)", proc.stdout
 
 
 FILES = {

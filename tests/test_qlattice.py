@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -192,6 +193,56 @@ def symbolic_iterate_probes(graph, vertex, inputs, t, probes):
         return total
 
     return contract(collapse_tensors(left_terms)), contract(collapse_tensors(right_terms))
+
+
+def numpy_split_matrix(w: UqWord, n: int, t) -> np.ndarray:
+    """rho^(x n) of the iterated coproduct D^(n-1)(w), a 2^n x 2^n matrix."""
+    return sum((c * functools.reduce(np.kron, [fundamental(UqWord.from_word(x), t)
+                                               for x in words])
+                for c, words in uq_coproduct_n(w, n)),
+               np.zeros((2 ** n, 2 ** n), dtype=complex))
+
+
+def numpy_apply(psi: np.ndarray, op: np.ndarray, axes) -> np.ndarray:
+    """Act with a 2^k x 2^k operator on k axes of a state in (C^2)^(x m)."""
+    k = len(axes)
+    psi = np.tensordot(op.reshape((2,) * (2 * k)), psi, axes=(range(k, 2 * k), axes))
+    return np.moveaxis(psi, range(k), axes)
+
+
+def numpy_iterate_probes(graph, vertex, inputs, t, probes):
+    """Reference for _iterate_probes with numpy arrays: the product state of
+    the v_s in (C^2)^(x 3n), acted on by Kronecker-product operators along
+    tensor axes, then contracted with the u_s."""
+    tangle = fundamental_tangle(graph, vertex)
+    n, perm = tangle.n, tangle.permutation
+    rterms = r_matrix_terms(t)
+    values = []
+    for base in (0, n):
+        def slots(strand):
+            pos = perm[strand - 1]
+            if base < pos <= base + n:
+                j = pos - base
+                return (base + perm[2 * j - 2] - 1, base + perm[2 * j - 1] - 1)
+            return (pos - 1 + n - base,)
+
+        psi = np.array(1, dtype=complex)
+        for _, v in probes:
+            psi = np.multiply.outer(psi, v)
+        for i, w in enumerate(inputs, start=1):
+            axes = slots(2 * i - 1) + slots(2 * i)
+            psi = numpy_apply(psi, numpy_split_matrix(w, len(axes), t), axes)
+        outer = [(slots(over), slots(under)) for _, over, under in tangle.crossings]
+        inner = [((base + perm[over - 1] - 1,), (base + perm[under - 1] - 1,))
+                 for _, over, under in tangle.crossings]
+        for ao, au in outer + inner:
+            r = sum(np.kron(numpy_split_matrix(a, len(ao), t), numpy_split_matrix(b, len(au), t))
+                    for a, b in rterms)
+            psi = numpy_apply(psi, r, ao + au)
+        for u, _ in probes:
+            psi = np.tensordot(u, psi, axes=(0, 0))
+        values.append(complex(psi))
+    return values[0], values[1]
 
 
 def draw_probes(rng: np.random.Generator, count: int) -> list:
@@ -966,6 +1017,19 @@ class TestVertexSplitting:
             nabla_coassociativity_residual(g, "w", [W_K, W_E, W_F], GENERIC_T[0],
                                            random.Random(93)))
 
+    def test_a_probe_over_the_width_budget_is_refused(self, monkeypatch):
+        # valence 6 would need 2^18 state entries; the budget is 2^16.  The
+        # probe must not start: calling it would raise TypeError instead.
+        monkeypatch.setattr(qlattice, "_iterate_probes", None)
+        g = CiliatedGraph(["w"] + [f"u{i}" for i in range(6)],
+                          {i: ("w", f"u{i}") for i in range(6)},
+                          {"w": [(i, 0) for i in range(6)],
+                           **{f"u{i}": [(i, 1)] for i in range(6)}})
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="2\\^18 entries exceeds the budget of 2\\^16"):
+            nabla_coassociativity_residual(g, "w", [W_K] * 6, GENERIC_T[0], 1)
+        assert time.perf_counter() - start < 0.5
+
     def test_input_arity_checked(self):
         g = triangle_graph()
         with pytest.raises(ValueError):
@@ -1032,6 +1096,28 @@ class TestRepresentationAgainstWords:
             probes = draw_probes(rng, 9)
             got = _iterate_probes(g, "w", inputs, GENERIC_T[0], probes)
             want = symbolic_iterate_probes(g, "w", inputs, GENERIC_T[0], probes)
+            assert all(rel_close(a, b) for a, b in zip(got, want)), letters
+
+    def test_iterates_match_numpy_on_letter_pairs(self):
+        g = triangle_graph()
+        rng = np.random.default_rng(83)
+        for t in GENERIC_T[:2]:
+            for pair in itertools.product(("E", "F", "K", "Ki"), repeat=2):
+                inputs = [UqWord.letter(ch) for ch in pair]
+                probes = draw_probes(rng, 6)
+                got = _iterate_probes(g, "v1", inputs, t, probes)
+                want = numpy_iterate_probes(g, "v1", inputs, t, probes)
+                assert all(rel_close(a, b) for a, b in zip(got, want)), (pair, t)
+
+    def test_iterates_match_numpy_on_letter_triples(self):
+        # the symbolic oracle takes seconds per triple with E or F in it
+        g = star_graph()
+        rng = np.random.default_rng(84)
+        for letters in itertools.product(("E", "F", "K", "Ki"), repeat=3):
+            inputs = [UqWord.letter(ch) for ch in letters]
+            probes = draw_probes(rng, 9)
+            got = _iterate_probes(g, "w", inputs, GENERIC_T[0], probes)
+            want = numpy_iterate_probes(g, "w", inputs, GENERIC_T[0], probes)
             assert all(rel_close(a, b) for a, b in zip(got, want)), letters
 
     def test_coassociativity_near_t_fourth_one(self):
