@@ -20,11 +20,10 @@ from .poly import render_laurent
 
 
 def _fmt_complex(z: complex) -> str:
-    z = complex(z)
-    if abs(z.imag) < 1e-13:
-        return f"{z.real:.12g}"
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{z.real:.12g}{sign}{abs(z.imag):.12g}j"
+    real, imag = formats.complex_to_json(z)     # refuses inf and nan
+    if abs(imag) < 1e-13:
+        return f"{real:.12g}"
+    return f"{real:.12g}{'+' if imag >= 0 else '-'}{abs(imag):.12g}j"
 
 
 def _parse_t(text: str) -> complex:
@@ -292,10 +291,12 @@ def main(argv=None) -> int:
         sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
+    except OverflowError as exc:        # a float power or conversion of input values
+        message = f"a result overflows a float ({exc})"
     except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
-        return 2
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

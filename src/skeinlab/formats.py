@@ -81,12 +81,11 @@ def diagram_to_json(d: LinkDiagram) -> dict:
 def diagram_from_json(obj: dict | str) -> LinkDiagram:
     obj = _load(obj, "a diagram")
     if "word" in obj:
-        word, strands = obj["word"], obj.get("strands")
-        if not isinstance(word, list) or not all(type(s) is int for s in word):
+        word = obj["word"]
+        if not isinstance(word, list):
             raise ValueError('"word" must be a list of integer braid letters')
-        if type(strands) is not int:
-            raise ValueError('"strands" must be an integer')
-        return parse_braid(word, strands)
+        return parse_braid([_int(s, "a braid letter") for s in word],
+                           _int(obj.get("strands"), '"strands"'))
     crossings = obj.get("crossings", [])
     over = obj.get("over")
     if over is not None and len(over) != len(crossings):
@@ -115,7 +114,10 @@ def diagram_from_json(obj: dict | str) -> LinkDiagram:
 
 
 def complex_to_json(z: complex) -> list[float]:
+    """[re, im] of a finite complex number; inf and nan are refused, as on input."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"a complex value must be finite, not {z}")
     return [z.real, z.imag]
 
 

@@ -21,10 +21,10 @@ denominators on its side, is one piece (low, packed, bound) per residue mod 4
 of its A-exponents: the sum of c_k*A^(low + 4k), packed = sum c_k*2^(W*k) for
 slot width W, and bound >= sum |c_k|.  Packing evaluates at A^4 = 2^W, a ring
 homomorphism, so products and slot-aligned sums are exact, and bounds multiply
-and add, whatever W is.  Decoding is unique while bound < 2^(W-1); a product
-whose bounds outgrow 64-bit slots is computed again at a width they fit, on a
-table of its own.  A product's width, table and work count are its arguments
-and locals, never module state, so products may run in several threads.
+and add, whatever W is.  Decoding is unique while bound < 2^(W-1).  A walk
+m1 * x^i y^j multiplies unit monomials, so it runs once, on the one table at
+64-bit slots; a wider product repacks its walks.  Width and work count are a
+product's locals and the table is only filled, so products may run in threads.
 
 Setting A = -e^{h/4} makes the commutator of any two elements divisible by
 h; the constant term of commutator/h is the Poisson bracket of the classical
@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Union
 
-from .poly import (MAX_EXPONENT, LaurentPoly, SparseSum, _parse_expression, _unpack,
+from .poly import (MAX_EXPONENT, LaurentPoly, SparseSum, _pack, _parse_expression, _unpack,
                    join_signed, numeric_term, power_text, render_laurent, scaled)
 
 Monomial = tuple[int, int, int]
@@ -61,7 +61,7 @@ _ONE = (0, 1, 1)                                # the piece 1; A^2 is (2, 1, 1)
 # table changes nothing.  Over all 19,550 pairs of unit monomials up to degree
 # 24 that reorder letters, the largest bound a monomial product tracks grows
 # about 3 bits per degree, 36 bits at 17, 47 at 21 and 56 at 24 (z^10*y^14):
-# within MAX_DEGREE they all stay on the shared 64-bit table.
+# they fit 64-bit slots, so raising MAX_DEGREE means measuring them against _SLOT_BITS again.
 MAX_DEGREE = 24
 MAX_PRODUCT_TERMS = 150_000
 
@@ -92,12 +92,12 @@ def _madd(out: Terms, terms: Terms, weights, width: int) -> None:
             out[key] = (low, packed, bound)
 
 
-def _act(terms: Terms, gen: int, width: int, table: dict) -> tuple[Terms, int]:
+def _act(terms: Terms, gen: int) -> tuple[Terms, int]:
     """Right-multiply terms by a generator, and count the table terms multiplied;
     packed == 0 proves a piece zero while its bound fits."""
-    out, work = {}, 0
+    out, work, width = {}, 0, _SLOT_BITS
     for (a, b, c, _), piece in terms.items():
-        work += len(entry := _right_action((a, b, c), gen, width, table))
+        work += len(entry := _right_action((a, b, c), gen))
         _madd(out, entry, (piece,), width)
     return {key: piece for key, piece in out.items() if piece[1] or piece[2] >> (width - 1)}, work
 
@@ -106,16 +106,15 @@ def _times_z(terms: Terms, n: int = 1) -> Terms:
     return {(a, b, c + n, r): piece for (a, b, c, r), piece in terms.items()}
 
 
-def _right_action(mono: Monomial, gen: int, width: int, table: dict) -> Terms:
+def _right_action(mono: Monomial, gen: int) -> Terms:
     """mono * gen in normal form for gen x or y, by the rewriting in the module docstring,
-    its bounds cut to L1 norms where they fit.  Each step peels one letter off mono, so
-    the recursion ends at monomials that gen extends; it fills table."""
-    key = (mono, gen)
-    cached = table.get(key)
+    its bounds cut to L1 norms by _unpack, which refuses one past _SLOT_BITS.  Each step
+    peels one letter off mono, so the recursion ends at monomials that gen extends."""
+    cached = _RIGHT_ACTION.get(key := (mono, gen))
     if cached is not None:
         return cached
     a, b, c = mono
-    am1_a3 = (-1, 1 - (1 << width), 2)                  # A^-1 - A^3
+    am1_a3 = (-1, 1 - (1 << _SLOT_BITS), 2)             # A^-1 - A^3
     out: Terms = {}
     if (gen == _Y and c == 0) or (gen == _X and b == c == 0):
         out[(a + (gen == _X), b + (gen == _Y), c, 0)] = _ONE
@@ -123,25 +122,23 @@ def _right_action(mono: Monomial, gen: int, width: int, table: dict) -> Terms:
         # mono = m * z: m * z * g = lead * m * g * z + other * m * h
         m = (a, b, c - 1)
         lead, other, h = (((2, 1, 1), am1_a3, _X) if gen == _Y else     # other: A - A^-3 for x
-                          ((-2, 1, 1), (-3, (1 << width) - 1, 2), _Y))
-        _madd(out, _times_z(_right_action(m, gen, width, table)), (lead,), width)
-        _madd(out, _right_action(m, h, width, table), (other,), width)
+                          ((-2, 1, 1), (-3, (1 << _SLOT_BITS) - 1, 2), _Y))
+        _madd(out, _times_z(_right_action(m, gen)), (lead,), _SLOT_BITS)
+        _madd(out, _right_action(m, h), (other,), _SLOT_BITS)
     else:
         # gen is x and mono = m * y: m * y * x = A^2 * m * x * y + (A^-1 - A^3) * m * z;
         # the work of a fill is not the product's, so its count is dropped
         m = (a, b - 1, 0)
-        m_x_y, _ = _act(_right_action(m, _X, width, table), _Y, width, table)
-        _madd(out, m_x_y, ((2, 1, 1),), width)
-        _madd(out, {(a, b - 1, 1, 0): _ONE}, (am1_a3,), width)
-    half = 1 << (width - 1)
-    table[key] = out = {
-        k: (low, packed, bound if bound >= half else sum(map(abs, _unpack(packed, width, bound))))
-        for k, (low, packed, bound) in out.items() if packed or bound >= half}
+        m_x_y, _ = _act(_right_action(m, _X), _Y)
+        _madd(out, m_x_y, ((2, 1, 1),), _SLOT_BITS)
+        _madd(out, {(a, b - 1, 1, 0): _ONE}, (am1_a3,), _SLOT_BITS)
+    _RIGHT_ACTION[key] = out = {
+        k: (low, packed, sum(map(abs, _unpack(packed, _SLOT_BITS, bound))))
+        for k, (low, packed, bound) in out.items() if packed or bound >> (_SLOT_BITS - 1)}
     return out
 
 
-def _monomial_product(m1: Monomial, m2: Monomial, width: int, table: dict,
-                      walks: dict) -> tuple[Terms, int]:
+def _monomial_product(m1: Monomial, m2: Monomial, walks: dict) -> tuple[Terms, int]:
     """m1 * x^a y^b z^c, one generator at a time from the left, and the table terms multiplied;
     walks, one m1's own, holds each prefix m1 * x^i y^j under (i, j) with the work of its walk."""
     a, b, c = m2
@@ -154,7 +151,7 @@ def _monomial_product(m1: Monomial, m2: Monomial, width: int, table: dict,
         walk = {m1 + (0,): _ONE}, 0
         for i in range(1, a + b + 1):               # through x^i, then x^a y^(i-a)
             if (step := walks.get(key := (i, 0) if i <= a else (a, i - a))) is None:
-                terms, n = _act(walk[0], _Y if key[1] else _X, width, table)
+                terms, n = _act(walk[0], _Y if key[1] else _X)
                 walks[key] = step = terms, walk[1] + n
             walk = step
     return _times_z(walk[0], c), walk[1]
@@ -171,29 +168,32 @@ def _packed_product(left: dict, right: dict, commutator: bool = False) -> tuple[
     """left * right, or left * right - right * left, of {monomial: LaurentPoly} terms, as
     (pieces, slot width, den): the pieces hold den times the product, each bound below
     2^(width-1).  Each pair of monomials adds its product times the weight p1 * p2, by
-    residue.  The width, the table and the work count belong to the call: a pass wider
-    than _SLOT_BITS fills a table of its own, so the shared one keeps one width."""
+    residue.  Each left monomial keeps its walks, made once at _SLOT_BITS on _RIGHT_ACTION,
+    for the call: a pass at a wider width repacks them and only weights them again."""
     dl, dr = (lcm(*(c.denominator for p in side.values() for c in p._terms.values()))
               for side in (left, right))
     # start wide enough for the bound of a commutator of monomials in normal form
     top = 2 * prod(sum(int(abs(c) * d) for p in side.values() for c in p._terms.values())
                    for side, d in ((left, dl), (right, dr)))
     orders = [(left, right, dl, dr)] + [(right, left, -dr, dl)] * commutator
+    walks: dict[Monomial, dict] = {}
     while True:
         width = max(_SLOT_BITS, top.bit_length() + 8 & -8)
-        table = _RIGHT_ACTION if width == _SLOT_BITS else {}
         work, out = 0, {}
         for first, second, s1, s2 in orders:
             second = [(m2, _pieces(p2, s2, width)) for m2, p2 in second.items()]
             for m1, p1 in first.items():
-                p1, walks = _pieces(p1, s1, width), {}
+                p1, own = _pieces(p1, s1, width), walks.setdefault(m1, {})
                 for m2, p2 in second:
                     if work > MAX_PRODUCT_TERMS:
                         raise ValueError(
                             f"skein product exceeds the budget of {MAX_PRODUCT_TERMS} terms")
                     _madd(weight := {}, p1, p2.values(), width)
-                    terms, n = _monomial_product(m1, m2, width, table, walks)
+                    terms, n = _monomial_product(m1, m2, own)
                     work += n
+                    if width != _SLOT_BITS:
+                        terms = {k: (low, _pack(_unpack(q, _SLOT_BITS, b), width), b)
+                                 for k, (low, q, b) in terms.items()}
                     _madd(out, terms, weight.values(), width)
         top = max((bound for _, _, bound in out.values()), default=0)
         if not top >> (width - 1):

@@ -250,10 +250,10 @@ class TestSkeinCommand:
             self, expr, degree, monkeypatch, capsys):
         base_product = torus_skein._monomial_product
 
-        def base_products_only(m1, m2, width, table, walks):
+        def base_products_only(m1, m2, walks):
             # x*y*z takes two products of degree at most 3; the power takes none
             assert sum(m1) + sum(m2) <= 3, f"product {m1} * {m2} of the power was computed"
-            return base_product(m1, m2, width, table, walks)
+            return base_product(m1, m2, walks)
         monkeypatch.setattr(torus_skein, "_monomial_product", base_products_only)
         assert main(["skein", "--expr", expr]) == 2
         out, err = capsys.readouterr()
@@ -649,10 +649,11 @@ class TestEnvironment:
         ("qlattice", {**LOOP_GRAPH, "edges": [[1, "v", "v"]]}, '"edges" must be a JSON object'),
         ("qlattice", {**LOOP_GRAPH, "ciliation": [["v", [1, 0]]]},
          '"ciliation" must be a JSON object'),
-        ("bracket", {"word": [1, "x"], "strands": 2}, '"word" must be a list of integer'),
-        ("bracket", {"word": [1, 1.5], "strands": 2}, '"word" must be a list of integer'),
+        ("bracket", {"word": [1, "x"], "strands": 2}, "a braid letter must be an integer, not 'x'"),
+        ("bracket", {"word": [1, 1.5], "strands": 2}, "a braid letter must be an integer, not 1.5"),
         ("bracket", {"word": 5, "strands": 2}, '"word" must be a list of integer'),
-        ("bracket", {"word": [1], "strands": "two"}, '"strands" must be an integer'),
+        ("bracket", {"word": [1], "strands": "two"}, '"strands" must be an integer, not \'two\''),
+        ("bracket", {"word": [1]}, '"strands" must be an integer, not None'),
     ])
     def test_malformed_json_is_a_usage_error(self, command, data, message, tmp_path, capsys):
         path = tmp_path / "input.json"
@@ -663,6 +664,14 @@ class TestEnvironment:
         assert main([command, *args]) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("data", [{"word": [1.0, 1, 1], "strands": 2},
+                                      {"word": [1, 1, 1], "strands": 2.0}])
+    def test_braid_json_reads_integral_floats_as_integer_fields_do(self, data, tmp_path, capsys):
+        path = tmp_path / "braid.json"
+        path.write_text(json.dumps(data))
+        assert main(["bracket", "--json", str(path)]) == 0
+        assert capsys.readouterr().out == "A^7 + A^3 + A^-1 - A^-9\n"
 
     @pytest.mark.parametrize("argv", [
         ["bracket", "--json", "FILE"],
@@ -830,3 +839,32 @@ class TestMatrixEntries:
         path.write_text('{"a": [[2, 0], [0, 2]], "b": [[1, 0], [0, 1]]}')
         assert main(["char", "--rep", str(path), "--point"]) == 2
         assert capsys.readouterr() == ("", "error: generator 'a' must have determinant 1, not 4\n")
+
+
+class TestOverflowingResults:
+    """A value past the float range is bad input, exit 2 with one error line:
+    never a traceback, and never nan printed as text or as JSON."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["char", "--rep", "REP", "--phi", "x^2000"], "a result overflows a float"),
+        (["char", "--rep", "REP", "--phi", "x^600*z^600"], "a result overflows a float"),
+        (["char", "--rep", "REP", "--phi", "x^600*y^600"], "a complex value must be finite"),
+        (["char", "--rep", "REP", "--phi", "x^600*y^600", "--format", "json"],
+         "a complex value must be finite"),
+        (["char", "--rep", "REP", "--trace", "a" * 1000], "a complex value must be finite"),
+        (["lattice", "--graph", "GRAPH", "--connection", "CONN", "--wilson",
+          ",".join(["1,2,3"] * 700)], "a complex value must be finite"),
+        (["lattice", "--graph", "GRAPH", "--connection", "CONN", "--wilson",
+          ",".join(["1,2,3"] * 700), "--format", "json"], "a complex value must be finite"),
+    ], ids=["char-phi-power", "char-phi-xz", "char-phi-nan", "char-phi-nan-json",
+            "char-trace", "lattice-wilson", "lattice-wilson-json"])
+    def test_one_error_line(self, tmp_path, capsys, argv, message):
+        files = {"REP": {"a": [[2, 1], [1, 1]], "b": [[1, 1], [0, 1]]},
+                 "GRAPH": graph_to_json(triangle_graph()),
+                 "CONN": {"1": [[2, 1], [1, 1]], "2": [[1, 1], [0, 1]], "3": [[1, 0], [0, 1]]}}
+        for name, doc in files.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        assert main([str(tmp_path / a) if a in files else a for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1

@@ -89,6 +89,12 @@ class TestNumbers:
             complex_from_json(value)
         assert str(info.value).endswith(repr(value))
 
+    @pytest.mark.parametrize("value", [complex("nan"), float("inf"), complex(1, float("-inf"))])
+    def test_non_finite_values_are_not_written(self, value):
+        # the writer refuses what the reader would refuse, so no output holds NaN
+        with pytest.raises(ValueError, match="^a complex value must be finite, not "):
+            complex_to_json(value)
+
     @pytest.mark.parametrize("value", [True, False, [True, 0], [0, False]])
     def test_booleans_are_refused(self, value):
         with pytest.raises(ValueError, match="^a complex value must be a number, not "):

@@ -315,6 +315,18 @@ def commutator_bracket(p, q) -> CommPoly:
     return CommPoly(table)
 
 
+def assert_exact_entries(table: dict) -> None:
+    """Every entry of a right-action table is the dict table's, its bounds the L1 norms."""
+    for (mono, gen), entry in table.items():
+        got: dict = {}
+        for (a, b, c, _), (low, packed, bound) in entry.items():
+            slots = _unpack(packed, torus_skein._SLOT_BITS, bound)
+            assert bound == sum(map(abs, slots)), (mono, gen)
+            got.setdefault((a, b, c), {}).update(
+                (low + 4 * k, v) for k, v in enumerate(slots) if v)
+        assert got == _dict_right_action(mono, gen), (mono, gen)
+
+
 DEG3 = [m for m in monomials(3) if sum(m) == 3]
 DEG4 = [m for m in monomials(4) if sum(m) == 4]
 
@@ -362,38 +374,35 @@ class TestPackedProducts:
         for p, q in ((big, X), (X, big), (big, X * big)):
             assert p * q == dict_table_product(p, q)
 
-    def test_narrow_slots_widen_and_stay_exact(self, monkeypatch):
-        # 8-bit slots fit no bound past 127: products must be computed again
-        # at wider slots, with a table of their own, and still agree exactly
-        from skeinlab import torus_skein
-        monkeypatch.setattr(torus_skein, "_SLOT_BITS", 8)
+    def test_products_widened_by_their_coefficients_walk_on_the_shared_table(self, monkeypatch):
+        # coefficients past 64 bits widen the weighting of a product, never its
+        # walks: every right action a walk takes is the shared table's entry
         monkeypatch.setattr(torus_skein, "_RIGHT_ACTION", {})
-        shared = torus_skein._RIGHT_ACTION
-        passes = []
-        product = torus_skein._monomial_product
+        right_action, served, widths = torus_skein._right_action, [], []
 
-        def recording_product(m1, m2, width, table, walks):
-            passes.append((width, table is shared))
-            return product(m1, m2, width, table, walks)
-        monkeypatch.setattr(torus_skein, "_monomial_product", recording_product)
-        cases = [(TorusSkeinElement.monomial(0, 6, 6), TorusSkeinElement.monomial(6, 0, 0)),
-                 (TorusSkeinElement.monomial(0, 20, 0), X),
-                 (random_element(random.Random(50)), random_element(random.Random(51)))]
+        def recording_action(mono, gen):
+            entry = right_action(mono, gen)
+            served.append(entry is torus_skein._RIGHT_ACTION[(mono, gen)])
+            return entry
+        monkeypatch.setattr(torus_skein, "_right_action", recording_action)
+        pieces = torus_skein._pieces
+        monkeypatch.setattr(torus_skein, "_pieces", lambda poly, scale, width: widths.append(
+            width) or pieces(poly, scale, width))
+        rng, big = random.Random(50), (1 + LaurentPoly.a_power(1)) ** 300
+        cases = [(TorusSkeinElement.monomial(0, 3, 3, big), TorusSkeinElement.monomial(3, 0, 0)),
+                 (X, TorusSkeinElement({(0, 2, 1): big}))]
+        cases += [(random_element(rng) * 3 ** 40, random_element(rng)) for _ in range(4)]
         for p, q in cases:
+            widths.clear()
             assert p * q == dict_table_product(p, q)
             assert poisson_bracket(p, q) == commutator_bracket(p, q)
-        widths = [w for w, _ in passes]
-        assert 8 in widths and max(widths) > 8
-        # every pass at a wider width ran on a table of its own
-        assert all(on_shared == (w == 8) for w, on_shared in passes)
-        assert torus_skein._SLOT_BITS == 8 and torus_skein._RIGHT_ACTION is shared
-        assert all(w % 8 == 0 for w in widths)
+            assert min(widths) > 64, (p, q)
+        assert served and all(served) and torus_skein._SLOT_BITS == 64
+        assert_exact_entries(torus_skein._RIGHT_ACTION)
 
-    def test_the_shared_table_survives_a_refused_wide_product(self, monkeypatch):
-        from skeinlab import torus_skein
+    def test_a_product_refused_at_the_work_budget_leaves_exact_entries(self, monkeypatch):
         monkeypatch.setattr(torus_skein, "MAX_PRODUCT_TERMS", 10)
-        shared = torus_skein._RIGHT_ACTION
-        entries = dict(shared)
+        monkeypatch.setattr(torus_skein, "_RIGHT_ACTION", {})
         big = TorusSkeinElement({(0, 3, 3): (1 + LaurentPoly.a_power(1)) ** 200})
         right = X ** 3 + X ** 2
         widths = []
@@ -403,11 +412,40 @@ class TestPackedProducts:
         with pytest.raises(ValueError, match="exceeds the budget of 10 terms"):
             big * right
         assert min(widths) > 200            # coefficients of 200 bits: a wide pass from the start
-        assert torus_skein._SLOT_BITS == 64 and torus_skein._RIGHT_ACTION is shared
-        assert shared == entries            # the wide pass filled a table of its own
+        assert torus_skein._SLOT_BITS == 64 and torus_skein._RIGHT_ACTION
+        assert_exact_entries(torus_skein._RIGHT_ACTION)
+
+    def test_wide_coefficients_walk_each_pair_once(self, monkeypatch):
+        # 3^40*(1 + A + A^2) needs slots of 72 bits and its product 120: the
+        # walks run once, as for the coefficient 1, and are only weighted again
+        coeff, q = 3 ** 40 * lp({0: 1, 1: 1, 2: 1}), TorusSkeinElement.monomial(8, 0, 0)
+        acts, act = [], torus_skein._act
+        monkeypatch.setattr(torus_skein, "_act", lambda *args: acts.append(1) or act(*args))
+        widths, pieces = [], torus_skein._pieces
+        monkeypatch.setattr(torus_skein, "_pieces", lambda poly, scale, width: widths.append(
+            width) or pieces(poly, scale, width))
+        runs = []
+        for c in (coeff, 1):
+            monkeypatch.setattr(torus_skein, "_RIGHT_ACTION", {})
+            acts.clear()
+            widths.clear()
+            runs.append((TorusSkeinElement.monomial(0, 8, 8, c) * q, len(acts), sorted(set(widths))))
+        (wide, wide_acts, wide_widths), (unit, unit_acts, unit_widths) = runs
+        assert wide == unit * coeff and len(unit._terms) > 100
+        assert wide_acts == unit_acts > 0
+        assert wide_widths == [72, 120] and unit_widths == [64]
+
+    def test_a_walk_past_the_slot_width_is_refused(self, monkeypatch):
+        # with 8-bit slots the walks of a degree-18 product outgrow the table
+        monkeypatch.setattr(torus_skein, "_SLOT_BITS", 8)
+        monkeypatch.setattr(torus_skein, "_RIGHT_ACTION", {})
+        p, q = TorusSkeinElement.monomial(0, 6, 6), TorusSkeinElement.monomial(6, 0, 0)
+        with pytest.raises(ValueError, match="does not fit a signed slot of 8 bits"):
+            p * q
+        assert_exact_entries(torus_skein._RIGHT_ACTION)
 
     def test_a_product_rebinds_no_module_global(self, monkeypatch):
-        # a wide pass keeps its slot width, table and work count on the call
+        # a wide pass keeps its slot width and work count on the call
         from skeinlab import torus_skein
         madd, rebound = torus_skein._madd, set()
 
@@ -463,7 +501,7 @@ class TestPackedProducts:
 # which must give the same pieces and count the same work.
 
 
-def per_pair_walk(m1, m2, width, table):
+def per_pair_walk(m1, m2):
     a, b, c = m2
     if not a * (m1[1] + m1[2]) + b * m1[2]:
         return {(m1[0] + a, m1[1] + b, m1[2] + c, 0): torus_skein._ONE}, 0
@@ -472,7 +510,7 @@ def per_pair_walk(m1, m2, width, table):
         raise ValueError(f"skein product of degree {degree} exceeds the budget of {MAX_DEGREE}")
     terms, work = {m1 + (0,): torus_skein._ONE}, 0
     for gen in (_X,) * a + (_Y,) * b:
-        terms, n = torus_skein._act(terms, gen, width, table)
+        terms, n = torus_skein._act(terms, gen)
         work += n
     return torus_skein._times_z(terms, c), work
 
@@ -493,14 +531,14 @@ def with_pairs(compute, pair):
 SHARED_WALKS = torus_skein._monomial_product
 
 
-def checked_against_the_walk_alone(m1, m2, width, table, walks):
-    got = SHARED_WALKS(m1, m2, width, table, walks)
-    assert got == per_pair_walk(m1, m2, width, table), (m1, m2, width)
+def checked_against_the_walk_alone(m1, m2, walks):
+    got = SHARED_WALKS(m1, m2, walks)
+    assert got == per_pair_walk(m1, m2), (m1, m2)
     return got
 
 
-def walked_alone(m1, m2, width, table, walks):
-    return per_pair_walk(m1, m2, width, table)
+def walked_alone(m1, m2, walks):
+    return per_pair_walk(m1, m2)
 
 
 BIG = TorusSkeinElement({(0, 1, 1): (1 + LaurentPoly.a_power(1)) ** 300})
@@ -593,14 +631,20 @@ class TestPoissonOracle:
         moments = [sum(k * v for k, v in enumerate(_unpack(packed, width, bound)))
                    for _, packed, bound in out.values()]
         assert width == 8 and max(map(abs, moments)) >= 128
-        assert poisson_bracket(p, X) == commutator_bracket(p, X) == CommPoly(
-            {(1, 1, 0): Fraction(-3, 2), (0, 0, 1): -3})
+        # the table is filled, so only the bracket's fallback decodes from here on
+        decodes = []
+        monkeypatch.setattr(torus_skein, "_unpack", lambda *args: decodes.append(args[1]) or
+                            _unpack(*args))
+        assert poisson_bracket(p, X) == CommPoly({(1, 1, 0): Fraction(-3, 2), (0, 0, 1): -3})
+        assert decodes and set(decodes) == {8}
+        assert commutator_bracket(p, X) == poisson_bracket(p, X)
 
     def test_a_broken_relation_leaves_a_classical_term(self, monkeypatch):
         # y * x = A^2*x*y + A^-1*z, the A^3 of the relation lost: its z term no
         # longer vanishes at A = -1
         from skeinlab import torus_skein
-        y_x = torus_skein._right_action((0, 1, 0), _X, torus_skein._SLOT_BITS, {})
+        monkeypatch.setattr(torus_skein, "_RIGHT_ACTION", {})
+        y_x = torus_skein._right_action((0, 1, 0), _X)
         broken = {k: (-1, 1, 1) if k[:3] == (0, 0, 1) else piece for k, piece in y_x.items()}
         assert broken != y_x
         monkeypatch.setattr(torus_skein, "_RIGHT_ACTION", {((0, 1, 0), _X): broken})
@@ -777,7 +821,7 @@ class TestBudgets:
         monkeypatch.setattr(torus_skein, "MAX_DEGREE", 4)
         assert parse_skein("(x+y)^4") == (X + Y) * (X + Y) * (X + Y) * (X + Y)
 
-        def no_product(m1, m2, width, table, walks):
+        def no_product(m1, m2, walks):
             raise AssertionError(f"product {m1} * {m2} was computed")
         monkeypatch.setattr(torus_skein, "_monomial_product", no_product)
         for power in (lambda: parse_skein("(x+y)^5"), lambda: (X + Y) ** 5):
@@ -825,10 +869,9 @@ class TestBudgets:
         monkeypatch.setattr(torus_skein, "_RIGHT_ACTION", {})
         product, passes = torus_skein._monomial_product, []
 
-        def recording_product(m1, m2, width, table, walks):
-            terms, work = product(m1, m2, width, table, walks)
-            passes.append((width, table is torus_skein._RIGHT_ACTION,
-                           max(bound for _, _, bound in terms.values())))
+        def recording_product(m1, m2, walks):
+            terms, work = product(m1, m2, walks)
+            passes.append(max(bound for _, _, bound in terms.values()))
             return terms, work
         monkeypatch.setattr(torus_skein, "_monomial_product", recording_product)
         for m1, m2 in (((0, 0, 10), (0, 14, 0)), ((0, 0, 9), (0, 15, 0)),
@@ -836,8 +879,8 @@ class TestBudgets:
             assert sum(m1) + sum(m2) == MAX_DEGREE
             passes.clear()
             TorusSkeinElement.monomial(*m1) * TorusSkeinElement.monomial(*m2)
-            ((width, on_shared, top),) = passes
-            assert width == 64 and on_shared and top < 1 << 57
+            (top,) = passes                 # one pass, at the table's 64-bit slots
+            assert top < 1 << 57
 
     def test_work_budget_leaves_normal_form_products_alone(self, monkeypatch):
         from skeinlab import torus_skein
