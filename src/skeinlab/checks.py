@@ -1,6 +1,6 @@
-"""The `skeinlab verify` battery: seventeen deterministic cross-checks
-between the Kauffman bracket, the torus skein algebra, SL2 traces and
-classical and quantum lattice gauge theory."""
+"""The `skeinlab verify` battery: deterministic cross-checks between the
+Kauffman bracket, the torus skein algebra, SL2 traces and classical and
+quantum lattice gauge theory."""
 
 from __future__ import annotations
 

@@ -64,7 +64,7 @@ def _cmd_bracket(args) -> int:
     if args.braid is not None:
         if args.strands is None:
             raise ValueError("--braid requires --strands")
-        word = [int(tok) for tok in args.braid.split(",") if tok.strip()]
+        word = [formats._int(tok, "a braid letter") for tok in args.braid.split(",") if tok.strip()]
         d = diagram.parse_braid(word, args.strands)
     elif args.pd is not None:
         d = diagram.parse_pd(args.pd)
@@ -123,7 +123,7 @@ def _cmd_char(args) -> int:
 
 
 def _parse_path(text: str) -> list[tuple[int, int]]:
-    edges = [int(tok) for tok in text.split(",") if tok.strip()]
+    edges = [formats._int(tok, "an edge id") for tok in text.split(",") if tok.strip()]
     if not edges:
         raise ValueError("empty path")
     if 0 in edges:

@@ -183,6 +183,21 @@ class LinkDiagram:
     # ------------------------------------------------------------------
     # surgery
 
+    def _spliced(self, crossings: Mapping[int, Crossing | None],
+                 reseat: Mapping[Dart, int] = {}, loops: int = 0) -> "LinkDiagram":
+        """The one edit every surgery makes: crossings added, replaced or
+        removed (None), darts given new labels, and `loops` more free loops.
+
+        A replaced crossing keeps its place in the table and an added one
+        goes last, in the order given.
+        """
+        table = {**self._crossings, **crossings}
+        for (cid, pos), label in reseat.items():
+            ends = table[cid].ends
+            table[cid] = table[cid]._replace(ends=ends[:pos] + (label,) + ends[pos + 1:])
+        return LinkDiagram({cid: x for cid, x in table.items() if x is not None},
+                           self._free_loops + loops)
+
     def _fused(self, removed: set[int], welds: Sequence[tuple[Dart, Dart]]) -> "LinkDiagram":
         """Delete the crossings in `removed`, welding their darts in pairs.
 
@@ -202,21 +217,9 @@ class LinkDiagram:
                 ends = chains.setdefault(_find(parent, (cid, pos)), [])
                 if cid not in removed:
                     ends.append((cid, pos))
-        relabel: dict[Dart, int] = {}
-        new_loops = self._free_loops
-        for ends in chains.values():
-            if ends:
-                relabel.update(dict.fromkeys(ends, min(map(self.label_at, ends))))
-            else:
-                new_loops += 1
-
-        table: dict[int, Crossing] = {}
-        for cid in sorted(self._crossings):
-            if cid in removed:
-                continue
-            x = self._crossings[cid]
-            table[cid] = Crossing(tuple(relabel[(cid, p)] for p in range(4)), x.over_first)
-        return LinkDiagram(table, new_loops)
+        relabel = {d: min(map(self.label_at, ends)) for ends in chains.values() for d in ends}
+        closed = sum(not ends for ends in chains.values())
+        return self._spliced(dict.fromkeys(removed), relabel, closed)
 
     def smoothed(self, cid: int, kind: str) -> "LinkDiagram":
         """Replace one crossing by its A or B smoothing."""
@@ -225,13 +228,11 @@ class LinkDiagram:
         return self._fused({cid}, [((cid, i), (cid, j)), ((cid, k), (cid, l))])
 
     def disjoint_union(self, other: "LinkDiagram") -> "LinkDiagram":
-        shift_label = 1 + max((l for x in self._crossings.values() for l in x.ends), default=-1)
-        shift_id = 1 + max(self._crossings, default=-1)
-        table = dict(self._crossings)
-        for cid in sorted(other._crossings):
-            x = other._crossings[cid]
-            table[cid + shift_id] = Crossing(tuple(l + shift_label for l in x.ends), x.over_first)
-        return LinkDiagram(table, self._free_loops + other._free_loops)
+        shift_label = self._fresh_labels(1)[0]
+        shift_id = self._fresh_id()
+        return self._spliced(
+            {cid + shift_id: x._replace(ends=tuple(l + shift_label for l in x.ends))
+             for cid, x in sorted(other._crossings.items())}, loops=other._free_loops)
 
     def _fresh_labels(self, n: int) -> list[int]:
         base = 1 + max((l for x in self._crossings.values() for l in x.ends), default=-1)
@@ -270,26 +271,19 @@ class LinkDiagram:
 
     def _r1_insert(self, site, positive: bool) -> "LinkDiagram":
         over_first = 0 if positive else 1
-        table = dict(self._crossings)
         cid = self._fresh_id()
         if site == "loop":
             if self._free_loops == 0:
                 raise ValueError("no free loop to kink")
             x_label, loop_label = self._fresh_labels(2)
-            table[cid] = Crossing((x_label, loop_label, loop_label, x_label), over_first)
-            return LinkDiagram(table, self._free_loops - 1)
+            return self._spliced({cid: Crossing((x_label, loop_label, loop_label, x_label), over_first)},
+                                 loops=-1)
         arcs = self.arcs()
         if site not in arcs:
             raise ValueError(f"no arc labelled {site!r}")
-        d_keep, d_move = arcs[site]
         loop_label, tail_label = self._fresh_labels(2)
-        table[cid] = Crossing((site, loop_label, loop_label, tail_label), over_first)
-        mc, mp = d_move
-        old = table[mc]
-        ends = list(old.ends)
-        ends[mp] = tail_label
-        table[mc] = Crossing(tuple(ends), old.over_first)
-        return LinkDiagram(table, self._free_loops)
+        return self._spliced({cid: Crossing((site, loop_label, loop_label, tail_label), over_first)},
+                             {arcs[site][1]: tail_label})
 
     def kink_positions(self, cid: int) -> list[int]:
         x = self._crossings[cid]
@@ -309,58 +303,35 @@ class LinkDiagram:
         v = self.label_at(d2)
         if u == v:
             raise ValueError("R2 site needs two distinct arcs")
-        a1 = self.arc_partner(d1, arcs)
-        a2 = self.arc_partner(d2, arcs)
         m, u2, vm, v2 = self._fresh_labels(4)
         over_first = 1 if finger_over else 0
-        table = dict(self._crossings)
-
-        def reseat(dart: Dart, label: int) -> None:
-            c, p = dart
-            old = table[c]
-            ends = list(old.ends)
-            ends[p] = label
-            table[c] = Crossing(tuple(ends), old.over_first)
-
-        reseat(a1, u2)
-        reseat(a2, v2)
         fl = self._fresh_id()
-        table[fl] = Crossing((vm, m, v2, u), over_first)
-        table[fl + 1] = Crossing((v, m, vm, u2), over_first)
-        return LinkDiagram(table, self._free_loops)
+        return self._spliced({fl: Crossing((vm, m, v2, u), over_first),
+                              fl + 1: Crossing((v, m, vm, u2), over_first)},
+                             {self.arc_partner(d1, arcs): u2, self.arc_partner(d2, arcs): v2})
 
     def _r2_delete(self, c1: int, c2: int) -> "LinkDiagram":
         arcs = self.arcs()
         faces = [self._face_from((c1, pos), arcs) for pos in range(4)]
-        if not any(face and self._reduces(face) and face[1][0] == c2 for face in faces):
+        if not any(face and self._bounds(face, 2) and face[1][0] == c2 for face in faces):
             raise ValueError(f"crossings {c1!r}, {c2!r} do not bound a reducible bigon")
         welds = [((c, 0), (c, 2)) for c in (c1, c2)] + [((c, 1), (c, 3)) for c in (c1, c2)]
         return self._fused({c1, c2}, welds)
 
     def _r3(self, d_p: Dart) -> "LinkDiagram":
         face = self._face_from(d_p, self.arcs())
-        if face is None or not self._slides(face):
+        if face is None or not self._bounds(face, 3):
             raise ValueError(f"dart {d_p!r} does not name a strand R3 can slide")
-        (p, a_p), (q, a_q), (r, a_r) = face
-        xp, xq, xr = self._crossings[p], self._crossings[q], self._crossings[r]
-        over_first = 0 if xp.is_over(a_p) else 1  # the moving strand's side at p and q
-        ext2_p = xp.ends[(a_p + 2) % 4]
-        ext1_p = xp.ends[(a_p + 3) % 4]
-        ext2_q = xq.ends[(a_q + 2) % 4]
-        ext1_q = xq.ends[(a_q + 3) % 4]
-        ext2_r = xr.ends[(a_r + 2) % 4]
-        ext1_r = xr.ends[(a_r + 3) % 4]
+        (p, a_p), (q, _), (r, a_r) = face
+        over_first = 0 if self._crossings[p].is_over(a_p) else 1  # the moving strand's side at p and q
+        # the two ends of each crossing that lie off the face, counterclockwise
+        (ext2_p, ext1_p), (ext2_q, ext1_q), (ext2_r, ext1_r) = (
+            (self._crossings[c].ends[(a + 2) % 4], self._crossings[c].ends[(a + 3) % 4]) for c, a in face)
         n_pq, n_qr, n_rp = self._fresh_labels(3)
-        table = dict(self._crossings)
-        table[p] = Crossing((ext1_q, ext2_r, n_pq, n_rp), over_first)
-        table[q] = Crossing((n_pq, ext1_r, ext2_p, n_qr), over_first)
-        ends = list(xr.ends)
-        ends[a_r] = ext1_p
-        ends[(a_r + 1) % 4] = ext2_q
-        ends[(a_r + 2) % 4] = n_rp
-        ends[(a_r + 3) % 4] = n_qr
-        table[r] = Crossing(tuple(ends), xr.over_first)
-        return LinkDiagram(table, self._free_loops)
+        return self._spliced({p: Crossing((ext1_q, ext2_r, n_pq, n_rp), over_first),
+                              q: Crossing((n_pq, ext1_r, ext2_p, n_qr), over_first)},
+                             {(r, (a_r + i) % 4): label
+                              for i, label in enumerate((ext1_p, ext2_q, n_rp, n_qr))})
 
     # ------------------------------------------------------------------
     # move site enumeration
@@ -374,31 +345,21 @@ class LinkDiagram:
 
     def r2_delete_sites(self) -> list[tuple[int, int]]:
         """Crossing pairs bounding a bigon whose one strand is over at both."""
-        sites = []
-        for o in self.face_orbits():
-            if self._reduces(o) and (o[0][0], o[1][0]) not in sites:
-                sites.append((o[0][0], o[1][0]))
-        return sites
+        return list(dict.fromkeys((o[0][0], o[1][0]) for o in self.face_orbits() if self._bounds(o, 2)))
 
-    def _reduces(self, face: list[Dart]) -> bool:
-        """Whether a face is a bigon of two crossings with one strand over at both."""
-        if len(face) != 2 or face[0][0] == face[1][0]:
+    def _bounds(self, face: list[Dart], n: int) -> bool:
+        """Whether a face is a bigon (n = 2, an R2d site) or a triangle (n = 3,
+        an R3 site) of n distinct crossings whose first strand is over at both
+        of its crossings or under at both: the strand R2d lifts off or R3
+        slides across the opposite crossing."""
+        if len(face) != n or len({d[0] for d in face}) != n:
             return False
-        (c1, a1), (c2, a2) = face
-        return self._crossings[c1].is_over(a1) == self._crossings[c2].is_over((a2 + 1) % 4)
-
-    def _slides(self, face: list[Dart]) -> bool:
-        """Whether R3 can slide the strand of face[0] across the opposite
-        crossing: the face is a triangle of three crossings, and that strand
-        is over at both of its crossings or under at both."""
-        if len(face) != 3 or len({d[0] for d in face}) != 3:
-            return False
-        (p, a_p), (q, a_q), _ = face
+        (p, a_p), (q, a_q) = face[:2]
         return self._crossings[p].is_over(a_p) == self._crossings[q].is_over((a_q + 1) % 4)
 
     def r3_sites(self) -> list[Dart]:
         return [o[i] for o in self.face_orbits() for i in range(len(o))
-                if self._slides(o[i:] + o[:i])]
+                if self._bounds(o[i:] + o[:i], 3)]
 
     # ------------------------------------------------------------------
     # comparison and presentation

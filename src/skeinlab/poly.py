@@ -14,7 +14,7 @@ import cmath
 import re
 import sys
 from fractions import Fraction
-from math import factorial
+from math import factorial, log10
 from operator import add
 from typing import Mapping, Union
 
@@ -33,6 +33,11 @@ Scalar = Union[int, Fraction]
 # core of a 2-vCPU VM, Python 3.11: order 1000 of a 400-crossing bracket 0.3 s).
 MAX_EXPONENT = 1000
 MAX_SERIES_ORDER = 1000
+
+
+def _digit_limit() -> int:
+    """The interpreter's limit on an integer's digits as text; 4300 where it is missing or off."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 def _norm_scalar(c: Scalar) -> Scalar:
@@ -286,16 +291,27 @@ class LaurentPoly(SparseSum):
     def eval_at(self, a: complex) -> complex:
         """Numeric evaluation at a nonzero value of A.
 
-        Int and Fraction values are evaluated exactly.  Any other value is
-        refused with `ValueError` when it is nan or infinite, when one of its
-        powers overflows or divides by zero, or when the sum is not finite.
+        Int and Fraction values are evaluated exactly, and refused with
+        `ValueError`, before any power is computed, when the value could pass
+        the integer-to-text limit (`A^15000` at 2, `A^1000000` at 1/3).  Any
+        other value is refused with `ValueError` when it is nan or infinite,
+        when one of its powers overflows or divides by zero, or when the sum
+        is not finite.
         """
         if a == 0:
             raise ValueError("Laurent polynomials cannot be evaluated at A = 0")
         if isinstance(a, (int, Fraction)):
+            # at a = p/q each term over the common denominator is at most max(|p|, q)^span,
+            # so the value has about span * log10 max(|p|, q) digits at most, none at a = +-1
+            a = Fraction(a)
+            span = max([0, *self._terms]) - min([0, *self._terms])
+            per_power = log10(max(abs(a.numerator), a.denominator))
+            if per_power and span > _digit_limit() / per_power:
+                raise ValueError(f"A = {a}: A-exponents spanning {span} give an exact value past "
+                                 f"the integer-to-text limit of {_digit_limit()} digits")
             total: Scalar = 0
             for k, c in self._terms.items():
-                total += c * (Fraction(a) ** k)
+                total += c * (a ** k)
             return _norm_scalar(Fraction(total))
         if not cmath.isfinite(a):
             raise ValueError(f"A = {a} is not finite")
@@ -458,9 +474,8 @@ def _parse_expression(text: str, cls: type, atoms: dict, exps):
         if used and span and used + span > MAX_EXPONENT:
             raise ValueError(f"product of coefficient spans {used} and {span} "
                              f"exceeds the budget of {MAX_EXPONENT}")
-        # c^n has more than |n| * (bits of c - 1) bits, none for c = +-1; the text
-        # limit is missing before Python 3.10.7, and 0 when it is switched off
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        # c^n has more than |n| * (bits of c - 1) bits, none for c = +-1
+        limit = _digit_limit()
         if n is not None:
             if abs(n) > MAX_EXPONENT and [c for _, c in pairs] not in ([1], [-1]):
                 raise ValueError(f"exponent {n} exceeds the budget of {MAX_EXPONENT}")

@@ -243,6 +243,18 @@ class TestSkeinCommand:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["2", "1/3"])
+    def test_an_exact_value_too_long_to_print_is_a_usage_error(self, value, capsys):
+        assert main(["skein", "--expr", "A^1000000*x", "--specialize", value]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "integer-to-text limit" in err
+
+    def test_an_exact_value_within_the_text_limit_prints_in_full(self, capsys):
+        assert main(["skein", "--expr", "A^14000*x", "--specialize", "2"]) == 0
+        assert capsys.readouterr().out == f"{2 ** 14000}*x\n"
+
     @pytest.mark.parametrize("expr, degree", [
         ("(x+y)^1000", 1000), ("(x+y)^25", 25), ("(x*y*z)^9", 27),
     ])
@@ -664,6 +676,18 @@ class TestEnvironment:
         assert main([command, *args]) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bracket", "--braid=1.5", "--strands", "2"], "a braid letter must be an integer, not '1.5'"),
+        (["bracket", "--braid=1,,x", "--strands", "2"], "a braid letter must be an integer, not 'x'"),
+        (["lattice", "--graph", "FILE", "--holonomy=1,0.5"], "an edge id must be an integer, not '0.5'"),
+        (["lattice", "--graph", "FILE", "--wilson=1,,x"], "an edge id must be an integer, not 'x'"),
+    ])
+    def test_malformed_number_lists_are_a_usage_error(self, argv, message, tmp_path, capsys):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(LOOP_GRAPH))
+        assert main([str(path) if a == "FILE" else a for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("data", [{"word": [1.0, 1, 1], "strands": 2},
                                       {"word": [1, 1, 1], "strands": 2.0}])

@@ -322,6 +322,19 @@ class TestEvaluation:
         with pytest.raises(ValueError, match="^Laurent polynomials cannot be evaluated at A = 0$"):
             LaurentPoly.a_power(1).eval_at(0.0)
 
+    @pytest.mark.parametrize("a", [2, Fraction(1, 3), Fraction(-5, 2)])
+    def test_eval_refuses_exact_values_too_long_to_print(self, a):
+        with pytest.raises(ValueError, match="past the integer-to-text limit"):
+            LaurentPoly({10 ** 6: 1}).eval_at(a)
+        with pytest.raises(ValueError, match="past the integer-to-text limit"):
+            LaurentPoly({8000: 1, -8000: 1}).eval_at(a)
+
+    def test_eval_keeps_exact_values_within_the_text_limit(self):
+        assert LaurentPoly({14000: 1}).eval_at(2) == 2 ** 14000
+        assert LaurentPoly({-14000: 3}).eval_at(Fraction(1, 2)) == 3 * 2 ** 14000
+        assert LaurentPoly({10 ** 12: 1}).eval_at(-1) == 1
+        assert LaurentPoly({10 ** 12: 1, -(10 ** 12) - 1: 2}).eval_at(Fraction(-1)) == -1
+
     @given(polys, polys)
     def test_eval_is_a_ring_map(self, p, q):
         a = 1j
