@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from .diagram import Crossing, LinkDiagram, _find, _union, smoothing_weld_positions
+from .diagram import Crossing, LinkDiagram, _chains, smoothing_weld_positions
 from .poly import LOOP_VALUE, LaurentPoly, _pack, _unpack
 
 MAX_CROSSINGS = 24  # default budget of the state sum, which visits 2^n states (24: about 17 s)
@@ -90,11 +90,7 @@ def bracket_statesum(d: LinkDiagram, max_crossings: int = MAX_CROSSINGS) -> Laur
         nxt[4 * i:4 * i + 4] = switches[1][1]       # the all-A state
 
     # the all-A state's loops are the classes of alpha and its welds
-    parent: dict[int, int] = {}
-    for t in range(4 * n):
-        _union(parent, t, alpha[t])
-        _union(parent, t, nxt[t])
-    idx = len({_find(parent, t) for t in range(4 * n)})
+    idx = _chains([*enumerate(alpha), *enumerate(nxt)])[1]
     counts = [0] * ((n + 1) * stride)
     counts[idx] = 1
 
@@ -217,27 +213,6 @@ def sweep_order(d: LinkDiagram, max_width: int = MAX_WIDTH) -> list[int]:
     return order
 
 
-def _route(slot: tuple[int, ...], weld: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Join a crossing's positions through its smoothing and the outside.
-
-    `slot[p]` is the position that p reaches outside the crossing, or -1 if
-    p leads to the frontier.  Returns the pairs of frontier-bound positions
-    now joined, and the number of loops closed: a class of positions joined
-    by the weld and the slots holds two frontier-bound positions or none.
-    """
-    parent: dict[int, int] = {}
-    for p in range(4):
-        _union(parent, p, weld[p])
-        if slot[p] >= 0:
-            _union(parent, p, slot[p])
-    ends: dict[int, list[int]] = {}
-    for p in range(4):
-        chain = ends.setdefault(_find(parent, p), [])
-        if slot[p] < 0:
-            chain.append(p)
-    return tuple(tuple(e) for e in ends.values() if e), sum(1 for e in ends.values() if not e)
-
-
 # The routes of both smoothings of a crossing, each with its power of A,
 # keyed by the crossing's slots and its over_first: a pure function of at
 # most 2 * 5^4 keys, so one table serves every sweep.
@@ -245,13 +220,18 @@ _ROUTES: dict[tuple[tuple[int, ...], int], tuple[tuple, ...]] = {}
 
 
 def _smoothing_routes(slot: tuple[int, ...], x: Crossing) -> tuple[tuple, ...]:
-    routes = []
-    for kind, shift in (("A", 1), ("B", -1)):
-        (i, j), (k, l) = smoothing_weld_positions(x, kind)
-        weld = [0] * 4
-        weld[i], weld[j], weld[k], weld[l] = j, i, l, k
-        routes.append((*_route(slot, tuple(weld)), shift))
-    return tuple(routes)
+    """Join a crossing's positions through each smoothing and the outside.
+
+    `slot[p]` is the position that p reaches outside the crossing, or -1 if
+    p leads to the frontier.  Per smoothing, A then B, returns the pairs of
+    frontier-bound positions now joined, the number of loops closed and the
+    power of A: a class of positions joined by the welds and the slots holds
+    two frontier-bound positions or none.
+    """
+    outside = [(p, q) for p, q in enumerate(slot) if q >= 0]
+    bound = [p for p, q in enumerate(slot) if q < 0]
+    return tuple((*_chains([*smoothing_weld_positions(x, kind), *outside], bound), shift)
+                 for kind, shift in (("A", 1), ("B", -1)))
 
 
 # A coefficient table (low, packed, bound) stands for the sum of c_k * A^(low + 2k):

@@ -26,13 +26,6 @@ def _fmt_complex(z: complex) -> str:
     return f"{real:.12g}{'+' if imag >= 0 else '-'}{abs(imag):.12g}j"
 
 
-def _parse_t(text: str) -> complex:
-    try:
-        return complex(text.replace(" ", ""))
-    except ValueError as exc:
-        raise ValueError(f"cannot parse t value {text!r}") from exc
-
-
 def _check_tol(tol: float) -> None:
     if not 0 <= tol < float("inf"):         # also refuses nan
         raise ValueError(f"--tol must be finite and non-negative, not {tol}")
@@ -94,7 +87,7 @@ def _cmd_skein(args) -> int:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {raw!r}") from None
         except ValueError:
-            a = complex(raw)
+            a = formats.complex_from_json(raw)
         text = str(p.specialize(a))
     else:
         text = torus_skein.render_skein(p)
@@ -162,7 +155,7 @@ def _cmd_qlattice(args) -> int:
         conn = formats.qconnection_from_json(_load_json(args.qconnection))
     else:
         conn = {e: qlattice.UqWord.unit() for e in g.edges}
-    t = _parse_t(args.t)
+    t = formats.complex_from_json(args.t)
     if args.residual is not None:
         d_a = formats.qlink_from_json(_load_json(args.residual[0]))
         d_b = formats.qlink_from_json(_load_json(args.residual[1]))

@@ -56,6 +56,22 @@ def _union(parent: dict, x, y) -> None:
         parent[rx] = ry
 
 
+def _chains(links: Sequence[tuple], ends: Iterable = ()) -> tuple[list[list], int]:
+    """Join items along `links`, pairs of items, into classes.
+
+    Returns, for each class that holds some of `ends`, those ends in the
+    order given, and the number of classes that hold none.
+    """
+    parent: dict = {}
+    for x, y in links:
+        _union(parent, x, y)
+    chains: dict = {}
+    for end in ends:
+        chains.setdefault(_find(parent, end), []).append(end)
+    roots = {_find(parent, x) for link in links for x in link}
+    return list(chains.values()), len(roots - chains.keys())
+
+
 class LinkDiagram:
     """Immutable crossing data plus free (crossingless) loops."""
 
@@ -128,14 +144,8 @@ class LinkDiagram:
 
     def component_count(self) -> int:
         """Number of link components (strand-through closure of the arcs)."""
-        parent: dict[int, int] = {}
-        labels = set()
-        for x in self._crossings.values():
-            labels.update(x.ends)
-            _union(parent, x.ends[0], x.ends[2])
-            _union(parent, x.ends[1], x.ends[3])
-        roots = {_find(parent, l) for l in labels}
-        return len(roots) + self._free_loops
+        strands = [(x.ends[p], x.ends[p + 2]) for x in self._crossings.values() for p in (0, 1)]
+        return _chains(strands)[1] + self._free_loops
 
     def face_orbits(self) -> list[list[Dart]]:
         """Faces of the rotation system, each a cyclic list of darts."""
@@ -174,11 +184,8 @@ class LinkDiagram:
         is F - V, at most 2 and equal to 2 exactly at genus zero; summed over
         the pieces, F - V reaches twice their number only when all are planar.
         """
-        parent: dict[int, int] = {}
-        for d1, d2 in self.arcs().values():
-            _union(parent, d1[0], d2[0])
-        pieces = {_find(parent, cid) for cid in self._crossings}
-        return len(self.face_orbits()) - len(self._crossings) == 2 * len(pieces)
+        pieces = _chains([(d1[0], d2[0]) for d1, d2 in self.arcs().values()])[1]
+        return len(self.face_orbits()) - len(self._crossings) == 2 * pieces
 
     # ------------------------------------------------------------------
     # surgery
@@ -208,17 +215,9 @@ class LinkDiagram:
         welded = {d for pair in welds for d in pair}
         if any((cid, pos) not in welded for cid in removed for pos in range(4)):
             raise ValueError("welds must cover every dart of every removed crossing")
-        parent: dict[Dart, Dart] = {}
-        for d1, d2 in [*welds, *self.arcs().values()]:
-            _union(parent, d1, d2)
-        chains: dict[Dart, list[Dart]] = {}
-        for cid in self._crossings:
-            for pos in range(4):
-                ends = chains.setdefault(_find(parent, (cid, pos)), [])
-                if cid not in removed:
-                    ends.append((cid, pos))
-        relabel = {d: min(map(self.label_at, ends)) for ends in chains.values() for d in ends}
-        closed = sum(not ends for ends in chains.values())
+        kept = [(cid, pos) for cid in self._crossings if cid not in removed for pos in range(4)]
+        chains, closed = _chains([*welds, *self.arcs().values()], kept)
+        relabel = {d: min(map(self.label_at, ends)) for ends in chains for d in ends}
         return self._spliced(dict.fromkeys(removed), relabel, closed)
 
     def smoothed(self, cid: int, kind: str) -> "LinkDiagram":

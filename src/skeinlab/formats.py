@@ -126,14 +126,18 @@ def complex_from_json(v) -> complex:
 
     A value that is not finite as a float, such as 1e400 (which JSON reads
     as inf) or an integer of 400 digits, is refused with a `ValueError`, and
-    so is a bool (JSON `true`), alone or in a pair."""
+    so is a bool (JSON `true`), alone or in a pair, and text that is not a
+    complex number."""
     try:
         if isinstance(v, bool) or isinstance(v, (list, tuple)) and bool in map(type, v):
             raise ValueError(f"a complex value must be a number, not {v!r}")
         if isinstance(v, (int, float)):
             z = complex(v)
         elif isinstance(v, str):
-            z = complex(v.replace(" ", ""))
+            try:
+                z = complex(v.replace(" ", ""))
+            except ValueError:
+                raise ValueError(f"cannot read complex value from {v!r}") from None
         elif isinstance(v, (list, tuple)) and len(v) == 2:
             z = complex(float(v[0]), float(v[1]))
         else:

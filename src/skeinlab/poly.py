@@ -14,7 +14,7 @@ import cmath
 import re
 import sys
 from fractions import Fraction
-from math import factorial, log10
+from math import factorial, lcm, log10
 from operator import add
 from typing import Mapping, Union
 
@@ -293,21 +293,29 @@ class LaurentPoly(SparseSum):
 
         Int and Fraction values are evaluated exactly, and refused with
         `ValueError`, before any power is computed, when the value could pass
-        the integer-to-text limit (`A^15000` at 2, `A^1000000` at 1/3).  Any
-        other value is refused with `ValueError` when it is nan or infinite,
-        when one of its powers overflows or divides by zero, or when the sum
-        is not finite.
+        the integer-to-text limit through its exponents or its coefficients
+        (`A^15000` or `10^100*A^14000` at 2, `A^1000000` at 1/3, or at any A
+        the sum of 1/p*A^i over the primes p below 10,500).  Any other value
+        is refused with `ValueError` when it is nan or infinite, when one of
+        its powers overflows or divides by zero, or when the sum is not finite.
         """
         if a == 0:
             raise ValueError("Laurent polynomials cannot be evaluated at A = 0")
         if isinstance(a, (int, Fraction)):
-            # at a = p/q each term over the common denominator is at most max(|p|, q)^span,
-            # so the value has about span * log10 max(|p|, q) digits at most, none at a = +-1
+            # at a = p/q the value is a fraction over L * max(|p|, q)^span, L the lcm of the
+            # coefficients' denominators, whose numerator is at most n * max |numerator| * L *
+            # max(|p|, q)^span for n terms; L stops growing once it alone passes the limit
             a = Fraction(a)
             span = max([0, *self._terms]) - min([0, *self._terms])
-            per_power = log10(max(abs(a.numerator), a.denominator))
-            if per_power and span > _digit_limit() / per_power:
-                raise ValueError(f"A = {a}: A-exponents spanning {span} give an exact value past "
+            top = max((abs(c.numerator) for c in self._terms.values()), default=1)
+            common = 1
+            for c in self._terms.values():
+                if common.bit_length() <= 4 * _digit_limit():
+                    common = lcm(common, c.denominator)
+            digits = (span * log10(max(abs(a.numerator), a.denominator))
+                      + log10(len(self._terms) * top or 1) + log10(common))
+            if digits > _digit_limit():
+                raise ValueError(f"A = {a}: an exact value of up to {digits:.0f} digits is past "
                                  f"the integer-to-text limit of {_digit_limit()} digits")
             total: Scalar = 0
             for k, c in self._terms.items():

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skeinlab.diagram import (
+    Crossing,
     LinkDiagram,
     _find,
     _union,
@@ -33,7 +34,7 @@ from skeinlab.diagram import (
 from skeinlab.bracket import (
     MAX_FREE_LOOPS,
     MAX_SWEEP_CROSSINGS,
-    _route,
+    _smoothing_routes,
     bracket,
     bracket_series,
     bracket_statesum,
@@ -188,11 +189,7 @@ def list_table_sweep(d: LinkDiagram) -> LaurentPoly:
                     slot[p] = q
                 else:
                     far[p] = renumber[match[i]]
-            for kind, shift in (("A", 1), ("B", -1)):
-                (i, j), (k, l) = smoothing_weld_positions(d.crossing(cid), kind)
-                weld = [0] * 4
-                weld[i], weld[j], weld[k], weld[l] = j, i, l, k
-                chains, closures = _route(tuple(slot), tuple(weld))
+            for chains, closures, shift in _smoothing_routes(tuple(slot), d.crossing(cid)):
                 new_match = [renumber[match[i]] for i in survivors] + [-1] * len(opened)
                 for p, q in chains:
                     new_match[far[p]], new_match[far[q]] = far[q], far[p]
@@ -551,6 +548,62 @@ class TestPackedTables:
         assert _unpack(128, 8, 127) == [-128, 1]
         with pytest.raises(ValueError, match="does not fit a signed slot of 8 bits"):
             _unpack(128, 8, 128)
+
+
+def slot_involutions():
+    """Every slot of a crossing's four positions: an involution with no, one
+    or two pairs joined outside, -1 at a position that leads to the frontier."""
+    yield (-1, -1, -1, -1)
+    for p, q in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+        slot = [-1] * 4
+        slot[p], slot[q] = q, p
+        yield tuple(slot)
+    for (p, q), (r, s) in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
+        yield tuple({p: q, q: p, r: s, s: r}[t] for t in range(4))
+
+
+def walked_route(slot, welds):
+    """The chains and closed loops of one smoothing by walking: from each
+    frontier-bound position, alternate weld and slot until the walk reaches
+    another frontier-bound position; the positions left over close loops."""
+    weld = {}
+    for i, j in welds:
+        weld[i], weld[j] = j, i
+    chains, left = set(), set(range(4))
+    for p in range(4):
+        if slot[p] < 0 and p in left:
+            left.discard(p)
+            t = weld[p]
+            while slot[t] >= 0:
+                left -= {t, slot[t]}
+                t = weld[slot[t]]
+            left.discard(t)
+            chains.add(tuple(sorted((p, t))))
+    loops = 0
+    while left:
+        loops += 1
+        t = left.pop()
+        while slot[t] in left:
+            left.discard(slot[t])
+            t = weld[slot[t]]
+            left.discard(t)
+    return chains, loops
+
+
+class TestRoutes:
+    def test_every_slot_against_a_walk(self):
+        slots = list(slot_involutions())
+        assert len(set(slots)) == 10
+        for slot in slots:
+            for over_first in (0, 1):
+                x = Crossing((0, 1, 2, 3), over_first)
+                routes = _smoothing_routes(slot, x)
+                assert len(routes) == 2
+                for (chains, closures, shift), (kind, power) in zip(routes, (("A", 1), ("B", -1))):
+                    expected = walked_route(slot, smoothing_weld_positions(x, kind))
+                    got = {tuple(sorted(chain)) for chain in chains}
+                    assert len(got) == len(chains), (slot, over_first, kind)
+                    assert (got, closures, shift) == (*expected, power), (slot, over_first, kind)
 
 
 class TestSweepOrder:

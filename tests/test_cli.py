@@ -31,6 +31,9 @@ from skeinlab.lattice import bowtie_graph, triangle_graph, trivial_connection
 from skeinlab.poly import LaurentPoly, parse_laurent
 from skeinlab.qlattice import bowtie_qlinks, classical_to_quantum
 
+# the 1,284 primes below 10,500, whose product has more than 4,300 digits
+PRIMES = [q for q in range(2, 10500) if all(q % d for d in range(2, int(q ** 0.5) + 1))]
+
 
 @pytest.fixture()
 def rep_file(tmp_path):
@@ -243,17 +246,22 @@ class TestSkeinCommand:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("value", ["2", "1/3"])
+    @pytest.mark.parametrize("value", ["2", "1/3", "1", "-1"])
     def test_an_exact_value_too_long_to_print_is_a_usage_error(self, value, capsys):
-        assert main(["skein", "--expr", "A^1000000*x", "--specialize", value]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert "integer-to-text limit" in err
+        # through the exponents' span, the coefficients' size, or at any A the
+        # lcm of the denominators, the product of the primes below 10,500
+        exprs = [] if value in ("1", "-1") else ["A^1000000*x", "10^100*A^14000*x"]
+        for expr in [*exprs, " + ".join(f"1/{q}*A^{i}*x" for i, q in enumerate(PRIMES))]:
+            assert main(["skein", "--expr", expr, "--specialize", value]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "integer-to-text limit" in err
 
     def test_an_exact_value_within_the_text_limit_prints_in_full(self, capsys):
-        assert main(["skein", "--expr", "A^14000*x", "--specialize", "2"]) == 0
-        assert capsys.readouterr().out == f"{2 ** 14000}*x\n"
+        for coeff in (1, 3):
+            assert main(["skein", "--expr", f"{coeff}*A^14000*x", "--specialize", "2"]) == 0
+            assert capsys.readouterr().out == f"{coeff * 2 ** 14000}*x\n"
 
     @pytest.mark.parametrize("expr, degree", [
         ("(x+y)^1000", 1000), ("(x+y)^25", 25), ("(x*y*z)^9", 27),
@@ -688,6 +696,19 @@ class TestEnvironment:
         path.write_text(json.dumps(LOOP_GRAPH))
         assert main([str(path) if a == "FILE" else a for a in argv]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["skein", "--expr", "A*x", "--specialize", "abc"],
+        ["qlattice", "--graph", "GRAPH", "--qlink", "QLINK", "--t", "abc"],
+        ["qlattice", "--graph", "GRAPH", "--qlink", "QLINK", "--qconnection", "CONN"],
+    ])
+    def test_malformed_complex_text_names_the_value(self, argv, bowtie_files, tmp_path, capsys):
+        gp, (dp, _, _) = bowtie_files
+        cp = tmp_path / "conn.json"
+        cp.write_text(json.dumps({str(e): [{"coeff": "abc", "word": []}] for e in range(1, 7)}))
+        files = {"GRAPH": gp, "QLINK": dp, "CONN": str(cp)}
+        assert main([files.get(a, a) for a in argv]) == 2
+        assert capsys.readouterr() == ("", "error: cannot read complex value from 'abc'\n")
 
     @pytest.mark.parametrize("data", [{"word": [1.0, 1, 1], "strands": 2},
                                       {"word": [1, 1, 1], "strands": 2.0}])

@@ -10,6 +10,7 @@ from skeinlab.bracket import bracket
 from skeinlab.diagram import (
     Crossing,
     LinkDiagram,
+    _chains,
     corpus,
     insert_kink_pair,
     parse_braid,
@@ -121,6 +122,61 @@ class TestParsing:
         assert d2.free_loops == 2 and d2.crossing_count == 1
         with pytest.raises(ValueError):
             parse_pd("X[1,2,3]")
+
+
+@st.composite
+def links_and_ends(draw):
+    """Pairs of items from a small pool, and distinct ends drawn from the
+    linked items and a few items no link holds."""
+    links = draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=12))
+    pool = sorted({x for link in links for x in link} | {10, 11})
+    return links, draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool)))
+
+
+class TestChains:
+    @settings(max_examples=300, deadline=None)
+    @given(links_and_ends())
+    def test_classes_match_a_breadth_first_search(self, case):
+        links, ends = case
+        near: dict[int, set[int]] = {}
+        for x, y in links:
+            near.setdefault(x, set()).add(y)
+            near.setdefault(y, set()).add(x)
+        for end in ends:
+            near.setdefault(end, set())
+        classes, seen = [], set()
+        for item in near:
+            if item not in seen:
+                cls, queue = {item}, [item]
+                for x in queue:
+                    queue.extend(near[x] - cls)
+                    cls |= near[x]
+                seen |= cls
+                classes.append(cls)
+        held = [tuple(e for e in ends if e in cls) for cls in classes]
+        chains, closed = _chains(links, ends)
+        assert sorted(map(tuple, chains)) == sorted(h for h in held if h)
+        assert closed == sum(not h for h in held)
+
+    def test_braid_components_are_the_cycles_of_its_permutation(self):
+        # letter +-i swaps strands i - 1 and i; a strand no letter touches is a
+        # fixed point of the permutation and a free loop of the closure
+        rng = random.Random(30)
+        for _ in range(500):
+            strands = rng.randint(1, 6)
+            word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                    for _ in range(rng.randint(0, 12) if strands > 1 else 0)]
+            perm = list(range(strands))
+            for s in word:
+                perm[abs(s) - 1], perm[abs(s)] = perm[abs(s)], perm[abs(s) - 1]
+            cycles, left = 0, set(perm)
+            while left:
+                cycles += 1
+                j = left.pop()
+                while perm[j] in left:
+                    j = perm[j]
+                    left.discard(j)
+            assert parse_braid(word, strands).component_count() == cycles, (strands, word)
 
 
 class TestSmoothing:

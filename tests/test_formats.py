@@ -95,6 +95,14 @@ class TestNumbers:
         with pytest.raises(ValueError, match="^a complex value must be finite, not "):
             complex_to_json(value)
 
+    @pytest.mark.parametrize("value", ["abc", "1+2i", "j j", ""])
+    def test_malformed_text_is_refused_and_named(self, value):
+        message = f"^cannot read complex value from {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            complex_from_json(value)
+        with pytest.raises(ValueError, match=message):
+            qconnection_from_json({"1": [{"coeff": value, "word": []}]})
+
     @pytest.mark.parametrize("value", [True, False, [True, 0], [0, False]])
     def test_booleans_are_refused(self, value):
         with pytest.raises(ValueError, match="^a complex value must be a number, not "):

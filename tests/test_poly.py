@@ -27,6 +27,9 @@ polys = st.dictionaries(
     max_size=5,
 ).map(LaurentPoly)
 
+# the 1,284 primes below 10,500, whose product has more than 4,300 digits
+PRIMES = [q for q in range(2, 10500) if all(q % d for d in range(2, int(q ** 0.5) + 1))]
+
 
 class TestRingAxioms:
     @given(polys, polys, polys)
@@ -322,16 +325,27 @@ class TestEvaluation:
         with pytest.raises(ValueError, match="^Laurent polynomials cannot be evaluated at A = 0$"):
             LaurentPoly.a_power(1).eval_at(0.0)
 
-    @pytest.mark.parametrize("a", [2, Fraction(1, 3), Fraction(-5, 2)])
+    @pytest.mark.parametrize("a", [2, Fraction(1, 3), Fraction(-5, 2), 1, -1])
     def test_eval_refuses_exact_values_too_long_to_print(self, a):
-        with pytest.raises(ValueError, match="past the integer-to-text limit"):
-            LaurentPoly({10 ** 6: 1}).eval_at(a)
-        with pytest.raises(ValueError, match="past the integer-to-text limit"):
-            LaurentPoly({8000: 1, -8000: 1}).eval_at(a)
+        # through the exponents' span, the coefficients' size, or at any A
+        # the lcm of their denominators, the product of the primes below 10,500
+        polys = [LaurentPoly({10 ** 6: 1}), LaurentPoly({8000: 1, -8000: 1}),
+                 LaurentPoly({14000: 10 ** 100})] if abs(a) != 1 else []
+        for p in [*polys, LaurentPoly({i: Fraction(1, q) for i, q in enumerate(PRIMES)})]:
+            with pytest.raises(ValueError, match="past the integer-to-text limit"):
+                p.eval_at(a)
 
     def test_eval_keeps_exact_values_within_the_text_limit(self):
         assert LaurentPoly({14000: 1}).eval_at(2) == 2 ** 14000
+        assert LaurentPoly({14000: 3}).eval_at(2) == 3 * 2 ** 14000
         assert LaurentPoly({-14000: 3}).eval_at(Fraction(1, 2)) == 3 * 2 ** 14000
+        assert LaurentPoly({14000: 10 ** 80}).eval_at(2) == 10 ** 80 * 2 ** 14000
+        small = LaurentPoly({i: Fraction(1, q) for i, q in enumerate(PRIMES[:500])})
+        assert small.eval_at(1) == sum(Fraction(1, q) for q in PRIMES[:500])
+        assert small.eval_at(-1) == sum(Fraction((-1) ** i, q) for i, q in enumerate(PRIMES[:500]))
+        # 179 distinct denominators whose product has 4,850 digits, but whose lcm has 54
+        halves = LaurentPoly({i: Fraction(1, 2 ** i) for i in range(1, 180)})
+        assert halves.eval_at(1) == 1 - Fraction(1, 2 ** 179)
         assert LaurentPoly({10 ** 12: 1}).eval_at(-1) == 1
         assert LaurentPoly({10 ** 12: 1, -(10 ** 12) - 1: 2}).eval_at(Fraction(-1)) == -1
 
