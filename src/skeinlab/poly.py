@@ -40,6 +40,14 @@ def _digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
+def _check_digits(digits: float, what: str) -> None:
+    """Refuse, with `ValueError`, a number of up to `digits` digits when that
+    passes the integer-to-text limit."""
+    if digits > _digit_limit():
+        raise ValueError(f"{what} of up to {digits:.0f} digits is past "
+                         f"the integer-to-text limit of {_digit_limit()} digits")
+
+
 def _norm_scalar(c: Scalar) -> Scalar:
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
@@ -314,9 +322,7 @@ class LaurentPoly(SparseSum):
                     common = lcm(common, c.denominator)
             digits = (span * log10(max(abs(a.numerator), a.denominator))
                       + log10(len(self._terms) * top or 1) + log10(common))
-            if digits > _digit_limit():
-                raise ValueError(f"A = {a}: an exact value of up to {digits:.0f} digits is past "
-                                 f"the integer-to-text limit of {_digit_limit()} digits")
+            _check_digits(digits, f"A = {a}: an exact value")
             total: Scalar = 0
             for k, c in self._terms.items():
                 total += c * (a ** k)
@@ -367,7 +373,14 @@ def join_signed(terms) -> str:
 
 
 def scaled(mag, *units: str) -> str:
-    """Text of a magnitude times the nonempty units; a magnitude of 1 drops out."""
+    """Text of a magnitude times the nonempty units; a magnitude of 1 drops out.
+
+    An int or Fraction whose numerator or denominator has more digits than the
+    integer-to-text limit is refused with `ValueError`, by eval_at's rule.
+    """
+    if isinstance(mag, (int, Fraction)):
+        _check_digits(max(abs(mag.numerator), mag.denominator).bit_length() * log10(2),
+                      "a coefficient")
     unit = "*".join(u for u in units if u)
     if not unit:
         return str(mag)

@@ -58,7 +58,7 @@ import operator
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .bracket import frontier_walk, narrow_order
-from .characters import Entries, entries, product, random_source, trace
+from .characters import Entries, entries, random_source, trace
 from .lattice import CiliatedGraph, EdgeEnd, Step
 from .poly import SparseSum, join_signed, numeric_term
 
@@ -147,16 +147,20 @@ _S_IMAGE: dict[str, tuple[int, Word]] = {
 }
 
 
+def _s_word(word: Word) -> tuple[int, Word]:
+    """S of one reduced word as its sign and word: the letters' images, reversed."""
+    sign, image = 1, ()
+    for ch in reversed(word):
+        s, rep = _S_IMAGE[ch]
+        sign, image = sign * s, _concat(image, rep)
+    return sign, image
+
+
 def uq_antipode(w: UqWord) -> UqWord:
     """Antipode: an algebra antihomomorphism, independent of t at word level."""
     table: dict[Word, complex] = {}
     for word, c in w._terms.items():
-        sign = 1
-        image: Word = ()
-        for ch in reversed(word):
-            s, rep = _S_IMAGE[ch]
-            sign *= s
-            image = _concat(image, rep)
+        sign, image = _s_word(word)
         table[image] = table.get(image, 0) + sign * c
     return UqWord._wrap(table)
 
@@ -210,11 +214,13 @@ def _check_t(t) -> complex:
     return t
 
 
-def _entries(w: UqWord, t: complex) -> Entries:
-    """rho(w) at a checked t as its entries (m00, m01, m10, m11)."""
-    ti = 1 / t
+def _entries(w: UqWord, t: complex, ti: complex) -> Entries:
+    """rho(w) at a checked t, with ti = 1/t, as its entries (m00, m01, m10, m11)."""
     m00 = m01 = m10 = m11 = 0j
     for word, coeff in w._terms.items():
+        if not word:
+            m00, m11 = m00 + coeff, m11 + coeff
+            continue
         a, b, c, d = coeff, 0j, 0j, coeff           # coeff times the identity,
         for ch in word:                             # then each letter on the right
             if ch == "K":
@@ -234,7 +240,7 @@ def _entries(w: UqWord, t: complex) -> Entries:
 
 def uq_fundamental(w: UqWord, t: complex) -> Entries:
     """Image of a word combination in the fundamental representation at t."""
-    return _entries(w, _check_t(t))
+    return _entries(w, t := _check_t(t), 1 / t)
 
 
 def uq_trace(w: UqWord, t: complex) -> complex:
@@ -525,23 +531,26 @@ def wilson_qlink(graph: CiliatedGraph, qlink: QLink, conn: QConnection,
     factors, closed, segments, walk, width, unused, loops = _plan_of(graph, qlink)
     _check_width(width)
     t = _check_t(t)
-    t2, ti2 = t * t, 1 / (t * t)
+    ti, t2, ti2 = 1 / t, t * t, 1 / (t * t)
     ms = []
     for w, n in factors:
-        m = (t2, 0, 0, ti2) if w == "k" else _entries(_edge_word(conn, w), t)
+        m = (t2, 0, 0, ti2) if w == "k" else _entries(_edge_word(conn, w), t, ti)
         for _ in range(n):
             a, b, c, d = m
             m = d, -t2 * b, -ti2 * c, a
         ms.append(m)
-    value = 1
-    for run in closed:
-        value = value * trace(product([ms[i] for i in run]))
+    runs = []                       # the product of each closed loop's and segment's factors
+    for run in itertools.chain(closed, segments):
+        a, b, c, d = ms[run[0]] if run else (1, 0, 0, 1)
+        for i in run[1:]:
+            e, f, g, h = ms[i]
+            a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+        runs.append((a, b, c, d))
+    value = functools.reduce(operator.mul, map(trace, runs[:len(closed)]), 1)
     if walk:
-        powers = [1] * 7            # (-t^2)^k at index k, for k in -3..3
-        for k in (1, 2, 3):
-            powers[k], powers[-k] = powers[k - 1] * -t2, powers[1 - k] * -ti2
-        segments = [product([ms[i] for i in run]) for run in segments]
-        value = value * _contract(walk, [leg[4] for leg in _r_matrix_legs(t)], powers, segments)
+        up, down = -t2, -ti2        # (-t^2)^k at index k, for k in -3..3
+        powers = [1, up, up * up, up * up * up, down * down * down, down * down, down]
+        value *= _contract(walk, [leg[4] for leg in _r_matrix_legs(t)], powers, runs[len(closed):])
     total = complex(value)
     for e in unused:
         total *= uq_counit(_edge_word(conn, e))
@@ -616,23 +625,33 @@ def gauge_act_q(graph: CiliatedGraph, y: UqWord, vertex: object,
                 conn: QConnection) -> list[dict[int, UqWord]]:
     """Quantum gauge action of y at a vertex, as a sum of pure-tensor connections.
 
-    The iterated coproduct of y spreads one Sweedler leg onto each incident
-    edge-end in cilial order: a source end multiplies the edge word on the
-    left, a target end multiplies by the antipode of the leg on the right.
-    Summing any gauge-invariant observable over the returned list equals
-    eps(y) times its original value.
+    The iterated coproduct of y spreads one Sweedler leg, a reduced word, onto
+    each incident edge-end in cilial order: a source end multiplies the edge
+    word on the left, a target end by the leg's antipode on the right, and a
+    loop edge's two ends act in sequence.  Summing any gauge-invariant
+    observable over the returned list equals eps(y) times its original value.
     """
     ends = graph.ciliation[vertex]
     if not ends:
         raise ValueError(f"vertex {vertex!r} has no incident edge-ends")
+    base = {e: _edge_word(conn, e) for e in [*conn, *(e for e, _ in ends)]}
+    acted: dict[tuple[int, Word], UqWord] = {}      # (end, leg) -> the edge word it made there
     out = []
-    for coeff, words in uq_coproduct_n(y, len(ends)):
-        c2 = {e: _edge_word(conn, e) for e in conn}
-        scale = coeff
-        for (e, side), word in zip(ends, words):
-            leg = UqWord.from_word(word, scale)
-            scale = 1
-            c2[e] = leg * c2[e] if side == 0 else c2[e] * uq_antipode(leg)
+    for coeff, legs in uq_coproduct_n(y, len(ends)):
+        c2 = dict(base)
+        for end, ((e, side), leg) in enumerate(zip(ends, legs)):
+            w = c2[e]
+            # a loop edge's second end acts on what its first end made, never reused
+            if w is not base[e] or (end, leg) not in acted:
+                if side == 0:
+                    terms = {_concat(leg, k): c for k, c in w._terms.items()}
+                else:
+                    sign, image = _s_word(leg)
+                    terms = {_concat(k, image): c * sign for k, c in w._terms.items()}
+                acted[end, leg] = UqWord._wrap(terms)
+            c2[e] = acted[end, leg]
+        if coeff != 1:                  # the term's coefficient, once
+            c2[ends[0][0]] = c2[ends[0][0]]._scale(coeff)
         out.append(c2)
     return out
 
@@ -733,7 +752,7 @@ def _split_op(tensors: Iterable[tuple[complex, tuple[Word, ...]]], t: complex) -
     for c, words in tensors:
         part = {(0, 0): complex(c)}
         for word in words:
-            m = _entries(UqWord._wrap({word: 1}), t)
+            m = _entries(UqWord._wrap({word: 1}), t, 1 / t)
             part = {(2 * r + i, 2 * s + j): v * m[2 * i + j] for (r, s), v in part.items()
                     for i in (0, 1) for j in (0, 1) if m[2 * i + j]}
         for key, v in part.items():

@@ -263,6 +263,21 @@ class TestSkeinCommand:
             assert main(["skein", "--expr", f"{coeff}*A^14000*x", "--specialize", "2"]) == 0
             assert capsys.readouterr().out == f"{coeff * 2 ** 14000}*x\n"
 
+    def test_a_poisson_bracket_too_long_to_print_is_a_usage_error(self, capsys):
+        # 1/2^7300 and 1/3^4600 each print; the bracket's coefficients, over
+        # their product, have about 4,400 digits and are refused as they render
+        expr = f"(1/{2 ** 7300}*A^0 + 1/{3 ** 4600}*A^4)*x"
+        assert main(["skein", "--expr", expr, "--poisson", "y"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: a coefficient of up to ") and err.count("\n") == 1, err
+        assert "integer-to-text limit" in err and "set_int_max_str_digits" not in err
+        small = f"(1/{2 ** 3000}*A^0 + 1/{3 ** 1800}*A^4)*x"
+        assert main(["skein", "--expr", small, "--poisson", "y"]) == 0
+        out = capsys.readouterr().out
+        assert torus_skein.parse_skein(out) == torus_skein.lift(torus_skein.poisson_bracket(
+            torus_skein.parse_skein(small), torus_skein.parse_skein("y")))
+
     @pytest.mark.parametrize("expr, degree", [
         ("(x+y)^1000", 1000), ("(x+y)^25", 25), ("(x*y*z)^9", 27),
     ])

@@ -335,6 +335,15 @@ class TestEvaluation:
             with pytest.raises(ValueError, match="past the integer-to-text limit"):
                 p.eval_at(a)
 
+    def test_rendering_refuses_coefficients_too_long_to_print(self):
+        # eval_at's rule where a value is rendered: at most the limit's digits
+        # in a numerator or a denominator
+        for c in (3 ** 9100, Fraction(1, 2 ** 14400), Fraction(-(5 ** 6200), 7)):
+            with pytest.raises(ValueError, match="^a coefficient of up to .* past the "
+                                                 "integer-to-text limit"):
+                render_laurent(LaurentPoly({2: c, 0: 1}))
+        assert render_laurent(LaurentPoly({1: 2 ** 14000})) == f"{2 ** 14000}*A"
+
     def test_eval_keeps_exact_values_within_the_text_limit(self):
         assert LaurentPoly({14000: 1}).eval_at(2) == 2 ** 14000
         assert LaurentPoly({14000: 3}).eval_at(2) == 3 * 2 ** 14000

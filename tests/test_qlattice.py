@@ -16,6 +16,7 @@ from skeinlab.lattice import (
     bouquet,
     bowtie_graph,
     gauge_act,
+    punctured_torus_graph,
     triangle_graph,
     trivial_connection,
     wilson_loop,
@@ -30,6 +31,7 @@ from skeinlab.qlattice import (
     W_KI,
     W_ONE,
     _decorations,
+    _entries,
     _iterate_probes,
     _r_matrix_legs,
     bowtie_qlinks,
@@ -306,6 +308,32 @@ def flipped_bowtie(flips) -> CiliatedGraph:
            for v, ends in g.ciliation.items()}
     faces = [[(e, -d if e in flips else d) for e, d in face] for face in g.faces]
     return CiliatedGraph(g.vertices, edges, cil, faces)
+
+
+def reference_gauge_act_q(graph, y, vertex, conn) -> list[dict]:
+    """Reference for gauge_act_q through UqWord products: per coproduct term,
+    a copy of the whole validated connection; each leg a one-word UqWord, the
+    term's coefficient on the first, multiplying a source end's edge word on
+    the left and, through uq_antipode, a target end's on the right."""
+    ends = graph.ciliation[vertex]
+    if not ends:
+        raise ValueError(f"vertex {vertex!r} has no incident edge-ends")
+    out = []
+    for coeff, words in uq_coproduct_n(y, len(ends)):
+        c2 = {e: qlattice._edge_word(conn, e) for e in conn}
+        scale = coeff
+        for (e, side), word in zip(ends, words):
+            leg = UqWord.from_word(word, scale)
+            scale = 1
+            c2[e] = leg * c2[e] if side == 0 else c2[e] * uq_antipode(leg)
+        out.append(c2)
+    return out
+
+
+def typed_terms(conns: list[dict]) -> list[dict]:
+    """Each edge word's terms with their coefficients' types, for exact comparison."""
+    return [{e: {k: (c, type(c)) for k, c in w._terms.items()} for e, w in conn.items()}
+            for conn in conns]
 
 
 def passage_ends(loop) -> list[tuple[tuple, tuple]]:
@@ -966,6 +994,76 @@ class TestGaugeSymmetry:
         assert acted[0][1].diff_norm(W_KI) < 1e-12
 
 
+class TestGaugeActionAgainstWordProducts:
+    """gauge_act_q, which acts with reduced words and reuses acted edge words,
+    against `reference_gauge_act_q`'s UqWord products."""
+
+    SITES = [(bowtie_graph(), "v3"), (punctured_torus_graph(), "v"), (bouquet(2), "v"),
+             (triangle_graph(), "v1"), (star_graph(), "u1"), (star_graph(), "w")]
+    YS = [W_K, W_KI, W_E, W_F, W_E * W_F, W_E + 3 * W_KI * W_F - 2 * W_K,
+          UqWord({("K",): 2, ("E", "F"): -1, ("F",): Fraction(1, 2), ("Ki", "E"): Fraction(-3, 4)})]
+
+    @staticmethod
+    def random_conn(graph, rng, coeff) -> dict:
+        def word():
+            return tuple(rng.choice(["E", "F", "K", "Ki"]) for _ in range(rng.randint(0, 3)))
+        return {e: UqWord({word(): coeff() for _ in range(rng.randint(1, 3))})
+                for e in graph.edges}
+
+    @pytest.mark.parametrize("coeff", [
+        lambda rng: rng.randint(-4, 4),
+        lambda rng: Fraction(rng.randint(-5, 5), rng.randint(1, 4))], ids=["int", "fraction"])
+    def test_exact_connections_match_exactly(self, coeff):
+        rng = random.Random(91)
+        for graph, vertex in self.SITES:
+            for y in self.YS:
+                for _ in range(3):
+                    conn = self.random_conn(graph, rng, lambda: coeff(rng))
+                    got = gauge_act_q(graph, y, vertex, conn)
+                    assert typed_terms(got) == typed_terms(
+                        reference_gauge_act_q(graph, y, vertex, conn))
+
+    def test_complex_connections_match(self):
+        rng = random.Random(92)
+        ys = self.YS + [UqWord({("E",): 0.5 - 1j, ("K", "F"): 2.25})]
+        for graph, vertex in self.SITES:
+            for y in ys:
+                conn = self.random_conn(
+                    graph, rng, lambda: complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+                got = gauge_act_q(graph, y, vertex, conn)
+                want = reference_gauge_act_q(graph, y, vertex, conn)
+                assert len(got) == len(want)
+                for c_got, c_want in zip(got, want):
+                    assert c_got.keys() == c_want.keys()
+                    assert all(c_got[e].diff_norm(c_want[e]) < 1e-12 for e in c_got)
+
+    def test_loop_edges_act_in_sequence(self):
+        # edge 1 of the punctured torus has its source end first and its
+        # target end third: K at both gives K . w . S(K) = K w Ki
+        g = punctured_torus_graph()
+        w = UqWord({("E",): 2, (): 1})
+        (acted,) = gauge_act_q(g, W_K, "v", {1: w, 2: W_ONE})
+        assert acted[1] == W_K * w * W_KI
+        assert acted[2] == W_ONE
+
+    def test_errors_match(self):
+        g = bowtie_graph()
+        unit = {e: W_ONE for e in g.edges}
+        missing = {e: W_ONE for e in g.edges if e != 4}
+        for act in (gauge_act_q, reference_gauge_act_q):
+            with pytest.raises(KeyError):
+                act(g, W_E, "v3", missing)
+            with pytest.raises(TypeError, match="expected UqWord, got int"):
+                act(g, W_E, "v3", {**unit, 2: 1})
+        with pytest.raises(KeyError, match="edge 4 missing from quantum connection"):
+            gauge_act_q(g, W_E, "v3", missing)
+        lonely = CiliatedGraph(["a", "b", "c"], {1: ("a", "b")},
+                               {"a": [(1, 0)], "b": [(1, 1)], "c": []})
+        for act in (gauge_act_q, reference_gauge_act_q):
+            with pytest.raises(ValueError, match="'c' has no incident edge-ends"):
+                act(lonely, W_K, "c", {1: W_ONE})
+
+
 class TestVertexSplitting:
     def test_tangle_permutations(self):
         g2 = triangle_graph()
@@ -1047,6 +1145,17 @@ class TestRepresentationAgainstWords:
                 w = random_word(rng, max_len=6) + random_word(rng) + random_word(rng)
                 want = sum(c * word_matrix(word, t) for word, c in w.items())
                 assert np.allclose(fundamental(w, t), want, atol=1e-12)
+
+    def test_entries_match_letter_matrix_products(self):
+        rng = random.Random(93)
+        for _ in range(40):
+            t = complex(rng.uniform(0.3, 2), rng.uniform(-1, 1))
+            w = random_word(rng, max_len=6) + random_word(rng) + UqWord({(): 1.5 - 0.25j})
+            want = sum(c * word_matrix(word, t) for word, c in w.items())
+            assert np.allclose(np.reshape(_entries(w, t, 1 / t), (2, 2)), want, atol=1e-12)
+        for c in (3, 2.5, 0.5 - 2j):
+            # the empty word: c times the identity, with no letter steps
+            assert _entries(UqWord({(): c}), 0.7 + 0.1j, 1 / (0.7 + 0.1j)) == (c, 0, 0, c)
 
     def test_antipode_matrix_is_the_word_antipode(self):
         rng = random.Random(78)
